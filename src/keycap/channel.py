@@ -35,10 +35,13 @@ class ChannelParams:
     var_e: float
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
-        if self.var_d <= 0.0 or self.var_e <= 0.0:
-            raise ValueError("noise variances must be positive")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
+            raise ValueError(
+                f"amplitude must be positive and finite, got {self.amplitude}")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.var_d, self.var_e)):
+            raise ValueError(
+                f"noise variances must be positive and finite, got "
+                f"var_d={self.var_d}, var_e={self.var_e}")
 
 
 @dataclass(frozen=True)

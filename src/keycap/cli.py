@@ -1,8 +1,15 @@
 """Command-line driver: sweeps over the amplitude grid, scheme and bound
 comparison tables, and KKT profile dumps, written as CSV or JSON.
 
-Exit codes: 0 full success, 2 if any grid point failed to converge
-(the row is kept with status=no_convergence), 1 on fatal errors.
+Every input is validated before any row is solved; a bad value is a usage
+error and writes no file. Each grid row then gets a `status`: `ok`, or the
+failure that stopped it (`no_convergence`, `quadrature_failure`,
+`degenerate_truncation`, `unsupported_scheme`, `invalid_beta`), with the
+message in the row's `.meta.json` `error` field. A failed row is kept with
+the columns computed before the failure, and the other rows still run.
+
+Exit codes: 0 full success, 2 if any row failed (or on a usage error),
+1 on fatal errors.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .bounds import (
     upper_bound,
 )
 from .channel import ChannelParams
-from .errors import KeycapError, NoConvergence
+from .errors import KeycapError
 from .schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
@@ -54,11 +61,25 @@ def _parse_grid(text: str) -> list[float]:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise click.BadParameter(f"bad grid: {exc}") from None
-    if not grid or any(g <= 0 for g in grid):
-        raise click.BadParameter("grid must be positive values")
+    if not grid:
+        raise click.BadParameter("grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise click.BadParameter("grid must be strictly increasing")
     return grid
+
+
+def _validate(grid, var_d, var_e, max_k, restarts, seed):
+    """Channel parameters per grid point and the solver config, checked
+    before any row is solved."""
+    if not all(math.isfinite(a2) and a2 > 0 for a2 in grid):
+        raise click.BadParameter(
+            "squared amplitudes must be positive and finite")
+    try:
+        params = [ChannelParams(math.sqrt(a2), var_d, var_e) for a2 in grid]
+        cfg = SolverConfig(max_K=max_k, restarts=restarts, seed=seed)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+    return params, cfg
 
 
 def _column_name(base: str, units: str) -> str:
@@ -67,8 +88,7 @@ def _column_name(base: str, units: str) -> str:
     return base
 
 
-def _evaluate_row(a2, var_d, var_e, outputs, cfg, k_max):
-    params = ChannelParams(math.sqrt(a2), var_d, var_e)
+def _evaluate_row(a2, params, outputs, cfg, k_max):
     row = {"A_squared": a2, "status": "ok"}
     meta = {"A_squared": a2, "status": "ok"}
     try:
@@ -99,9 +119,8 @@ def _evaluate_row(a2, var_d, var_e, outputs, cfg, k_max):
             row["trunc_gauss_rate"] = r_tg.nats
             row["trunc_gauss_heuristic_rate"] = truncated_gaussian_rate(
                 params, params.amplitude).nats
-    except NoConvergence as exc:
-        row["status"] = "no_convergence"
-        meta["status"] = "no_convergence"
+    except KeycapError as exc:
+        row["status"] = meta["status"] = exc.status
         meta["error"] = str(exc)
     return row, meta
 
@@ -166,7 +185,7 @@ def _common_options(fn):
 def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
                restarts, outputs, k_max_schemes=32):
     grid = _parse_grid(a2_grid)
-    cfg = SolverConfig(max_K=max_k, restarts=restarts, seed=seed)
+    params, cfg = _validate(grid, var_d, var_e, max_k, restarts, seed)
     columns = ["A_squared"]
     if "capacity" in outputs or "kkt" in outputs:
         columns += ["C_k", "K", "kkt_violation"]
@@ -180,9 +199,8 @@ def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
     columns.append("status")
     rows, metas = [], []
     failed = False
-    for a2 in grid:
-        row, meta = _evaluate_row(a2, var_d, var_e, outputs, cfg,
-                                  k_max_schemes)
+    for a2, p in zip(grid, params):
+        row, meta = _evaluate_row(a2, p, outputs, cfg, k_max_schemes)
         failed = failed or row["status"] != "ok"
         rows.append(row)
         metas.append(meta)
@@ -218,7 +236,8 @@ def bounds(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts):
 
 @main.command()
 @_common_options
-@click.option("--k-max", type=int, default=32, show_default=True,
+@click.option("--k-max", type=click.IntRange(min=2), default=32,
+              show_default=True,
               help="largest point count tried by the equally-spaced scheme")
 def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
             k_max):
@@ -257,10 +276,9 @@ def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
 @click.option("--restarts", type=int, default=8, show_default=True)
 def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k, restarts):
     """Dump the optimality-profile s(x; F) of the capacity solution."""
-    cfg = SolverConfig(max_K=max_k, restarts=restarts, seed=seed)
+    (params,), cfg = _validate([a2], var_d, var_e, max_k, restarts, seed)
     try:
-        rep = secret_key_capacity(ChannelParams(math.sqrt(a2), var_d, var_e),
-                                  cfg)
+        rep = secret_key_capacity(params, cfg)
     except KeycapError as exc:
         raise click.ClickException(str(exc))
     scale = 1.0 / LN2 if units == "bits" else 1.0

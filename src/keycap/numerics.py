@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfc, log_ndtr, logsumexp
+from scipy.special import erfc, log_ndtr
 
 from .errors import DegenerateTruncation, QuadratureFailure
 from .inputs import (
@@ -29,6 +29,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 GAUSS_ENTROPY_UNIT = 0.5 * math.log(2.0 * math.pi * math.e)  # h of N(0,1), nats
 
 _DENSITY_FLOOR = 1e-300
+_FLOAT_MIN = np.finfo(float).min
 _TAIL_SIGMAS = 10.0
 
 
@@ -40,8 +41,8 @@ class QuadratureSpec:
     max_subdivisions: int = 2**15
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise ValueError("abs_tol must be positive and finite")
         if self.max_subdivisions <= 0:
             raise ValueError("max_subdivisions must be positive")
 
@@ -166,6 +167,22 @@ def density_trunc_gauss_conv(
     return OutputDensity(pdf, (-half, half), "trunc-gauss-conv")
 
 
+def _log_mixture(y, points, log_probs, sigma):
+    """log sum_i p_i phi((y - x_i) / sigma) / sigma for every entry of y.
+
+    The Gaussian-mixture log-density of a discrete input through
+    N(0, sigma^2), as a log-sum-exp shifted by the maximum over the mixture
+    axis. Zero-weight points (log p = -inf) drop out. A row whose terms are
+    all -inf (no weight at all) gives -inf, with numpy's log(0) warning.
+    """
+    z = (y[..., None] - points) / sigma
+    a = log_probs - 0.5 * z * z
+    # the floor keeps the shift finite on an all -inf row
+    m = np.maximum(a.max(axis=-1), _FLOAT_MIN)
+    return (np.log(np.exp(a - m[..., None]).sum(axis=-1)) + m
+            - math.log(sigma * _SQRT_2PI))
+
+
 def density_discrete_conv(dist: DiscreteDistribution, sigma: float) -> OutputDensity:
     """Gaussian mixture induced by a discrete input through N(0, sigma^2)."""
     if sigma <= 0.0:
@@ -175,12 +192,8 @@ def density_discrete_conv(dist: DiscreteDistribution, sigma: float) -> OutputDen
     log_p = np.log(p)
 
     def pdf(t):
-        t = np.asarray(t, float)
-        scalar = t.ndim == 0
-        z = (np.atleast_1d(t)[..., None] - x) / s
-        log_terms = log_p - 0.5 * z * z - math.log(s * _SQRT_2PI)
-        out = np.exp(logsumexp(log_terms, axis=-1))
-        return float(out[0]) if scalar else out
+        out = np.exp(_log_mixture(t, x, log_p, s))
+        return float(out) if out.ndim == 0 else out
 
     lo = float(x.min()) - _TAIL_SIGMAS * s
     hi = float(x.max()) + _TAIL_SIGMAS * s

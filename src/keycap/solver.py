@@ -26,12 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
 from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
 from .inputs import DiscreteDistribution, DiscreteScheme
-from .numerics import DEFAULT_QUAD, QuadratureSpec, mutual_information
+from .numerics import (
+    DEFAULT_QUAD,
+    QuadratureSpec,
+    _log_mixture,
+    mutual_information,
+)
 
 _GH_ORDER = 96
 _GH_NODES, _GH_W = np.polynomial.hermite.hermgauss(_GH_ORDER)
@@ -50,10 +54,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.kkt_tolerance, self.inner_opt_tolerance) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if min(self.kkt_grid_size, self.max_K, self.restarts) <= 0:
-            raise ValueError("sizes must be positive")
+        tols = (self.kkt_tolerance, self.inner_opt_tolerance)
+        if not all(math.isfinite(t) and t > 0.0 for t in tols):
+            raise ValueError("tolerances must be positive and finite")
+        if min(self.kkt_grid_size, self.restarts) <= 0:
+            raise ValueError("kkt_grid_size and restarts must be positive")
+        if self.max_K < 2:
+            # escalation starts at K=2
+            raise ValueError(f"max_K must be at least 2, got {self.max_K}")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -78,10 +86,9 @@ def _expect_log_mixture(x, points, probs, sigma):
     Gaussian mixture with the given points/probs through noise sigma."""
     x = np.atleast_1d(np.asarray(x, float))
     y = x[:, None] + math.sqrt(2.0) * sigma * _GH_NODES          # (n, H)
-    z = (y[:, :, None] - points) / sigma                         # (n, H, K)
     with np.errstate(divide="ignore"):
-        log_terms = np.log(probs) - 0.5 * z * z - math.log(sigma) - _LOG_SQRT_2PI
-    return logsumexp(log_terms, axis=-1) @ _GH_W                 # (n,)
+        log_probs = np.log(probs)
+    return _log_mixture(y, points, log_probs, sigma) @ _GH_W     # (n,)
 
 
 def _marginal_density(x, points, probs, channels):

@@ -41,7 +41,8 @@ def test_equivalent_always_better():
 
 
 def test_invalid_params_rejected():
-    for bad in ((0.0, 1, 1), (1, -1, 1), (1, 1, 0.0)):
+    for bad in ((0.0, 1, 1), (1, -1, 1), (1, 1, 0.0), (math.nan, 1, 2),
+                (math.inf, 1, 2), (1, math.inf, 2), (1, 1, math.nan)):
         with pytest.raises(ValueError):
             ChannelParams(*bad)
 

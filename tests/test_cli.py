@@ -1,6 +1,7 @@
 import json
 import math
 
+import pytest
 from click.testing import CliRunner
 
 from keycap.cli import main
@@ -83,6 +84,43 @@ def test_no_convergence_exit_code(tmp_path):
     _, rows = _read_csv(out)
     assert rows[0]["status"] == "no_convergence"
     assert rows[0]["C_k_nats"] == ""
+
+
+def test_failed_row_is_kept(tmp_path):
+    # quadrature fails at A^2=1e-20; the A^2=0.5 row must still be written
+    out = tmp_path / "w.csv"
+    res = _run(["schemes", "--var-d", "1", "--var-e", "2",
+                "--a2-grid", "1e-20,0.5", "--out", str(out)])
+    assert res.exit_code == 2
+    _, rows = _read_csv(out)
+    assert [r["status"] for r in rows] == ["quadrature_failure", "ok"]
+    meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
+    assert "abs_tol" in meta["rows"][0]["error"]
+    assert "error" not in meta["rows"][1]
+
+
+@pytest.mark.parametrize("args", [
+    ["capacity", "--var-d", "nan", "--var-e", "2", "--a2-grid", "0.5"],
+    ["capacity", "--var-d", "1", "--var-e", "inf", "--a2-grid", "0.5"],
+    ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "nan"],
+    ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5,inf"],
+    ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+     "--max-k", "0"],
+    ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+     "--max-k", "1"],
+    ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+     "--restarts", "0"],
+    ["schemes", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+     "--k-max", "1"],
+    ["kkt-profile", "--var-d", "1", "--var-e", "2", "--a2", "nan"],
+])
+def test_rejects_bad_input(tmp_path, args):
+    # a usage error before any row is solved: no traceback, no output file
+    out = tmp_path / "x.csv"
+    res = _run(args + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert "Invalid value" in res.output
+    assert not out.exists()
 
 
 def test_rejects_bad_grid(tmp_path):

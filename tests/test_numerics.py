@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from keycap import (
     DegenerateTruncation,
@@ -22,6 +23,7 @@ from keycap import (
 from keycap.inputs import DiscreteScheme, UniformScheme, point_mass_scheme
 from keycap.numerics import (
     QuadratureSpec,
+    _log_mixture,
     density_variance,
     normalization_error,
 )
@@ -116,6 +118,81 @@ class TestDiscreteConvDensity:
             DiscreteDistribution((-2.0, 0.3, 1.0), (0.2, 0.5, 0.3)), 0.4)
         assert normalization_error(d) < 1e-9
 
+    def test_scalar_in_scalar_out(self):
+        d = density_discrete_conv(
+            DiscreteDistribution((-1.0, 1.0), (0.5, 0.5)), 1.0)
+        assert type(d(0.3)) is float
+        assert type(d(np.asarray(0.3))) is float
+        out = d(np.array([-0.5, 0.0, 0.3]))
+        assert isinstance(out, np.ndarray) and out.shape == (3,)
+        assert out[2] == d(0.3)
+
+
+def _scipy_log_mixture(y, points, log_probs, sigma):
+    """Oracle for the mixture kernel, built on scipy's logsumexp."""
+    z = (np.asarray(y)[..., None] - points) / sigma
+    return (logsumexp(log_probs - 0.5 * z * z, axis=-1)
+            - math.log(sigma * math.sqrt(2.0 * math.pi)))
+
+
+class TestLogMixture:
+    """The shared Gaussian-mixture log-density against scipy's logsumexp."""
+
+    @staticmethod
+    def _mixture(rng, k):
+        points = np.sort(rng.uniform(-4.0, 4.0, k))
+        return points, np.log(rng.dirichlet(np.ones(k)))
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(0)
+        for k in (1, 2, 5, 16, 32):
+            points, log_probs = self._mixture(rng, k)
+            sigma = rng.uniform(0.3, 3.0)
+            y = rng.normal(0.0, 4.0, size=(7, 96))
+            got = _log_mixture(y, points, log_probs, sigma)
+            assert got.shape == (7, 96)
+            np.testing.assert_allclose(
+                got, _scipy_log_mixture(y, points, log_probs, sigma),
+                rtol=1e-14, atol=0.0)
+
+    def test_zero_weight_points(self):
+        rng = np.random.default_rng(1)
+        points, log_probs = self._mixture(rng, 8)
+        log_probs[[0, 3, 7]] = -np.inf
+        y = rng.normal(0.0, 3.0, size=50)
+        got = _log_mixture(y, points, log_probs, 0.7)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(
+            got, _scipy_log_mixture(y, points, log_probs, 0.7),
+            rtol=1e-14, atol=0.0)
+
+    def test_far_tail_rows(self):
+        # every term is below -700, where exp() without a shift underflows
+        rng = np.random.default_rng(2)
+        points, log_probs = self._mixture(rng, 16)
+        y = np.array([45.0, 60.0, -50.0, -80.0])
+        terms = log_probs - 0.5 * (y[:, None] - points) ** 2
+        assert np.all(terms < -700.0)
+        got = _log_mixture(y, points, log_probs, 1.0)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(
+            got, _scipy_log_mixture(y, points, log_probs, 1.0),
+            rtol=1e-14, atol=0.0)
+
+    def test_all_minus_inf_row(self):
+        points = np.array([-1.0, 0.5, 2.0])
+        log_probs = np.log([0.2, 0.5, 0.3])
+        y = np.array([0.0, np.inf, -1.0])
+        with np.errstate(divide="ignore"):
+            got = _log_mixture(y, points, log_probs, 1.0)
+            empty = _log_mixture(y, points, np.full(3, -np.inf), 1.0)
+        want = _scipy_log_mixture(y, points, log_probs, 1.0)
+        assert got[1] == -np.inf == want[1]
+        np.testing.assert_allclose(got[[0, 2]], want[[0, 2]], rtol=1e-14)
+        assert np.all(empty == -np.inf)
+        assert np.all(_scipy_log_mixture(y, points, np.full(3, -np.inf), 1.0)
+                      == -np.inf)
+
 
 class TestDifferentialEntropy:
     def test_standard_gaussian(self):
@@ -155,6 +232,11 @@ class TestDifferentialEntropy:
         with pytest.raises(QuadratureFailure):
             differential_entropy(d, QuadratureSpec(abs_tol=1e-300,
                                                    max_subdivisions=50))
+
+    def test_spec_rejects_bad_tolerance(self):
+        for tol in (0.0, -1e-10, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                QuadratureSpec(abs_tol=tol)
 
 
 class TestMixedGaussianIntegral:

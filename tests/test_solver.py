@@ -136,3 +136,9 @@ class TestSolverConfigContract:
             SolverConfig(kkt_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_K=0)
+        with pytest.raises(ValueError):
+            SolverConfig(max_K=1)  # escalation starts at K=2
+        with pytest.raises(ValueError):
+            SolverConfig(kkt_tolerance=math.nan)
+        with pytest.raises(ValueError):
+            SolverConfig(inner_opt_tolerance=math.inf)
