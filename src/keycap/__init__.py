@@ -41,7 +41,6 @@ from .bounds import (
     BoundsReport,
     bounds_report,
     high_a_limit,
-    low_a_ratio,
     lower_bound_1,
     lower_bound_2,
     lower_bound_3,

@@ -18,7 +18,7 @@ from scipy.optimize import minimize_scalar
 from .channel import ChannelParams, equivalent_channel
 from .errors import InvalidBeta
 from .numerics import q_function
-from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity, secret_key_capacity
+from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BETA_LO = 1e-6
@@ -100,20 +100,6 @@ def high_a_limit(params: ChannelParams) -> float:
     """Common limit of the upper bound and the maximized closed-form lower
     bound as A grows: 0.5 log(1 + var_e / var_d)."""
     return 0.5 * math.log1p(params.var_e / params.var_d)
-
-
-def low_a_ratio(
-    params: ChannelParams,
-    a_values,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> list[tuple[float, float]]:
-    """C_k(A) / (A^2 / (2 var_d)) per amplitude; tends to 1 as A -> 0."""
-    out = []
-    for a in a_values:
-        p = ChannelParams(float(a), params.var_d, params.var_e)
-        ck = secret_key_capacity(p, cfg).rate_nats
-        out.append((float(a), ck / (a * a / (2.0 * params.var_d))))
-    return out
 
 
 def bounds_report(

@@ -92,7 +92,7 @@ def secret_key_rate(
     h_e = differential_entropy(
         scheme_output_density(scheme, math.sqrt(eq.var_e)), spec
     )
-    rate = h_eq.nats - h_e.nats + 0.5 * math.log(eq.var_e / eq.var_eq)
+    rate = h_eq.nats - h_e.nats + rate_constant(params)
     return RateResult(
         nats=rate,
         quad_error=h_eq.quad_error + h_e.quad_error,
@@ -100,24 +100,3 @@ def secret_key_rate(
         entropy_eve=h_e.nats,
     )
 
-
-def mi_difference_rate(
-    params: ChannelParams,
-    scheme: InputScheme,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> RateResult:
-    """Same rate as secret_key_rate but assembled as a difference of the two
-    mutual informations, for internal consistency checks."""
-    from .numerics import mutual_information
-
-    if scheme.half_width > params.amplitude * (1.0 + _SUPPORT_SLACK):
-        raise UnsupportedScheme("scheme support exceeds amplitude")
-    eq = equivalent_channel(params)
-    mi_eq = mutual_information(scheme, math.sqrt(eq.var_eq), spec)
-    mi_e = mutual_information(scheme, math.sqrt(eq.var_e), spec)
-    return RateResult(
-        nats=mi_eq.nats - mi_e.nats,
-        quad_error=mi_eq.quad_error + mi_e.quad_error,
-        entropy_legit=mi_eq.entropy_legit,
-        entropy_eve=mi_e.entropy_legit,
-    )

@@ -31,6 +31,7 @@ from .bounds import (
 )
 from .channel import ChannelParams
 from .errors import KeycapError
+from .numerics import DEFAULT_QUAD
 from .schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
@@ -44,7 +45,7 @@ LN2 = math.log(2.0)
 _RATE_COLUMNS = {
     "C_k", "C_k_UB", "LB1", "LB2_star", "LB3", "high_A_limit",
     "maxentropic_rate", "uniform_rate",
-    "trunc_gauss_rate", "trunc_gauss_heuristic_rate",
+    "trunc_gauss_rate", "trunc_gauss_heuristic_rate", "s",
 }
 
 
@@ -125,7 +126,9 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
     return row, meta
 
 
-def _write_output(rows, columns, units, fmt, out_path):
+def _write_output(rows, columns, metas, cfg, units, fmt, seed, out_path):
+    """Write the rows (rate columns converted to `units`) and their
+    `.meta.json` companion."""
     named = []
     for row in rows:
         out_row = {}
@@ -140,15 +143,9 @@ def _write_output(rows, columns, units, fmt, out_path):
     if fmt == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(r[h]) for h in header) for r in named]
-        out.write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
     else:
-        out.write_text(json.dumps(named, sort_keys=True, indent=2,
-                                  default=_fmt) + "\n")
-
-
-def _write_meta(metas, cfg, units, seed, out_path):
-    from .numerics import DEFAULT_QUAD
-
+        text = json.dumps(named, sort_keys=True, indent=2, default=_fmt) + "\n"
     payload = {
         "solver_config": asdict(cfg),
         "quadrature": asdict(DEFAULT_QUAD),
@@ -156,30 +153,43 @@ def _write_meta(metas, cfg, units, seed, out_path):
         "seed": seed,
         "rows": metas,
     }
-    Path(str(out_path) + ".meta.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        out.write_text(text)
+        Path(str(out_path) + ".meta.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise click.ClickException(f"cannot write output: {exc}")
 
 
-def _common_options(fn):
-    for opt in reversed([
-        click.option("--var-d", type=float, required=True,
-                     help="legitimate-receiver noise variance"),
-        click.option("--var-e", type=float, required=True,
-                     help="eavesdropper noise variance"),
-        click.option("--a2-grid", required=True,
-                     help="comma-separated strictly increasing squared amplitudes"),
-        click.option("--units", type=click.Choice(["nats", "bits"]),
-                     default="nats", show_default=True),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="csv", show_default=True),
-        click.option("--out", type=click.Path(dir_okay=False), required=True),
-        click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--max-k", type=int, default=64, show_default=True,
-                     help="mass-point budget for the solver"),
-        click.option("--restarts", type=int, default=8, show_default=True),
-    ]):
-        fn = opt(fn)
-    return fn
+def _options(amplitudes):
+    """The options every command takes, with `amplitudes` declaring the
+    squared-amplitude option."""
+    def decorate(fn):
+        for opt in reversed([
+            click.option("--var-d", type=float, required=True,
+                         help="legitimate-receiver noise variance"),
+            click.option("--var-e", type=float, required=True,
+                         help="eavesdropper noise variance"),
+            amplitudes,
+            click.option("--units", type=click.Choice(["nats", "bits"]),
+                         default="nats", show_default=True),
+            click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                         default="csv", show_default=True),
+            click.option("--out", type=click.Path(dir_okay=False),
+                         required=True),
+            click.option("--seed", type=int, default=0, show_default=True),
+            click.option("--max-k", type=int, default=64, show_default=True,
+                         help="mass-point budget for the solver"),
+            click.option("--restarts", type=int, default=8, show_default=True),
+        ]):
+            fn = opt(fn)
+        return fn
+    return decorate
+
+
+_common_options = _options(click.option(
+    "--a2-grid", required=True,
+    help="comma-separated strictly increasing squared amplitudes"))
 
 
 def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
@@ -204,11 +214,7 @@ def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
         failed = failed or row["status"] != "ok"
         rows.append(row)
         metas.append(meta)
-    try:
-        _write_output(rows, columns, units, fmt, out)
-        _write_meta(metas, cfg, units, seed, out)
-    except OSError as exc:
-        raise click.ClickException(f"cannot write output: {exc}")
+    _write_output(rows, columns, metas, cfg, units, fmt, seed, out)
     sys.exit(2 if failed else 0)
 
 
@@ -263,17 +269,8 @@ def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
 
 
 @main.command("kkt-profile")
-@click.option("--var-d", type=float, required=True)
-@click.option("--var-e", type=float, required=True)
-@click.option("--a2", type=float, required=True)
-@click.option("--units", type=click.Choice(["nats", "bits"]),
-              default="nats", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-k", type=int, default=64, show_default=True)
-@click.option("--restarts", type=int, default=8, show_default=True)
+@_options(click.option("--a2", type=float, required=True,
+                       help="squared amplitude"))
 def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k, restarts):
     """Dump the optimality-profile s(x; F) of the capacity solution."""
     (params,), cfg = _validate([a2], var_d, var_e, max_k, restarts, seed)
@@ -281,27 +278,14 @@ def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k, restarts):
         rep = secret_key_capacity(params, cfg)
     except KeycapError as exc:
         raise click.ClickException(str(exc))
-    scale = 1.0 / LN2 if units == "bits" else 1.0
-    rows = [{"x": x, f"s_{units}": s * scale} for x, s in rep.kkt_grid]
-    header = ["x", f"s_{units}"]
-    try:
-        if fmt == "csv":
-            lines = [",".join(header)]
-            lines += [",".join(_fmt(r[h]) for h in header) for r in rows]
-            Path(out).write_text("\n".join(lines) + "\n")
-        else:
-            Path(out).write_text(
-                json.dumps(rows, sort_keys=True, indent=2) + "\n")
-        _write_meta([{
-            "A_squared": a2, "status": "ok", "K": rep.num_points_K,
-            "kkt_violation": rep.kkt_max_violation,
-            "rate": rep.rate_nats * scale,
-            "points": list(rep.distribution.points),
-            "probs": list(rep.distribution.probs),
-        }], cfg, units, seed, out)
-    except OSError as exc:
-        raise click.ClickException(f"cannot write output: {exc}")
-
+    rows = [{"x": x, "s": s} for x, s in rep.kkt_grid]
+    _write_output(rows, ["x", "s"], [{
+        "A_squared": a2, "status": "ok", "K": rep.num_points_K,
+        "kkt_violation": rep.kkt_max_violation,
+        "rate": rep.rate_nats / LN2 if units == "bits" else rep.rate_nats,
+        "points": list(rep.distribution.points),
+        "probs": list(rep.distribution.probs),
+    }], cfg, units, fmt, seed, out)
 
 if __name__ == "__main__":
     main()

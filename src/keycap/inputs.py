@@ -7,7 +7,6 @@ truncated to [-A, A]. All are immutable values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -106,28 +105,6 @@ def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteScheme:
     return DiscreteScheme(DiscreteDistribution(tuple(points), tuple(probs)))
 
 
-def two_point_scheme(amplitude: float) -> DiscreteScheme:
-    """Equal masses at the interval extremes."""
-    return maxentropic_scheme(amplitude, 2)
-
-
 def point_mass_scheme(location: float = 0.0) -> DiscreteScheme:
     return DiscreteScheme(DiscreteDistribution((location,), (1.0,)))
 
-
-def scheme_variance(scheme: InputScheme) -> float:
-    """Input variance E[X^2] - E[X]^2 of a scheme (exact, closed form)."""
-    if isinstance(scheme, DiscreteScheme):
-        x, p = scheme.dist.as_arrays()
-        m = float(p @ x)
-        return float(p @ (x - m) ** 2)
-    if isinstance(scheme, UniformScheme):
-        return scheme.amplitude**2 / 3.0
-    if isinstance(scheme, TruncatedGaussianScheme):
-        # var of N(0, s^2) truncated to [-A, A]: s^2 * (1 - 2a phi(a)/Z)
-        # with a = A/s and Z = Phi(a) - Phi(-a)
-        a = scheme.amplitude / scheme.sigma_x
-        phi_a = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
-        z = math.erf(a / math.sqrt(2.0))
-        return scheme.sigma_x**2 * (1.0 - 2.0 * a * phi_a / z)
-    raise TypeError(f"not an input scheme: {scheme!r}")

@@ -12,26 +12,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .channel import ChannelParams, secret_key_rate
-from .inputs import (
-    DiscreteScheme,
-    InputScheme,
-    TruncatedGaussianScheme,
-    UniformScheme,
-    maxentropic_scheme,
-)
+from .inputs import TruncatedGaussianScheme, UniformScheme, maxentropic_scheme
 from .numerics import DEFAULT_QUAD, QuadratureSpec, RateResult
-
-__all__ = [
-    "InputScheme",
-    "DiscreteScheme",
-    "UniformScheme",
-    "TruncatedGaussianScheme",
-    "maxentropic_scheme",
-    "best_maxentropic",
-    "uniform_scheme_rate",
-    "truncated_gaussian_rate",
-    "optimize_truncated_gaussian",
-]
 
 
 def best_maxentropic(
@@ -39,17 +21,18 @@ def best_maxentropic(
     k_max: int = 32,
     spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> tuple[int, RateResult]:
-    """Exhaustive search over the point count K = 2..k_max; ties go to the
+    """Exhaustive search over the point count K = 2..k_max. Rates within
+    their summed quadrature errors of the maximum tie, and ties go to the
     smaller K."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    best_k, best = 2, secret_key_rate(
-        params, maxentropic_scheme(params.amplitude, 2), spec)
-    for k in range(3, k_max + 1):
-        r = secret_key_rate(params, maxentropic_scheme(params.amplitude, k), spec)
-        if r.nats > best.nats:
-            best_k, best = k, r
-    return best_k, best
+    a = params.amplitude
+    rates = [secret_key_rate(params, maxentropic_scheme(a, k), spec)
+             for k in range(2, k_max + 1)]
+    best = max(rates, key=lambda r: r.nats)
+    k = next(k for k, r in enumerate(rates, 2)
+             if r.nats >= best.nats - (r.quad_error + best.quad_error))
+    return k, rates[k - 2]
 
 
 def uniform_scheme_rate(

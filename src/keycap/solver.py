@@ -30,12 +30,7 @@ from scipy.optimize import minimize_scalar
 from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
 from .inputs import DiscreteDistribution, DiscreteScheme
-from .numerics import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    _log_mixture,
-    mutual_information,
-)
+from .numerics import _log_mixture, mutual_information
 
 _GH_ORDER = 96
 _GH_NODES, _GH_W = np.polynomial.hermite.hermgauss(_GH_ORDER)
@@ -144,8 +139,7 @@ def _fold(values, m, has_center):
 def _group_rate(u, w, has_center, channels):
     points, probs = _expand(u, w, has_center)
     keep = probs > 0.0
-    return float(probs[keep] @ _marginal_density(
-        points[keep], points[keep], probs[keep], channels))
+    return _rate(points[keep], probs[keep], channels)
 
 
 def _optimize_weights(u, w, has_center, channels, tol, max_iter=3000):
@@ -337,12 +331,19 @@ def _escalate(amplitude, channels, cfg):
     return fallback, False
 
 
-def _build_report(candidate, converged, rate_nats):
+def _capacity(amplitude, channels, cfg, rate_of):
+    """Escalate K on the channel stack; the reported rate is rate_of applied
+    to the certified law's DiscreteScheme."""
+    candidate, converged = _escalate(amplitude, channels, cfg)
     points, probs, _, violation, grid, s_grid = candidate
+    if not converged:
+        raise NoConvergence(
+            f"no KKT certificate up to K={cfg.max_K} "
+            f"(best violation {violation:.3e})")
     dist = DiscreteDistribution(tuple(points), tuple(probs))
     return SolverReport(
         distribution=dist,
-        rate_nats=rate_nats,
+        rate_nats=rate_of(DiscreteScheme(dist)).nats,
         num_points_K=len(points),
         kkt_max_violation=violation,
         kkt_grid=tuple(zip(map(float, grid), map(float, s_grid))),
@@ -351,40 +352,22 @@ def _build_report(candidate, converged, rate_nats):
 
 
 def plain_capacity(
-    amplitude: float,
-    sigma: float,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    spec: QuadratureSpec = DEFAULT_QUAD,
+    amplitude: float, sigma: float, cfg: SolverConfig = DEFAULT_SOLVER
 ) -> SolverReport:
     """Capacity of the amplitude-constrained scalar Gaussian channel,
     I(X; X + N) maximized over discrete inputs on [-A, A]."""
     if amplitude <= 0.0 or sigma <= 0.0:
         raise ValueError("amplitude and sigma must be positive")
-    channels = ((float(sigma), 1.0),)
-    candidate, converged = _escalate(float(amplitude), channels, cfg)
-    if not converged:
-        raise NoConvergence(
-            f"no KKT certificate up to K={cfg.max_K} "
-            f"(best violation {candidate[3]:.3e})")
-    dist = DiscreteDistribution(tuple(candidate[0]), tuple(candidate[1]))
-    rate = mutual_information(DiscreteScheme(dist), sigma, spec).nats
-    return _build_report(candidate, converged, rate)
+    return _capacity(float(amplitude), ((float(sigma), 1.0),), cfg,
+                     lambda s: mutual_information(s, sigma))
 
 
 def secret_key_capacity(
-    params: ChannelParams,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    spec: QuadratureSpec = DEFAULT_QUAD,
+    params: ChannelParams, cfg: SolverConfig = DEFAULT_SOLVER
 ) -> SolverReport:
     """Secret-key capacity of the amplitude-constrained setting, maximizing
     the degraded-wiretap rate over discrete inputs on [-A, A]."""
     eq = equivalent_channel(params)
     channels = ((math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0))
-    candidate, converged = _escalate(params.amplitude, channels, cfg)
-    if not converged:
-        raise NoConvergence(
-            f"no KKT certificate up to K={cfg.max_K} "
-            f"(best violation {candidate[3]:.3e})")
-    dist = DiscreteDistribution(tuple(candidate[0]), tuple(candidate[1]))
-    rate = secret_key_rate(params, DiscreteScheme(dist), spec).nats
-    return _build_report(candidate, converged, rate)
+    return _capacity(params.amplitude, channels, cfg,
+                     lambda s: secret_key_rate(params, s))

@@ -135,16 +135,35 @@ def test_rejects_bad_grid(tmp_path):
     assert res.exit_code != 0
 
 
-def test_kkt_profile(tmp_path):
-    out = tmp_path / "kkt.csv"
+def _kkt_profile(tmp_path, fmt, units):
+    out = tmp_path / f"kkt_{units}.{fmt}"
     res = _run(["kkt-profile", "--var-d", "1", "--var-e", "2", "--a2", "0.5",
-                "--restarts", "2", "--out", str(out)])
+                "--restarts", "2", "--units", units, "--format", fmt,
+                "--out", str(out)])
     assert res.exit_code == 0
-    header, rows = _read_csv(out)
-    assert header == ["x", "s_nats"]
-    meta = json.loads((tmp_path / "kkt.csv.meta.json").read_text())
-    rate = meta["rows"][0]["rate"]
+    if fmt == "csv":
+        _, rows = _read_csv(out)
+        rows = [{k: float(v) for k, v in r.items()} for r in rows]
+    else:
+        rows = json.loads(out.read_text())
+    meta = json.loads((tmp_path / f"{out.name}.meta.json").read_text())
+    return rows, meta["rows"][0]["rate"]
+
+
+@pytest.mark.parametrize("fmt,units", [("csv", "nats"), ("json", "bits")])
+def test_kkt_profile(tmp_path, fmt, units):
+    rows, rate = _kkt_profile(tmp_path, fmt, units)
+    col = f"s_{units}"
+    # CSV keeps the column order, JSON sorts the keys
+    assert list(rows[0]) == (["x", col] if fmt == "csv" else [col, "x"])
     # profile never exceeds the rate by more than the certificate tolerance
-    assert max(float(r["s_nats"]) for r in rows) <= rate + 2e-6
-    xs = [float(r["x"]) for r in rows]
+    scale = LN2 if units == "bits" else 1.0
+    assert max(r[col] for r in rows) <= rate + 2e-6 / scale
+    xs = [r["x"] for r in rows]
     assert min(xs) == -max(xs)
+    if units == "bits":
+        # every rate in bits is the nats value divided by ln 2
+        nats, rate_nats = _kkt_profile(tmp_path, "json", "nats")
+        assert xs == [r["x"] for r in nats]
+        assert [r["s_bits"] for r in rows] == [r["s_nats"] / LN2 for r in nats]
+        assert rate == rate_nats / LN2

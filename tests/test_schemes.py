@@ -48,6 +48,13 @@ class TestBestMaxentropic:
             r = secret_key_rate(p, maxentropic_scheme(p.amplitude, kk)).nats
             assert best.nats >= r - 1e-12
 
+    def test_noise_level_rates_tie_to_smallest_k(self, fig1_params):
+        # at A^2=1e-20 every K's rate is quadrature noise (about 1e-15
+        # nats against errors of about 7e-11), so every K ties
+        k, rate = best_maxentropic(fig1_params(1e-20))
+        assert k == 2
+        assert abs(rate.nats) <= rate.quad_error
+
     def test_never_exceeds_capacity(self, fig1_params, fast_cfg):
         p = fig1_params(1.0)
         _, rate = best_maxentropic(p, k_max=8)

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from keycap import (
     NoConvergence,
     SolverConfig,
+    equivalent_channel,
     maxentropic_scheme,
     mixed_gaussian_entropy_integral,
     plain_capacity,
@@ -114,7 +115,6 @@ class TestSecretKeyCapacity:
     def test_escalation_sound(self, fig1_params, fast_cfg):
         # allowing one more mass point can never reduce the optimized rate
         p = fig1_params(0.5)
-        from keycap.channel import equivalent_channel
         eq = equivalent_channel(p)
         channels = ((math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0))
         rng = np.random.default_rng(0)
@@ -128,6 +128,27 @@ class TestSecretKeyCapacity:
         cfg = SolverConfig(max_K=2, restarts=1)
         with pytest.raises(NoConvergence):
             secret_key_capacity(fig1_params(2.0), cfg)
+
+
+class TestCapacityWrappers:
+    @pytest.mark.parametrize("secret_key", [False, True])
+    def test_reported_rate_matches_solver_rate(self, fig1_params, secret_key):
+        # the quadrature rate each wrapper reports agrees with the solver's
+        # own rate of the returned law on the wrapper's channel stack
+        p = fig1_params(2.0)
+        eq = equivalent_channel(p)
+        cfg = SolverConfig(restarts=1)
+        if secret_key:
+            rep = secret_key_capacity(p, cfg)
+            channels = ((math.sqrt(eq.var_eq), 1.0),
+                        (math.sqrt(eq.var_e), -1.0))
+        else:
+            rep = plain_capacity(p.amplitude, math.sqrt(eq.var_eq), cfg)
+            channels = ((math.sqrt(eq.var_eq), 1.0),)
+        assert rep.num_points_K == 3
+        points, probs = rep.distribution.as_arrays()
+        assert rep.rate_nats == pytest.approx(
+            _rate(points, probs, channels), abs=1e-9)
 
 
 class TestSolverConfigContract:
