@@ -26,7 +26,6 @@ from .inputs import (
 )
 from .numerics import (
     OutputDensity,
-    QuadratureSpec,
     RateResult,
     differential_entropy,
     density_discrete_conv,

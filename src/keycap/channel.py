@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedScheme
 from .inputs import InputScheme
-from .numerics import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    RateResult,
-    differential_entropy,
-    scheme_output_density,
-)
+from .numerics import RateResult, differential_entropy, scheme_output_density
 
 _SUPPORT_SLACK = 1e-12
 
@@ -69,11 +63,7 @@ def rate_constant(params: ChannelParams) -> float:
     return 0.5 * math.log(eq.var_e / eq.var_eq)
 
 
-def secret_key_rate(
-    params: ChannelParams,
-    scheme: InputScheme,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> RateResult:
+def secret_key_rate(params: ChannelParams, scheme: InputScheme) -> RateResult:
     """Secret-key rate of a scheme in nats:
 
         R = h(X + N_eq) - h(X + N_E) + 0.5 log(var_e / var_eq)
@@ -87,11 +77,9 @@ def secret_key_rate(
         )
     eq = equivalent_channel(params)
     h_eq = differential_entropy(
-        scheme_output_density(scheme, math.sqrt(eq.var_eq)), spec
-    )
+        scheme_output_density(scheme, math.sqrt(eq.var_eq)))
     h_e = differential_entropy(
-        scheme_output_density(scheme, math.sqrt(eq.var_e)), spec
-    )
+        scheme_output_density(scheme, math.sqrt(eq.var_e)))
     rate = h_eq.nats - h_e.nats + rate_constant(params)
     return RateResult(
         nats=rate,

@@ -31,7 +31,7 @@ from .bounds import (
 )
 from .channel import ChannelParams
 from .errors import KeycapError
-from .numerics import DEFAULT_QUAD
+from .numerics import QUAD_ABS_TOL, QUAD_MAX_SUBDIVISIONS
 from .schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
@@ -148,7 +148,8 @@ def _write_output(rows, columns, metas, cfg, units, fmt, seed, out_path):
         text = json.dumps(named, sort_keys=True, indent=2, default=_fmt) + "\n"
     payload = {
         "solver_config": asdict(cfg),
-        "quadrature": asdict(DEFAULT_QUAD),
+        "quadrature": {"abs_tol": QUAD_ABS_TOL,
+                       "max_subdivisions": QUAD_MAX_SUBDIVISIONS},
         "units": units,
         "seed": seed,
         "rows": metas,

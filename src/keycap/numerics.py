@@ -32,22 +32,9 @@ _DENSITY_FLOOR = 1e-300
 _FLOAT_MIN = np.finfo(float).min
 _TAIL_SIGMAS = 10.0
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive-quadrature controls."""
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 2**15
-
-    def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive and finite")
-        if self.max_subdivisions <= 0:
-            raise ValueError("max_subdivisions must be positive")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# adaptive-quadrature budget of every integral
+QUAD_ABS_TOL = 1e-10
+QUAD_MAX_SUBDIVISIONS = 2**15
 
 
 @dataclass(frozen=True)
@@ -96,20 +83,19 @@ def _quad(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    spec: QuadratureSpec,
     points: tuple[float, ...] = (),
 ) -> tuple[float, float]:
-    """scipy adaptive quadrature with the spec's budget; raises on failure."""
+    """scipy adaptive quadrature with the fixed budget; raises on failure."""
     pts = [p for p in points if lo < p < hi] or None
     val, err, info, *rest = integrate.quad(
         f, lo, hi,
-        epsabs=spec.abs_tol, epsrel=0.0,
-        limit=spec.max_subdivisions, points=pts,
+        epsabs=QUAD_ABS_TOL, epsrel=0.0,
+        limit=QUAD_MAX_SUBDIVISIONS, points=pts,
         full_output=True,
     )
     if rest:
         raise QuadratureFailure(
-            f"integral on [{lo}, {hi}] did not reach abs_tol={spec.abs_tol}: {rest[0]}"
+            f"integral on [{lo}, {hi}] did not reach abs_tol={QUAD_ABS_TOL}: {rest[0]}"
         )
     return float(val), float(err)
 
@@ -211,16 +197,14 @@ def scheme_output_density(scheme: InputScheme, sigma: float) -> OutputDensity:
     raise TypeError(f"not an input scheme: {scheme!r}")
 
 
-def normalization_error(d: OutputDensity, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def normalization_error(d: OutputDensity) -> float:
     """|integral of d - 1| over the support hint extended by 2 units."""
     lo, hi = d.support
-    val, _ = _quad(lambda t: float(d(t)), lo - 2.0, hi + 2.0, spec, d.critical_points)
+    val, _ = _quad(lambda t: float(d(t)), lo - 2.0, hi + 2.0, d.critical_points)
     return abs(val - 1.0)
 
 
-def differential_entropy(
-    d: OutputDensity, spec: QuadratureSpec = DEFAULT_QUAD
-) -> RateResult:
+def differential_entropy(d: OutputDensity) -> RateResult:
     """h = -integral p log p over the support hint, in nats.
 
     The integrand is taken as 0 wherever p < 1e-300 (x log x -> 0).
@@ -233,17 +217,16 @@ def differential_entropy(
         return -p * math.log(p)
 
     lo, hi = d.support
-    val, err = _quad(integrand, lo, hi, spec, d.critical_points)
+    val, err = _quad(integrand, lo, hi, d.critical_points)
     return RateResult(nats=val, quad_error=err)
 
 
-def density_variance(d: OutputDensity, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def density_variance(d: OutputDensity) -> float:
     """Variance of the density by quadrature (mean subtracted)."""
     lo, hi = d.support
-    mean, _ = _quad(lambda t: t * float(d(t)), lo, hi, spec, d.critical_points)
+    mean, _ = _quad(lambda t: t * float(d(t)), lo, hi, d.critical_points)
     m2, _ = _quad(
-        lambda t: (t - mean) ** 2 * float(d(t)), lo, hi, spec, d.critical_points
-    )
+        lambda t: (t - mean) ** 2 * float(d(t)), lo, hi, d.critical_points)
     return m2
 
 
@@ -252,9 +235,7 @@ def _log_cosh(y: np.ndarray) -> np.ndarray:
     return y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0)
 
 
-def mixed_gaussian_entropy_integral(
-    amplitude: float, spec: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def mixed_gaussian_entropy_integral(amplitude: float) -> float:
     """The correction term I in h(Y) = h(N) + A^2 - I for the equal two-point
     input {-A, +A} through unit-variance noise.
 
@@ -273,16 +254,14 @@ def mixed_gaussian_entropy_integral(
         return float(bells * _log_cosh(np.asarray(a * t)))
 
     hi = a + 12.0 + 12.0 / a  # both bells and the logcosh scale covered
-    val, _ = _quad(integrand, 0.0, hi, spec, (a,))
+    val, _ = _quad(integrand, 0.0, hi, (a,))
     return val
 
 
-def mutual_information(
-    scheme: InputScheme, sigma: float, spec: QuadratureSpec = DEFAULT_QUAD
-) -> RateResult:
+def mutual_information(scheme: InputScheme, sigma: float) -> RateResult:
     """I(X; X + N) = h(X + N) - h(N) for Gaussian N of std sigma, in nats."""
     d = scheme_output_density(scheme, sigma)
-    h = differential_entropy(d, spec)
+    h = differential_entropy(d)
     mi = h.nats - (GAUSS_ENTROPY_UNIT + math.log(sigma))
     return RateResult(nats=mi, quad_error=h.quad_error, entropy_legit=h.nats)
 

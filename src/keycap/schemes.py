@@ -13,13 +13,11 @@ from scipy.optimize import minimize_scalar
 
 from .channel import ChannelParams, secret_key_rate
 from .inputs import TruncatedGaussianScheme, UniformScheme, maxentropic_scheme
-from .numerics import DEFAULT_QUAD, QuadratureSpec, RateResult
+from .numerics import RateResult
 
 
 def best_maxentropic(
-    params: ChannelParams,
-    k_max: int = 32,
-    spec: QuadratureSpec = DEFAULT_QUAD,
+    params: ChannelParams, k_max: int = 32
 ) -> tuple[int, RateResult]:
     """Exhaustive search over the point count K = 2..k_max. Rates within
     their summed quadrature errors of the maximum tie, and ties go to the
@@ -27,7 +25,7 @@ def best_maxentropic(
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     a = params.amplitude
-    rates = [secret_key_rate(params, maxentropic_scheme(a, k), spec)
+    rates = [secret_key_rate(params, maxentropic_scheme(a, k))
              for k in range(2, k_max + 1)]
     best = max(rates, key=lambda r: r.nats)
     k = next(k for k, r in enumerate(rates, 2)
@@ -35,23 +33,19 @@ def best_maxentropic(
     return k, rates[k - 2]
 
 
-def uniform_scheme_rate(
-    params: ChannelParams, spec: QuadratureSpec = DEFAULT_QUAD
-) -> RateResult:
-    return secret_key_rate(params, UniformScheme(params.amplitude), spec)
+def uniform_scheme_rate(params: ChannelParams) -> RateResult:
+    return secret_key_rate(params, UniformScheme(params.amplitude))
 
 
 def truncated_gaussian_rate(
-    params: ChannelParams,
-    sigma_x: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
+    params: ChannelParams, sigma_x: float
 ) -> RateResult:
     return secret_key_rate(
-        params, TruncatedGaussianScheme(params.amplitude, sigma_x), spec)
+        params, TruncatedGaussianScheme(params.amplitude, sigma_x))
 
 
 def optimize_truncated_gaussian(
-    params: ChannelParams, spec: QuadratureSpec = DEFAULT_QUAD
+    params: ChannelParams,
 ) -> tuple[float, RateResult]:
     """Maximize the truncated-Gaussian rate over sigma_x in [A/100, 100 A].
 
@@ -60,13 +54,13 @@ def optimize_truncated_gaussian(
     """
     a = params.amplitude
     grid = np.geomspace(a / 100.0, 100.0 * a, 50)
-    vals = [truncated_gaussian_rate(params, s, spec).nats for s in grid]
+    vals = [truncated_gaussian_rate(params, s).nats for s in grid]
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
 
     def neg(s):
-        return -truncated_gaussian_rate(params, float(s), spec).nats
+        return -truncated_gaussian_rate(params, float(s)).nats
 
     sigma_star = float(grid[i])
     if lo < grid[i] < hi:
@@ -79,4 +73,4 @@ def optimize_truncated_gaussian(
         except ValueError:
             # flat bracket; the grid point already is the maximum
             pass
-    return sigma_star, truncated_gaussian_rate(params, sigma_star, spec)
+    return sigma_star, truncated_gaussian_rate(params, sigma_star)

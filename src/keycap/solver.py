@@ -38,22 +38,22 @@ _GH_W = _GH_W / math.sqrt(math.pi)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+_KKT_TOLERANCE = 1e-6     # largest s(x; F) - rate a certificate accepts
+_KKT_GRID_SIZE = 2001     # points of [-A, A] the certificate checks
+_INNER_TOLERANCE = 1e-9   # weight residual and rate gain of a fine solve
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    kkt_tolerance: float = 1e-6
-    kkt_grid_size: int = 2001
     max_K: int = 64
-    inner_opt_tolerance: float = 1e-9
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        tols = (self.kkt_tolerance, self.inner_opt_tolerance)
-        if not all(math.isfinite(t) and t > 0.0 for t in tols):
-            raise ValueError("tolerances must be positive and finite")
-        if min(self.kkt_grid_size, self.restarts) <= 0:
-            raise ValueError("kkt_grid_size and restarts must be positive")
+        if self.restarts <= 0:
+            raise ValueError("restarts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_K < 2:
             # escalation starts at K=2
             raise ValueError(f"max_K must be at least 2, got {self.max_K}")
@@ -69,7 +69,6 @@ class SolverReport:
     num_points_K: int
     kkt_max_violation: float
     kkt_grid: tuple[tuple[float, float], ...]
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +173,12 @@ def _optimize_weights(u, w, has_center, channels, tol, max_iter=3000):
         while step > 1e-15:
             cand = project_simplex(w + step * g)
             delta = cand - w
-            pred = float(g @ delta)
             val_c, g_c = rate_and_grad(cand)
-            if val_c >= val + 1e-4 * pred - 1e-15:
+            # the objective is concave, so the segment ascends all the way
+            # while its far end still does; centering g_c cancels the
+            # rounding left in sum(delta) = 0, which would otherwise swamp
+            # the directional derivative near the optimum
+            if float((g_c - g_c.mean()) @ delta) >= 0.0:
                 moved = True
                 break
             step *= 0.5
@@ -260,14 +262,14 @@ def _initial_state(num_points, amplitude, rng=None):
     return u, w, has_center
 
 
-def _alternate(u, w, has_center, amplitude, channels, cfg, coarse=False):
+def _alternate(u, w, has_center, amplitude, channels, coarse=False):
     if coarse:
         xatol = 1e-6 * max(amplitude, 1.0)
         w_tol, val_tol, rounds, pg_iter = 1e-6, 1e-7, 15, 400
     else:
         xatol = 1e-10 * max(amplitude, 1.0)
-        w_tol, val_tol, rounds, pg_iter = cfg.inner_opt_tolerance, \
-            cfg.inner_opt_tolerance, 60, 3000
+        w_tol, val_tol, rounds, pg_iter = \
+            _INNER_TOLERANCE, _INNER_TOLERANCE, 60, 3000
     val = -np.inf
     for _ in range(rounds):
         w, val_w, _ = _optimize_weights(
@@ -289,15 +291,15 @@ def _solve_fixed_k(num_points, amplitude, channels, cfg, rng):
     for r in range(cfg.restarts):
         u0, w0, hc = _initial_state(
             num_points, amplitude, rng if r > 0 else None)
-        state = _alternate(u0, w0, hc, amplitude, channels, cfg, coarse=True)
+        state = _alternate(u0, w0, hc, amplitude, channels, coarse=True)
         if best is None or state[3] > best[3]:
             best = state
     u, w, has_center, _ = _alternate(
-        best[0], best[1], best[2], amplitude, channels, cfg)
+        best[0], best[1], best[2], amplitude, channels)
     u, w, has_center, merged = _merge_groups(u, w, has_center, amplitude)
     if merged:
         # retry at the same K from the merged state before escalating
-        u, w, has_center, _ = _alternate(u, w, has_center, amplitude, channels, cfg)
+        u, w, has_center, _ = _alternate(u, w, has_center, amplitude, channels)
         u, w, has_center, _ = _merge_groups(u, w, has_center, amplitude)
     points, probs = _expand(u, w, has_center)
     keep = probs > 1e-12
@@ -305,41 +307,33 @@ def _solve_fixed_k(num_points, amplitude, channels, cfg, rng):
     return points[keep], probs
 
 
-def _kkt_profile(points, probs, channels, amplitude, grid_size):
+def _kkt_profile(points, probs, channels, amplitude):
     grid = np.unique(np.concatenate(
-        [np.linspace(-amplitude, amplitude, grid_size), points]))
+        [np.linspace(-amplitude, amplitude, _KKT_GRID_SIZE), points]))
     s_grid = _marginal_density(grid, points, probs, channels)
     s_pts = _marginal_density(points, points, probs, channels)
     rate_ref = float(probs @ s_pts)
     violation = max(float(np.max(s_grid) - rate_ref),
                     float(np.max(np.abs(s_pts - rate_ref))))
-    return grid, s_grid, rate_ref, violation
-
-
-def _escalate(amplitude, channels, cfg):
-    rng = np.random.default_rng(cfg.seed)
-    fallback = None
-    for num_points in range(2, cfg.max_K + 1):
-        points, probs = _solve_fixed_k(num_points, amplitude, channels, cfg, rng)
-        grid, s_grid, rate_ref, violation = _kkt_profile(
-            points, probs, channels, amplitude, cfg.kkt_grid_size)
-        candidate = (points, probs, rate_ref, violation, grid, s_grid)
-        if violation <= cfg.kkt_tolerance:
-            return candidate, True
-        if fallback is None or rate_ref > fallback[2]:
-            fallback = candidate
-    return fallback, False
+    return grid, s_grid, violation
 
 
 def _capacity(amplitude, channels, cfg, rate_of):
-    """Escalate K on the channel stack; the reported rate is rate_of applied
-    to the certified law's DiscreteScheme."""
-    candidate, converged = _escalate(amplitude, channels, cfg)
-    points, probs, _, violation, grid, s_grid = candidate
-    if not converged:
+    """Escalate K on the channel stack until the KKT certificate holds; the
+    reported rate is rate_of applied to the certified law's DiscreteScheme."""
+    rng = np.random.default_rng(cfg.seed)
+    best_violation = np.inf
+    for num_points in range(2, cfg.max_K + 1):
+        points, probs = _solve_fixed_k(num_points, amplitude, channels, cfg, rng)
+        grid, s_grid, violation = _kkt_profile(
+            points, probs, channels, amplitude)
+        if violation <= _KKT_TOLERANCE:
+            break
+        best_violation = min(best_violation, violation)
+    else:
         raise NoConvergence(
             f"no KKT certificate up to K={cfg.max_K} "
-            f"(best violation {violation:.3e})")
+            f"(best violation {best_violation:.3e})")
     dist = DiscreteDistribution(tuple(points), tuple(probs))
     return SolverReport(
         distribution=dist,
@@ -347,7 +341,6 @@ def _capacity(amplitude, channels, cfg, rate_of):
         num_points_K=len(points),
         kkt_max_violation=violation,
         kkt_grid=tuple(zip(map(float, grid), map(float, s_grid))),
-        converged=converged,
     )
 
 

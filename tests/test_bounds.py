@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from keycap import ChannelParams, InvalidBeta, SolverConfig
+from keycap import ChannelParams, InvalidBeta, SolverConfig, secret_key_capacity
 from keycap.bounds import (
     bounds_report,
     high_a_limit,
@@ -112,7 +114,6 @@ class TestLowerBound3:
 
 class TestLowerBound1:
     def test_matches_capacity_at_small_amplitude(self, fast_cfg):
-        from keycap import secret_key_capacity
         p = _params(0.5)
         lb1 = lower_bound_1(p, fast_cfg)
         ck = secret_key_capacity(p, fast_cfg).rate_nats
@@ -141,3 +142,18 @@ class TestBoundsReport:
         rep = bounds_report(_params(0.5), cfg=SolverConfig(restarts=2))
         assert rep.lb1 is not None
         assert rep.lb1 <= rep.ub + 1e-6
+
+
+class TestBoundsBracketCapacity:
+    @given(a2=st.floats(0.05, 2.0), var_d=st.floats(0.5, 4.0),
+           var_e=st.floats(0.5, 4.0))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_random_operating_points(self, a2, var_d, var_e):
+        p = _params(a2, var_d, var_e)
+        cfg = SolverConfig(restarts=1)
+        rep = secret_key_capacity(p, cfg)
+        lower = max(lower_bound_1(p, cfg), maximize_lower_bound_2(p)[1],
+                    lower_bound_3(p))
+        assert lower <= rep.rate_nats + 1e-9
+        assert rep.rate_nats <= upper_bound(p) + 1e-9
+        assert rep.kkt_max_violation <= 1e-6

@@ -113,6 +113,8 @@ def test_failed_row_is_kept(tmp_path):
     ["schemes", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
      "--k-max", "1"],
     ["kkt-profile", "--var-d", "1", "--var-e", "2", "--a2", "nan"],
+    ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+     "--seed", "-1"],
 ])
 def test_rejects_bad_input(tmp_path, args):
     # a usage error before any row is solved: no traceback, no output file

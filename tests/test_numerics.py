@@ -21,12 +21,7 @@ from keycap import (
     q_function,
 )
 from keycap.inputs import DiscreteScheme, UniformScheme, point_mass_scheme
-from keycap.numerics import (
-    QuadratureSpec,
-    _log_mixture,
-    density_variance,
-    normalization_error,
-)
+from keycap.numerics import _log_mixture, density_variance, normalization_error
 
 H_STD_NORMAL = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -226,17 +221,12 @@ class TestDifferentialEntropy:
             assert h <= 0.5 * math.log(2 * math.pi * math.e * v) + 1e-8
 
     def test_quadrature_failure(self):
-        # an unreachable tolerance exhausts the integrator's error budget
-        d = density_discrete_conv(
-            DiscreteDistribution((-1.0, 1.0), (0.5, 0.5)), 1e-3)
-        with pytest.raises(QuadratureFailure):
-            differential_entropy(d, QuadratureSpec(abs_tol=1e-300,
-                                                   max_subdivisions=50))
-
-    def test_spec_rejects_bad_tolerance(self):
-        for tol in (0.0, -1e-10, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                QuadratureSpec(abs_tol=tol)
+        # a near-point-mass uniform input: the density is a difference of two
+        # almost equal Q values, and QUADPACK detects roundoff at the fixed
+        # tolerance (the A^2=1e-20 uniform-scheme row of the CLI)
+        d = density_uniform_conv(1e-10, math.sqrt(2.0 / 3.0))
+        with pytest.raises(QuadratureFailure, match="abs_tol=1e-10"):
+            differential_entropy(d)
 
 
 class TestMixedGaussianIntegral:
