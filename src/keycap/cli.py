@@ -31,7 +31,7 @@ from .bounds import (
 )
 from .channel import ChannelParams
 from .errors import KeycapError
-from .numerics import QUAD_ABS_TOL, QUAD_MAX_SUBDIVISIONS
+from .numerics import GL_NODES, GL_PANEL_SIGMAS, QUAD_ABS_TOL
 from .schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
@@ -92,10 +92,17 @@ def _column_name(base: str, units: str) -> str:
 def _evaluate_row(a2, params, outputs, cfg, k_max):
     row = {"A_squared": a2, "status": "ok"}
     meta = {"A_squared": a2, "status": "ok"}
+    quad_errors = []
+
+    def nats(rate):
+        quad_errors.append(rate.quad_error)
+        return rate.nats
+
     try:
         if "capacity" in outputs or "kkt" in outputs:
             rep = secret_key_capacity(params, cfg)
             row["C_k"] = rep.rate_nats
+            quad_errors.append(rep.quad_error)
             row["K"] = rep.num_points_K
             row["kkt_violation"] = rep.kkt_max_violation
             meta.update(K=rep.num_points_K,
@@ -113,16 +120,19 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
         if "schemes" in outputs:
             k, r_me = best_maxentropic(params, k_max)
             row["maxentropic_K"] = k
-            row["maxentropic_rate"] = r_me.nats
-            row["uniform_rate"] = uniform_scheme_rate(params).nats
+            row["maxentropic_rate"] = nats(r_me)
+            row["uniform_rate"] = nats(uniform_scheme_rate(params))
             sx, r_tg = optimize_truncated_gaussian(params)
             row["trunc_gauss_sigma_x"] = sx
-            row["trunc_gauss_rate"] = r_tg.nats
-            row["trunc_gauss_heuristic_rate"] = truncated_gaussian_rate(
-                params, params.amplitude).nats
+            row["trunc_gauss_rate"] = nats(r_tg)
+            row["trunc_gauss_heuristic_rate"] = nats(truncated_gaussian_rate(
+                params, params.amplitude))
     except KeycapError as exc:
         row["status"] = meta["status"] = exc.status
         meta["error"] = str(exc)
+    if quad_errors:
+        # the largest entropy-rule error among the rates this row reports
+        meta["quad_error"] = max(quad_errors)
     return row, meta
 
 
@@ -149,7 +159,8 @@ def _write_output(rows, columns, metas, cfg, units, fmt, seed, out_path):
     payload = {
         "solver_config": asdict(cfg),
         "quadrature": {"abs_tol": QUAD_ABS_TOL,
-                       "max_subdivisions": QUAD_MAX_SUBDIVISIONS},
+                       "nodes_per_panel": GL_NODES,
+                       "panel_width_sigma": GL_PANEL_SIGMAS},
         "units": units,
         "seed": seed,
         "rows": metas,

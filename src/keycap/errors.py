@@ -23,7 +23,8 @@ class DegenerateTruncation(KeycapError):
 
 
 class QuadratureFailure(KeycapError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """An integral's error estimate exceeds its tolerance: an entropy of the
+    fixed Gauss-Legendre rule, or a QUADPACK oracle integral."""
 
     status = "quadrature_failure"
 

@@ -66,6 +66,7 @@ DEFAULT_SOLVER = SolverConfig()
 class SolverReport:
     distribution: DiscreteDistribution
     rate_nats: float
+    quad_error: float
     num_points_K: int
     kkt_max_violation: float
     kkt_grid: tuple[tuple[float, float], ...]
@@ -335,9 +336,11 @@ def _capacity(amplitude, channels, cfg, rate_of):
             f"no KKT certificate up to K={cfg.max_K} "
             f"(best violation {best_violation:.3e})")
     dist = DiscreteDistribution(tuple(points), tuple(probs))
+    rate = rate_of(DiscreteScheme(dist))
     return SolverReport(
         distribution=dist,
-        rate_nats=rate_of(DiscreteScheme(dist)).nats,
+        rate_nats=rate.nats,
+        quad_error=rate.quad_error,
         num_points_K=len(points),
         kkt_max_violation=violation,
         kkt_grid=tuple(zip(map(float, grid), map(float, s_grid))),

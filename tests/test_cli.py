@@ -43,6 +43,19 @@ def test_meta_companion(tmp_path):
     assert meta["rows"][0]["status"] == "ok"
 
 
+def test_meta_records_the_entropy_rule(tmp_path):
+    out = tmp_path / "s.csv"
+    res = _run(["sweep", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+                "--restarts", "1", "--outputs", "capacity,schemes",
+                "--out", str(out)])
+    assert res.exit_code == 0
+    meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+    assert meta["quadrature"] == {"abs_tol": 1e-10, "nodes_per_panel": 16,
+                                  "panel_width_sigma": 1.0}
+    # the largest error estimate among the row's rates, within tolerance
+    assert 0.0 < meta["rows"][0]["quad_error"] <= 1e-10
+
+
 def test_units_round_trip(tmp_path):
     args = ["bounds", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
             "--restarts", "2"]

@@ -10,6 +10,7 @@ from keycap import (
     DegenerateTruncation,
     DiscreteDistribution,
     QuadratureFailure,
+    SolverConfig,
     differential_entropy,
     density_discrete_conv,
     density_trunc_gauss_conv,
@@ -18,10 +19,30 @@ from keycap import (
     mixed_gaussian_entropy_integral,
     monte_carlo_mi_oracle,
     mutual_information,
+    numerics,
     q_function,
+    secret_key_capacity,
 )
-from keycap.inputs import DiscreteScheme, UniformScheme, point_mass_scheme
-from keycap.numerics import _log_mixture, density_variance, normalization_error
+from keycap.inputs import (
+    DiscreteScheme,
+    TruncatedGaussianScheme,
+    UniformScheme,
+    point_mass_scheme,
+)
+from keycap.numerics import (
+    _DENSITY_FLOOR,
+    QUAD_ABS_TOL,
+    _log_mixture,
+    _quad,
+    density_variance,
+    normalization_error,
+    scheme_output_density,
+)
+from keycap.schemes import (
+    best_maxentropic,
+    optimize_truncated_gaussian,
+    uniform_scheme_rate,
+)
 
 H_STD_NORMAL = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -93,6 +114,17 @@ class TestTruncGaussConvDensity:
     def test_degenerate_truncation(self):
         with pytest.raises(DegenerateTruncation):
             density_trunc_gauss_conv(1.0, 1e9, 1.0)
+
+
+@pytest.mark.parametrize("density", [
+    density_uniform_conv(1.0, 1.0),
+    density_trunc_gauss_conv(1.0, 1.0, 1.0),
+], ids=["uniform", "trunc-gauss"])
+@pytest.mark.parametrize("sigmas", [6, 9, 11, 15])
+def test_even_and_positive_far_past_the_edge(density, sigmas):
+    # t = A + k sigma: both tails must stay resolved, not cancel to 0
+    t = 1.0 + sigmas * 1.0
+    assert density(t) == density(-t) > 0.0
 
 
 class TestDiscreteConvDensity:
@@ -222,11 +254,64 @@ class TestDifferentialEntropy:
 
     def test_quadrature_failure(self):
         # a near-point-mass uniform input: the density is a difference of two
-        # almost equal Q values, and QUADPACK detects roundoff at the fixed
-        # tolerance (the A^2=1e-20 uniform-scheme row of the CLI)
+        # almost equal Q values that loses about 6 digits, and the entropy
+        # rule's 16/12-node error estimate exceeds the fixed tolerance (the
+        # A^2=1e-20 uniform-scheme row of the CLI)
         d = density_uniform_conv(1e-10, math.sqrt(2.0 / 3.0))
         with pytest.raises(QuadratureFailure, match="abs_tol=1e-10"):
             differential_entropy(d)
+
+
+def _quadpack_entropy(d):
+    """Oracle: -integral p log p by QUADPACK, as the rates were computed
+    before the fixed rule (independent of `differential_entropy`)."""
+    def integrand(t):
+        p = float(d(t))
+        return 0.0 if p < _DENSITY_FLOOR else -p * math.log(p)
+
+    lo, hi = d.support
+    return _quad(integrand, lo, hi, d.critical_points)[0]
+
+
+class TestEntropyRuleAgainstQuadpack:
+    """The Gauss-Legendre entropy of every family against QUADPACK."""
+
+    @pytest.mark.parametrize("var_e", [2.0, 10.0])
+    @pytest.mark.parametrize("a2", [1e-4, 0.5, 2.0, 10.0, 100.0, 1e4])
+    def test_every_family(self, a2, var_e):
+        a = math.sqrt(a2)
+        schemes = [maxentropic_scheme(a, k) for k in range(2, 33)]
+        schemes += [UniformScheme(a), TruncatedGaussianScheme(a, a)]
+        # the equivalent-legitimate and the eavesdropper noise, var_d = 1
+        for sigma in (math.sqrt(var_e / (1.0 + var_e)), math.sqrt(var_e)):
+            for scheme in schemes:
+                d = scheme_output_density(scheme, sigma)
+                h = differential_entropy(d)
+                assert abs(h.nats - _quadpack_entropy(d)) <= 1e-12, scheme
+                assert h.quad_error <= QUAD_ABS_TOL
+
+    @pytest.mark.parametrize("sigma", [math.sqrt(2.0 / 3.0), math.sqrt(2.0)])
+    def test_tiny_amplitude_uniform_still_fails(self, sigma):
+        # A^2 = 1e-20, var_d = 1, var_e = 2: the density itself is noise
+        with pytest.raises(QuadratureFailure, match="abs_tol=1e-10"):
+            differential_entropy(density_uniform_conv(1e-10, sigma))
+
+    def test_too_wide_window_fails_cleanly(self):
+        # 2e5 noise standard deviations of panels: refused before any call
+        with pytest.raises(QuadratureFailure, match="panels"):
+            differential_entropy(density_uniform_conv(1e5, 1.0))
+
+    def test_rates_never_call_quadpack(self, monkeypatch, fig1_params):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reported rate called QUADPACK")
+
+        monkeypatch.setattr(numerics.integrate, "quad", refuse)
+        p = fig1_params(2.0)
+        best_maxentropic(p, k_max=4)
+        uniform_scheme_rate(p)
+        optimize_truncated_gaussian(p)
+        mutual_information(UniformScheme(1.0), 1.0)
+        secret_key_capacity(p, SolverConfig(restarts=1))
 
 
 class TestMixedGaussianIntegral:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from keycap import (
     secret_key_capacity,
     secret_key_rate,
 )
+from keycap.bounds import high_a_limit
 from keycap.schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
@@ -49,8 +52,9 @@ class TestBestMaxentropic:
             assert best.nats >= r - 1e-12
 
     def test_noise_level_rates_tie_to_smallest_k(self, fig1_params):
-        # at A^2=1e-20 every K's rate is quadrature noise (about 1e-15
-        # nats against errors of about 7e-11), so every K ties
+        # at A^2=1e-20 every K's rate is rounding noise (below 1e-15 nats
+        # against entropy-rule error estimates of about 1.4e-14), so every
+        # K ties
         k, rate = best_maxentropic(fig1_params(1e-20))
         assert k == 2
         assert abs(rate.nats) <= rate.quad_error
@@ -68,6 +72,17 @@ class TestUniformScheme:
 
     def test_positive(self, fig1_params):
         assert uniform_scheme_rate(fig1_params(2.0)).nats > 0.0
+
+    def test_high_amplitude_gap_scales_as_one_over_a(self, fig1_params):
+        # for A >> sigma the rate sits c / A below 0.5 log(1 + var_e/var_d),
+        # with c set by the noise profile of the two edges; at A^2 = 1e8 the
+        # entropy window spans about 24 500 noise standard deviations
+        gaps = []
+        for a2 in (1e4, 1e8):
+            p = fig1_params(a2)
+            gaps.append(math.sqrt(a2)
+                        * (high_a_limit(p) - uniform_scheme_rate(p).nats))
+        assert gaps[1] == pytest.approx(gaps[0], rel=1e-6)
 
 
 class TestTruncatedGaussian:
