@@ -46,10 +46,6 @@ class EquivalentWiretap:
     var_eq: float
     var_e: float
 
-    def __post_init__(self):
-        if min(self.amplitude, self.var_eq, self.var_e) <= 0.0:
-            raise ValueError("all fields must be positive")
-
 
 def equivalent_channel(params: ChannelParams) -> EquivalentWiretap:
     """Reduce the key-agreement model to its degraded wiretap equivalent."""

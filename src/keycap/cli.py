@@ -89,6 +89,12 @@ def _column_name(base: str, units: str) -> str:
     return base
 
 
+def _kkt_trace(rep):
+    """The solver's escalation steps, one KKT profile each, for .meta.json;
+    no timings, so the file stays byte-identical across runs."""
+    return [step._asdict() for step in rep.trace]
+
+
 def _evaluate_row(a2, params, outputs, cfg, k_max):
     row = {"A_squared": a2, "status": "ok"}
     meta = {"A_squared": a2, "status": "ok"}
@@ -106,7 +112,8 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
             row["K"] = rep.num_points_K
             row["kkt_violation"] = rep.kkt_max_violation
             meta.update(K=rep.num_points_K,
-                        kkt_violation=rep.kkt_max_violation)
+                        kkt_violation=rep.kkt_max_violation,
+                        kkt_trace=_kkt_trace(rep))
             if "kkt" in outputs:
                 meta["kkt_profile"] = [[x, s] for x, s in rep.kkt_grid]
         if "bounds" in outputs:
@@ -294,6 +301,7 @@ def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k, restarts):
     _write_output(rows, ["x", "s"], [{
         "A_squared": a2, "status": "ok", "K": rep.num_points_K,
         "kkt_violation": rep.kkt_max_violation,
+        "kkt_trace": _kkt_trace(rep),
         "rate": rep.rate_nats / LN2 if units == "bits" else rep.rate_nats,
         "points": list(rep.distribution.points),
         "probs": list(rep.distribution.probs),

@@ -186,14 +186,21 @@ def _log_mixture(y, points, log_probs, sigma):
 
     The Gaussian-mixture log-density of a discrete input through
     N(0, sigma^2), as a log-sum-exp shifted by the maximum over the mixture
-    axis. Zero-weight points (log p = -inf) drop out. A row whose terms are
-    all -inf (no weight at all) gives -inf, with numpy's log(0) warning.
+    axis. The result has y's shape; y may be a Python float. Zero-weight
+    points (log p = -inf) drop out. A row whose terms are all -inf (no
+    weight at all) gives -inf, with numpy's log(0) warning.
+
+    The mixture axis leads the (K, *y.shape) terms: K is a handful of points
+    against thousands of y values, and reducing over a short trailing axis
+    runs one tiny loop per output, while over a leading axis the max and
+    the sum are K - 1 elementwise passes over contiguous slices.
     """
-    z = (y[..., None] - points) / sigma
-    a = log_probs - 0.5 * z * z
+    shape = (-1,) + (1,) * np.ndim(y)
+    z = (y - points.reshape(shape)) / sigma
+    a = log_probs.reshape(shape) - 0.5 * z * z
     # the floor keeps the shift finite on an all -inf row
-    m = np.maximum(a.max(axis=-1), _FLOAT_MIN)
-    return (np.log(np.exp(a - m[..., None]).sum(axis=-1)) + m
+    m = np.maximum(a.max(axis=0), _FLOAT_MIN)
+    return (np.log(np.exp(a - m).sum(axis=0)) + m
             - math.log(sigma * _SQRT_2PI))
 
 

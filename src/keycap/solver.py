@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -62,6 +63,16 @@ class SolverConfig:
 DEFAULT_SOLVER = SolverConfig()
 
 
+class EscalationStep(NamedTuple):
+    """One mass-point count tried by the escalation: the K it started from,
+    the K of the law it returned after merging, and that law's KKT
+    violation."""
+
+    K_tried: int
+    K: int
+    kkt_violation: float
+
+
 @dataclass(frozen=True)
 class SolverReport:
     distribution: DiscreteDistribution
@@ -70,6 +81,8 @@ class SolverReport:
     num_points_K: int
     kkt_max_violation: float
     kkt_grid: tuple[tuple[float, float], ...]
+    # one step per KKT profile paid for, the certified one last
+    trace: tuple[EscalationStep, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +336,16 @@ def _capacity(amplitude, channels, cfg, rate_of):
     """Escalate K on the channel stack until the KKT certificate holds; the
     reported rate is rate_of applied to the certified law's DiscreteScheme."""
     rng = np.random.default_rng(cfg.seed)
-    best_violation = np.inf
+    trace = []
     for num_points in range(2, cfg.max_K + 1):
         points, probs = _solve_fixed_k(num_points, amplitude, channels, cfg, rng)
         grid, s_grid, violation = _kkt_profile(
             points, probs, channels, amplitude)
+        trace.append(EscalationStep(num_points, len(points), violation))
         if violation <= _KKT_TOLERANCE:
             break
-        best_violation = min(best_violation, violation)
     else:
+        best_violation = min(step.kkt_violation for step in trace)
         raise NoConvergence(
             f"no KKT certificate up to K={cfg.max_K} "
             f"(best violation {best_violation:.3e})")
@@ -344,6 +358,7 @@ def _capacity(amplitude, channels, cfg, rate_of):
         num_points_K=len(points),
         kkt_max_violation=violation,
         kkt_grid=tuple(zip(map(float, grid), map(float, s_grid))),
+        trace=tuple(trace),
     )
 
 

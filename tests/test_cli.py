@@ -56,6 +56,23 @@ def test_meta_records_the_entropy_rule(tmp_path):
     assert 0.0 < meta["rows"][0]["quad_error"] <= 1e-10
 
 
+def test_meta_records_the_kkt_trace(tmp_path):
+    out = tmp_path / "s.json"
+    assert _run(["sweep", "--var-d", "1", "--var-e", "2", "--a2-grid",
+                 "0.5,2", "--restarts", "1", "--outputs", "capacity",
+                 "--format", "json", "--out", str(out)]).exit_code == 0
+    rows = json.loads((tmp_path / "s.json.meta.json").read_text())["rows"]
+    # one KKT profile at A^2 = 0.5, two at A^2 = 2; no timings
+    assert [[s["K_tried"] for s in r["kkt_trace"]] for r in rows] == \
+        [[2], [2, 3]]
+    for row in rows:
+        last = row["kkt_trace"][-1]
+        assert set(last) == {"K_tried", "K", "kkt_violation"}
+        assert (last["K"], last["kkt_violation"]) == \
+            (row["K"], row["kkt_violation"])
+    assert rows[1]["kkt_trace"][0]["kkt_violation"] > 1e-6
+
+
 def test_units_round_trip(tmp_path):
     args = ["bounds", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
             "--restarts", "2"]
@@ -87,6 +104,9 @@ def test_deterministic_output(tmp_path):
     _run(args + ["--out", str(out1)])
     _run(args + ["--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+    # the .meta.json too, kkt_trace included
+    assert (tmp_path / "s1.csv.meta.json").read_bytes() == \
+        (tmp_path / "s2.csv.meta.json").read_bytes()
 
 
 def test_no_convergence_exit_code(tmp_path):

@@ -182,6 +182,22 @@ class TestLogMixture:
                 got, _scipy_log_mixture(y, points, log_probs, sigma),
                 rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("k", [1, 7, 8, 33])
+    def test_result_has_the_shape_of_y(self, k):
+        # K = 8 is where numpy's pairwise summation of a trailing axis
+        # would start to group terms differently from a leading-axis sum
+        rng = np.random.default_rng(k)
+        points, log_probs = self._mixture(rng, k)
+        for y in (0.3, np.asarray(-1.7), rng.normal(0.0, 4.0, size=11),
+                  rng.normal(0.0, 4.0, size=(5, 96))):
+            got = _log_mixture(y, points, log_probs, 0.9)
+            assert np.shape(got) == np.shape(y)
+            np.testing.assert_allclose(
+                got, _scipy_log_mixture(y, points, log_probs, 0.9),
+                rtol=1e-14, atol=0.0)
+        dist = DiscreteDistribution(tuple(points), tuple(np.exp(log_probs)))
+        assert type(density_discrete_conv(dist, 0.9)(0.3)) is float
+
     def test_zero_weight_points(self):
         rng = np.random.default_rng(1)
         points, log_probs = self._mixture(rng, 8)

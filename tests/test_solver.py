@@ -16,7 +16,10 @@ from keycap import (
     secret_key_capacity,
     secret_key_rate,
 )
+from keycap import solver
+from keycap.numerics import _quad
 from keycap.solver import (
+    _marginal_density,
     _optimize_weights,
     _rate,
     _solve_fixed_k,
@@ -78,6 +81,64 @@ class TestWeightOptimizer:
         assert residual <= 1e-9
 
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _quadpack_marginal_density(x, points, probs, channels):
+    """Oracle for s(x; F): each channel's D(N(x, sigma^2) || f) by QUADPACK,
+    with the mixture log-density summed in plain Python (independent of the
+    solver's Gauss-Hermite rule and of `numerics._log_mixture`)."""
+    total = 0.0
+    for sigma, sign in channels:
+        log_norm = _LOG_SQRT_2PI + math.log(sigma)
+
+        def integrand(t, sigma=sigma, log_norm=log_norm):
+            terms = [math.log(p) - 0.5 * ((t - xi) / sigma) ** 2
+                     for xi, p in zip(points, probs)]
+            m = max(terms)
+            log_f = m + math.log(math.fsum(math.exp(a - m) for a in terms))
+            log_phi = -0.5 * ((t - x) / sigma) ** 2
+            # log(phi / f), the normalizations cancel
+            return math.exp(log_phi - log_norm) * (log_phi - log_f)
+
+        # beyond 12 sigma the Gaussian weight is below 1e-31
+        total += sign * _quad(integrand, x - 12.0 * sigma, x + 12.0 * sigma,
+                              (x, *points))[0]
+    return total
+
+
+# a known defect, kept visible: the 96-node Gauss-Hermite rule cannot follow
+# log f across the dip between mass points 2A/(K-1) >= 3 sigma apart;
+# measured gaps to the oracle 1e-4 (K=2) and 3e-9 (K=3) at A^2 = 10
+_GH_MISSES_THE_BEND = pytest.mark.xfail(
+    strict=True, reason="Gauss-Hermite rule too coarse for far-apart points")
+
+
+class TestMarginalDensityAgainstQuadpack:
+    """s(x; F) of the solver against an adaptive-quadrature oracle."""
+
+    @pytest.mark.parametrize("channels", [
+        ((1.0, 1.0),),
+        ((math.sqrt(2.0 / 3.0), 1.0), (math.sqrt(2.0), -1.0)),
+    ], ids=["plain", "secret_key"])
+    @pytest.mark.parametrize("k,a2", [
+        (2, 0.5), (3, 0.5), (8, 0.5), (17, 0.5),
+        pytest.param(2, 10.0, marks=_GH_MISSES_THE_BEND),
+        pytest.param(3, 10.0, marks=_GH_MISSES_THE_BEND),
+        (8, 10.0), (17, 10.0),
+    ])
+    def test_maxentropic_laws(self, k, a2, channels):
+        # var_d = 1, var_e = 2; K >= 8 reaches the mixture sums of more
+        # than 8 terms, whose order of addition the kernel may change
+        a = math.sqrt(a2)
+        points, probs = maxentropic_scheme(a, k).dist.as_arrays()
+        xs = np.unique(np.concatenate([[-a, 0.0, a], points]))
+        got = _marginal_density(xs, points, probs, channels)
+        want = [_quadpack_marginal_density(float(x), points, probs, channels)
+                for x in xs]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+
+
 class TestPlainCapacity:
     def test_small_amplitude_two_point(self):
         # below the first escalation threshold the optimum is +-A with
@@ -135,6 +196,25 @@ class TestSecretKeyCapacity:
         r3 = _rate(*_solve_fixed_k(3, p.amplitude, channels, fast_cfg, rng),
                    channels)
         assert r3 >= r2 - 1e-9
+
+    def test_trace_has_one_step_per_kkt_profile(self, fig1_params,
+                                                monkeypatch):
+        profiles = []
+        kkt_profile = solver._kkt_profile
+
+        def counting(*args):
+            profiles.append(args)
+            return kkt_profile(*args)
+
+        monkeypatch.setattr(solver, "_kkt_profile", counting)
+        rep = secret_key_capacity(fig1_params(2.0), SolverConfig(restarts=1))
+        assert len(rep.trace) == len(profiles)
+        assert [step.K_tried for step in rep.trace] == [2, 3]
+        # the certified step is the report's, every earlier one failed
+        last = rep.trace[-1]
+        assert last.K == rep.num_points_K == 3
+        assert last.kkt_violation == rep.kkt_max_violation <= 1e-6
+        assert all(step.kkt_violation > 1e-6 for step in rep.trace[:-1])
 
     def test_no_convergence_when_budget_too_small(self, fig1_params):
         cfg = SolverConfig(max_K=2, restarts=1)
