@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channel import ChannelParams, equivalent_channel
 from .errors import InvalidBeta
-from .numerics import q_function
+from .numerics import minimize_bounded, q_function
 from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -70,10 +69,9 @@ def maximize_lower_bound_2(params: ChannelParams) -> tuple[float, float]:
     i = int(np.argmax(vals))
     lo = betas[max(i - 1, 0)]
     hi = betas[min(i + 1, len(betas) - 1)]
-    res = minimize_scalar(
-        lambda b: -lower_bound_2(params, float(b)),
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    beta_star, val = float(res.x), -float(res.fun)
+    beta_star, neg_val = minimize_bounded(
+        lambda b: -lower_bound_2(params, b), float(lo), float(hi), 1e-10)
+    val = -neg_val
     if vals[i] > val:
         beta_star, val = float(betas[i]), vals[i]
     return beta_star, val

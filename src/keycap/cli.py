@@ -30,7 +30,7 @@ from .bounds import (
     upper_bound,
 )
 from .channel import ChannelParams
-from .errors import KeycapError
+from .errors import KeycapError, NoConvergence
 from .numerics import GL_NODES, GL_PANEL_SIGMAS, QUAD_ABS_TOL
 from .schemes import (
     best_maxentropic,
@@ -89,10 +89,10 @@ def _column_name(base: str, units: str) -> str:
     return base
 
 
-def _kkt_trace(rep):
+def _kkt_trace(trace):
     """The solver's escalation steps, one KKT profile each, for .meta.json;
     no timings, so the file stays byte-identical across runs."""
-    return [step._asdict() for step in rep.trace]
+    return [step._asdict() for step in trace]
 
 
 def _evaluate_row(a2, params, outputs, cfg, k_max):
@@ -106,14 +106,19 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
 
     try:
         if "capacity" in outputs or "kkt" in outputs:
-            rep = secret_key_capacity(params, cfg)
+            try:
+                rep = secret_key_capacity(params, cfg)
+            except NoConvergence as exc:
+                # C_k's escalation only: LB1's solves below never write it
+                meta["kkt_trace"] = _kkt_trace(exc.trace)
+                raise
             row["C_k"] = rep.rate_nats
             quad_errors.append(rep.quad_error)
             row["K"] = rep.num_points_K
             row["kkt_violation"] = rep.kkt_max_violation
             meta.update(K=rep.num_points_K,
                         kkt_violation=rep.kkt_max_violation,
-                        kkt_trace=_kkt_trace(rep))
+                        kkt_trace=_kkt_trace(rep.trace))
             if "kkt" in outputs:
                 meta["kkt_profile"] = [[x, s] for x, s in rep.kkt_grid]
         if "bounds" in outputs:
@@ -301,7 +306,7 @@ def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k, restarts):
     _write_output(rows, ["x", "s"], [{
         "A_squared": a2, "status": "ok", "K": rep.num_points_K,
         "kkt_violation": rep.kkt_max_violation,
-        "kkt_trace": _kkt_trace(rep),
+        "kkt_trace": _kkt_trace(rep.trace),
         "rate": rep.rate_nats / LN2 if units == "bits" else rep.rate_nats,
         "points": list(rep.distribution.points),
         "probs": list(rep.distribution.probs),

@@ -30,9 +30,16 @@ class QuadratureFailure(KeycapError):
 
 
 class NoConvergence(KeycapError):
-    """Mass-point escalation exhausted without satisfying the KKT certificate."""
+    """Mass-point escalation exhausted without satisfying the KKT certificate.
+
+    trace holds the escalation's steps (`solver.EscalationStep`), one per K
+    tried."""
 
     status = "no_convergence"
+
+    def __init__(self, message: str, trace: tuple):
+        super().__init__(message)
+        self.trace = trace
 
 
 class InvalidBeta(KeycapError):

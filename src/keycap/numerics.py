@@ -8,7 +8,8 @@ below 1e-16, so all integrals run over finite windows.
 Every reported entropy, and so every reported rate, comes from one fixed
 composite Gauss-Legendre rule on the output axis (`differential_entropy`).
 scipy's adaptive QUADPACK (`_quad`) remains only behind the oracle helpers
-that tests check the rule and the densities against.
+that tests check the rule and the densities against, and is imported only
+when one of them runs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfc, log_ndtr
+from scipy.special import erfc, log_ndtr, ndtri
 
 from .errors import DegenerateTruncation, QuadratureFailure
 from .inputs import (
@@ -108,7 +108,10 @@ def _quad(
     """scipy adaptive quadrature with the fixed budget; raises on failure.
 
     Only the oracle helpers below integrate through it; no reported rate
-    does."""
+    does. QUADPACK is imported on first use, so that importing keycap does
+    not load scipy.integrate."""
+    from scipy import integrate
+
     pts = [p for p in points if lo < p < hi] or None
     val, err, info, *rest = integrate.quad(
         f, lo, hi,
@@ -121,6 +124,83 @@ def _quad(
             f"integral on [{lo}, {hi}] did not reach abs_tol={QUAD_ABS_TOL}: {rest[0]}"
         )
     return float(val), float(err)
+
+
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_SCALAR_EVALS = 500
+
+
+def minimize_bounded(
+    f: Callable[[float], float], lo: float, hi: float, xatol: float
+) -> tuple[float, float]:
+    """Minimize a scalar f on [lo, hi]: returns (x, f(x)).
+
+    Brent's bounded search (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5), in his notation: x is the best point so far,
+    w the second best, v the previous w, u the new point. A step fits a
+    parabola through x, w and v when that lands inside the bracket and
+    shrinks it fast enough, and is a golden-section step otherwise. The
+    search stops once x is within 2 (sqrt(eps) |x| + xatol / 3) of the
+    bracket's middle, or after 500 evaluations. The steps are those of
+    scipy.optimize.minimize_scalar(method="bounded"), so both return the
+    same point; lo and hi themselves are never evaluated.
+    """
+    a, b = lo, hi
+    v = w = x = a + _GOLDEN_MEAN * (b - a)
+    fv = fw = fx = f(x)
+    evals = 1
+    d = e = 0.0  # the last step, and the one before it
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN_MEAN * e
+        # never step closer than tol1
+        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
+        fu = f(u)
+        evals += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv = w, fw
+            w, fw = x, fx
+            x, fx = u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv = w, fw
+                w, fw = u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= _MAX_SCALAR_EVALS:
+            break
+    return x, fx
 
 
 def density_uniform_conv(amplitude: float, sigma: float) -> OutputDensity:
@@ -336,8 +416,6 @@ def sample_scheme(scheme: InputScheme, n: int, rng: np.random.Generator) -> np.n
         a = scheme.amplitude / scheme.sigma_x
         z = math.erf(a / math.sqrt(2.0))
         u = rng.uniform(0.5 * (1.0 - z), 0.5 * (1.0 + z), size=n)
-        from scipy.special import ndtri
-
         return scheme.sigma_x * ndtri(u)
     raise TypeError(f"not an input scheme: {scheme!r}")
 

@@ -9,11 +9,10 @@ sigma_x = A.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channel import ChannelParams, secret_key_rate
 from .inputs import TruncatedGaussianScheme, UniformScheme, maxentropic_scheme
-from .numerics import RateResult
+from .numerics import RateResult, minimize_bounded
 
 
 def best_maxentropic(
@@ -50,27 +49,20 @@ def optimize_truncated_gaussian(
     """Maximize the truncated-Gaussian rate over sigma_x in [A/100, 100 A].
 
     Unimodality is not assumed: a 50-point log grid locates the basin, then
-    golden-section refines it to 1e-6 * A.
+    a bounded Brent search over the two grid cells around the best grid
+    point refines it to 1e-6 * A. A best point at either end of the grid is
+    kept as it is: the grid's rates rise towards that end, which a bounded
+    search never evaluates.
     """
     a = params.amplitude
     grid = np.geomspace(a / 100.0, 100.0 * a, 50)
     vals = [truncated_gaussian_rate(params, s).nats for s in grid]
     i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    def neg(s):
-        return -truncated_gaussian_rate(params, float(s)).nats
-
     sigma_star = float(grid[i])
-    if lo < grid[i] < hi:
-        try:
-            res = minimize_scalar(
-                neg, bracket=(lo, grid[i], hi), method="golden",
-                options={"xtol": 1e-6 * a / grid[i]})
-            if -res.fun >= vals[i]:
-                sigma_star = float(res.x)
-        except ValueError:
-            # flat bracket; the grid point already is the maximum
-            pass
+    if 0 < i < len(grid) - 1:
+        x, neg_rate = minimize_bounded(
+            lambda s: -truncated_gaussian_rate(params, s).nats,
+            float(grid[i - 1]), float(grid[i + 1]), 1e-6 * a)
+        if -neg_rate >= vals[i]:
+            sigma_star = x
     return sigma_star, truncated_gaussian_rate(params, sigma_star)

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
 from .inputs import DiscreteDistribution, DiscreteScheme
-from .numerics import _log_mixture, mutual_information
+from .numerics import _log_mixture, minimize_bounded, mutual_information
 
 _GH_ORDER = 96
 _GH_NODES, _GH_W = np.polynomial.hermite.hermgauss(_GH_ORDER)
@@ -212,12 +211,8 @@ def _optimize_locations(u, w, has_center, amplitude, channels, xatol):
             uu[i] = ui
             return -_group_rate(uu, w, has_center, channels)
 
-        res = minimize_scalar(
-            neg, bounds=(1e-9 * amplitude, amplitude),
-            method="bounded", options={"xatol": xatol},
-        )
-        candidates = [(neg(u[i]), u[i]), (res.fun, float(res.x)),
-                      (neg(amplitude), amplitude)]
+        x, fx = minimize_bounded(neg, 1e-9 * amplitude, amplitude, xatol)
+        candidates = [(neg(u[i]), u[i]), (fx, x), (neg(amplitude), amplitude)]
         u[i] = min(candidates)[1]
     order = np.argsort(u)
     u = u[order]
@@ -348,7 +343,7 @@ def _capacity(amplitude, channels, cfg, rate_of):
         best_violation = min(step.kkt_violation for step in trace)
         raise NoConvergence(
             f"no KKT certificate up to K={cfg.max_K} "
-            f"(best violation {best_violation:.3e})")
+            f"(best violation {best_violation:.3e})", tuple(trace))
     dist = DiscreteDistribution(tuple(points), tuple(probs))
     rate = rate_of(DiscreteScheme(dist))
     return SolverReport(

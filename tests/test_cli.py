@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import keycap
 from keycap.cli import main
 
 LN2 = math.log(2.0)
@@ -117,6 +122,10 @@ def test_no_convergence_exit_code(tmp_path):
     _, rows = _read_csv(out)
     assert rows[0]["status"] == "no_convergence"
     assert rows[0]["C_k_nats"] == ""
+    # the failed escalation is still recorded: K = 2 tried, not certified
+    (step,) = json.loads(
+        (tmp_path / "cap.csv.meta.json").read_text())["rows"][0]["kkt_trace"]
+    assert step["K_tried"] == 2 and step["kkt_violation"] > 1e-6
 
 
 def test_failed_row_is_kept(tmp_path):
@@ -130,6 +139,39 @@ def test_failed_row_is_kept(tmp_path):
     meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
     assert "abs_tol" in meta["rows"][0]["error"]
     assert "error" not in meta["rows"][1]
+
+
+_IMPORT_SET_SCRIPT = """
+import json
+import sys
+from keycap.cli import main
+
+for args in sys.argv[1:]:
+    try:
+        main(json.loads(args), standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, (args, exc.code)
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.optimize", "scipy.integrate"))))
+"""
+
+
+def test_commands_load_neither_optimize_nor_integrate(tmp_path):
+    # QUADPACK and scipy's scalar minimizers are for tests only: a fresh
+    # interpreter running the commands never imports them
+    common = ["--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+              "--restarts", "1", "--out"]
+    commands = [
+        ["schemes", *common, str(tmp_path / "s.csv"), "--k-max", "4"],
+        ["sweep", *common, str(tmp_path / "w.csv"),
+         "--outputs", "capacity,bounds,schemes"],
+    ]
+    src = str(Path(keycap.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SET_SCRIPT, *map(json.dumps, commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("args", [

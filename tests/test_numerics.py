@@ -19,9 +19,9 @@ from keycap import (
     mixed_gaussian_entropy_integral,
     monte_carlo_mi_oracle,
     mutual_information,
-    numerics,
     q_function,
     secret_key_capacity,
+    solver,
 )
 from keycap.inputs import (
     DiscreteScheme,
@@ -35,6 +35,7 @@ from keycap.numerics import (
     _log_mixture,
     _quad,
     density_variance,
+    minimize_bounded,
     normalization_error,
     scheme_output_density,
 )
@@ -321,13 +322,73 @@ class TestEntropyRuleAgainstQuadpack:
         def refuse(*args, **kwargs):
             raise AssertionError("a reported rate called QUADPACK")
 
-        monkeypatch.setattr(numerics.integrate, "quad", refuse)
+        monkeypatch.setattr("scipy.integrate.quad", refuse)
         p = fig1_params(2.0)
         best_maxentropic(p, k_max=4)
         uniform_scheme_rate(p)
         optimize_truncated_gaussian(p)
         mutual_information(UniformScheme(1.0), 1.0)
         secret_key_capacity(p, SolverConfig(restarts=1))
+
+
+def _counted(f):
+    """f, and the list its calls are appended to."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def _same_as_scipy(f, lo, hi, xatol):
+    """minimize_bounded against scipy's bounded Brent search on f: the same
+    point, value and number of evaluations, bit for bit."""
+    from scipy.optimize import minimize_scalar
+
+    ours, our_calls = _counted(f)
+    theirs, their_calls = _counted(f)
+    x, fx = minimize_bounded(ours, lo, hi, xatol)
+    res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    assert (x, fx) == (float(res.x), float(res.fun))
+    assert len(our_calls) == len(their_calls) == res.nfev
+    return x, fx
+
+
+class TestMinimizeBounded:
+    def test_interior_minimum(self):
+        x, fx = _same_as_scipy(lambda x: math.exp(x) - 2.5 * x,
+                               -1.0, 3.0, 1e-10)
+        # near a smooth minimum f is flat to rounding over about sqrt(eps)
+        assert x == pytest.approx(math.log(2.5), abs=1e-7)
+        assert fx == pytest.approx(2.5 - 2.5 * math.log(2.5), abs=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_minimum_at_a_bound(self, sign):
+        # never evaluated at the bound itself, but within the tolerance
+        x, _ = _same_as_scipy(lambda x: sign * x, 0.0, 1.0, 1e-6)
+        assert x == pytest.approx(0.0 if sign > 0 else 1.0, abs=1e-6)
+
+    def test_constant_function(self):
+        x, fx = _same_as_scipy(lambda x: 1.0, 0.5, 2.0, 1e-8)
+        assert 0.5 < x < 2.0 and fx == 1.0
+
+    def test_solver_location_search(self, monkeypatch, fig1_params):
+        # the location searches of the A^2 = 2 secret-key solve, replayed
+        searches = []
+
+        def recording(f, lo, hi, xatol):
+            searches.append((f, lo, hi, xatol))
+            return minimize_bounded(f, lo, hi, xatol)
+
+        monkeypatch.setattr(solver, "minimize_bounded", recording)
+        secret_key_capacity(fig1_params(2.0), SolverConfig(restarts=1))
+        # one coarse screening search and the last fine one
+        coarse = next(s for s in searches if s[3] > 1e-8)
+        for f, lo, hi, xatol in (coarse, searches[-1]):
+            _same_as_scipy(f, lo, hi, xatol)
 
 
 class TestMixedGaussianIntegral:
