@@ -37,8 +37,6 @@ from .numerics import (
     q_function,
 )
 from .bounds import (
-    BoundsReport,
-    bounds_report,
     high_a_limit,
     lower_bound_1,
     lower_bound_2,

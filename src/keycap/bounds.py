@@ -9,8 +9,6 @@ the discrete-input solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,16 +20,6 @@ from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BETA_LO = 1e-6
 _BETA_HI = 50.0
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    lb1: Optional[float]
-    lb2: float
-    beta_star: float
-    lb3: float
-    ub: float
-    high_a_limit: float
 
 
 def lower_bound_1(
@@ -98,20 +86,3 @@ def high_a_limit(params: ChannelParams) -> float:
     """Common limit of the upper bound and the maximized closed-form lower
     bound as A grows: 0.5 log(1 + var_e / var_d)."""
     return 0.5 * math.log1p(params.var_e / params.var_d)
-
-
-def bounds_report(
-    params: ChannelParams,
-    cfg: Optional[SolverConfig] = DEFAULT_SOLVER,
-) -> BoundsReport:
-    """All bounds at one operating point; pass cfg=None to skip the
-    solver-backed bound."""
-    beta_star, lb2 = maximize_lower_bound_2(params)
-    return BoundsReport(
-        lb1=None if cfg is None else lower_bound_1(params, cfg),
-        lb2=lb2,
-        beta_star=beta_star,
-        lb3=lower_bound_3(params),
-        ub=upper_bound(params),
-        high_a_limit=high_a_limit(params),
-    )

@@ -105,7 +105,7 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
         return rate.nats
 
     try:
-        if "capacity" in outputs or "kkt" in outputs:
+        if "capacity" in outputs:
             try:
                 rep = secret_key_capacity(params, cfg)
             except NoConvergence as exc:
@@ -119,8 +119,6 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
             meta.update(K=rep.num_points_K,
                         kkt_violation=rep.kkt_max_violation,
                         kkt_trace=_kkt_trace(rep.trace))
-            if "kkt" in outputs:
-                meta["kkt_profile"] = [[x, s] for x, s in rep.kkt_grid]
         if "bounds" in outputs:
             beta_star, lb2 = maximize_lower_bound_2(params)
             row["C_k_UB"] = upper_bound(params)
@@ -221,7 +219,7 @@ def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
     grid = _parse_grid(a2_grid)
     params, cfg = _validate(grid, var_d, var_e, max_k, restarts, seed)
     columns = ["A_squared"]
-    if "capacity" in outputs or "kkt" in outputs:
+    if "capacity" in outputs:
         columns += ["C_k", "K", "kkt_violation"]
     if "bounds" in outputs:
         columns += ["C_k_UB", "LB1", "LB2_star", "beta_star", "LB3",
@@ -280,12 +278,12 @@ def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
 @_common_options
 @click.option("--outputs", default="capacity,bounds",
               show_default=True,
-              help="comma-set drawn from capacity,schemes,bounds,kkt")
+              help="comma-set drawn from capacity,schemes,bounds")
 def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
           outputs):
     """Combined sweep with selectable output families."""
     chosen = {tok.strip() for tok in outputs.split(",") if tok.strip()}
-    bad = chosen - {"capacity", "schemes", "bounds", "kkt"}
+    bad = chosen - {"capacity", "schemes", "bounds"}
     if bad:
         raise click.BadParameter(f"unknown outputs: {sorted(bad)}")
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,

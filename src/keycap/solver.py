@@ -15,6 +15,13 @@ legitimate-equivalent and eavesdropper relative entropies, whose weighted
 average over F equals the full rate including the constant
 0.5 log(var_e / var_eq).
 
+After every location pass of the full-tolerance polish, mass points closer
+than 1e-2 * min(sigma_min, A) are merged, sigma_min being the smallest noise
+std of the channel stack: two pairs into one at their weighted mean, an
+innermost pair into the center point. The next passes re-optimize the
+merged law, and it must still pass the certificate. The A term keeps the
++-A pair apart at tiny amplitudes.
+
 Symmetry of the channel law is exploited throughout: only nonnegative
 locations are optimized and every solution is exactly mirror-symmetric.
 """
@@ -223,36 +230,36 @@ def _optimize_locations(u, w, has_center, amplitude, channels, xatol):
     return u, w
 
 
-def _merge_groups(u, w, has_center, amplitude):
-    """Merge mass points closer than 1e-9 * A (pair-pair, or pair into center)."""
-    gap = 1e-9 * amplitude
+def _merge_groups(u, w, has_center, amplitude, channels):
+    """Merge mass points closer than 1e-2 * min(sigma_min, A) (pair-pair,
+    or pair into center); sigma_min is the smallest noise std of the stack.
+    """
+    gap = 1e-2 * min(min(sigma for sigma, _ in channels), amplitude)
     u = list(np.asarray(u, float))
     if has_center:
         wc, wp = float(w[0]), list(np.asarray(w[1:], float))
     else:
         wc, wp = 0.0, list(np.asarray(w, float))
-    merged = False
     # innermost pair collapsing onto the axis
-    while u and (u[0] if has_center or wc > 0.0 else 2.0 * u[0]) < gap:
+    while u and (u[0] if has_center else 2.0 * u[0]) < gap:
         wc += wp.pop(0)
         u.pop(0)
         has_center = True
-        merged = True
     i = 0
     while i + 1 < len(u):
         if u[i + 1] - u[i] < gap:
             tot = wp[i] + wp[i + 1]
-            u[i] = (wp[i] * u[i] + wp[i + 1] * u[i + 1]) / tot
+            if tot > 0.0:
+                u[i] = (wp[i] * u[i] + wp[i + 1] * u[i + 1]) / tot
             wp[i] = tot
             del u[i + 1], wp[i + 1]
-            merged = True
         else:
             i += 1
     if has_center:
         w_out = np.concatenate([[wc], wp])
     else:
         w_out = np.asarray(wp)
-    return np.asarray(u), w_out, has_center, merged
+    return np.asarray(u), w_out, has_center
 
 
 def _initial_state(num_points, amplitude, rng=None):
@@ -284,6 +291,10 @@ def _alternate(u, w, has_center, amplitude, channels, coarse=False):
         w, val_w, _ = _optimize_weights(
             u, w, has_center, channels, w_tol, max_iter=pg_iter)
         u, w = _optimize_locations(u, w, has_center, amplitude, channels, xatol)
+        if not coarse:
+            # the screen only ranks starts; its points are not settled yet
+            u, w, has_center = _merge_groups(
+                u, w, has_center, amplitude, channels)
         val_new = _group_rate(u, w, has_center, channels)
         if val_new - val < val_tol:
             val = max(val, val_new)
@@ -305,11 +316,6 @@ def _solve_fixed_k(num_points, amplitude, channels, cfg, rng):
             best = state
     u, w, has_center, _ = _alternate(
         best[0], best[1], best[2], amplitude, channels)
-    u, w, has_center, merged = _merge_groups(u, w, has_center, amplitude)
-    if merged:
-        # retry at the same K from the merged state before escalating
-        u, w, has_center, _ = _alternate(u, w, has_center, amplitude, channels)
-        u, w, has_center, _ = _merge_groups(u, w, has_center, amplitude)
     points, probs = _expand(u, w, has_center)
     keep = probs > 1e-12
     probs = probs[keep] / probs[keep].sum()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from keycap import ChannelParams, InvalidBeta, SolverConfig, secret_key_capacity
 from keycap.bounds import (
-    bounds_report,
     high_a_limit,
     lower_bound_1,
     lower_bound_2,
@@ -131,17 +130,19 @@ class TestLowerBound1:
 
 
 class TestBoundsReport:
+    """The bounds of one operating point against each other."""
+
     def test_invariants(self):
-        rep = bounds_report(_params(10.0), cfg=None)
-        assert rep.lb1 is None
-        assert rep.lb3 <= rep.ub + 1e-9
-        assert rep.lb2 <= rep.ub + 1e-9
-        assert rep.high_a_limit == pytest.approx(HALF_LN3, rel=1e-15)
+        p = _params(10.0)
+        ub = upper_bound(p)
+        assert lower_bound_3(p) <= ub + 1e-9
+        assert maximize_lower_bound_2(p)[1] <= ub + 1e-9
+        assert high_a_limit(p) == pytest.approx(HALF_LN3, rel=1e-15)
 
     def test_with_solver(self):
-        rep = bounds_report(_params(0.5), cfg=SolverConfig(restarts=2))
-        assert rep.lb1 is not None
-        assert rep.lb1 <= rep.ub + 1e-6
+        p = _params(0.5)
+        lb1 = lower_bound_1(p, SolverConfig(restarts=2))
+        assert lb1 <= upper_bound(p) + 1e-6
 
 
 class TestBoundsBracketCapacity:

@@ -188,6 +188,9 @@ def test_commands_load_neither_optimize_nor_integrate(tmp_path):
     ["schemes", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
      "--k-max", "1"],
     ["kkt-profile", "--var-d", "1", "--var-e", "2", "--a2", "nan"],
+    # the profile has one writer, `kkt-profile`
+    ["sweep", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+     "--outputs", "kkt"],
     ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
      "--seed", "-1"],
 ])

@@ -20,6 +20,7 @@ from keycap import solver
 from keycap.numerics import _quad
 from keycap.solver import (
     _marginal_density,
+    _merge_groups,
     _optimize_weights,
     _rate,
     _solve_fixed_k,
@@ -79,6 +80,55 @@ class TestWeightOptimizer:
             np.array([math.sqrt(2.0)]), np.array([0.5, 0.5]), True,
             channels, 1e-9)
         assert residual <= 1e-9
+
+
+class TestMergeGroups:
+    # the secret-key stack at var_d = 1, var_e = 2: sigma_min = sqrt(2/3)
+    SECRET_KEY = ((math.sqrt(2.0 / 3.0), 1.0), (math.sqrt(2.0), -1.0))
+
+    def test_close_pairs_merge(self):
+        # two pairs 8e-4 apart, as one restart's 9-point polish leaves them
+        # at A^2 = 20; the gap is 1e-2 sigma_min = 8.2e-3, far above 1e-9 A
+        a = math.sqrt(20.0)
+        u = np.array([1.0, 2.61317, 2.61397, a])
+        w = np.array([0.2, 0.2, 0.1, 0.3, 0.2])
+        u2, w2, has_center = _merge_groups(u, w, True, a, self.SECRET_KEY)
+        assert has_center
+        np.testing.assert_allclose(
+            u2, [1.0, (0.1 * 2.61317 + 0.3 * 2.61397) / 0.4, a], rtol=1e-15)
+        np.testing.assert_allclose(w2, [0.2, 0.2, 0.4, 0.2], rtol=1e-15)
+
+    def test_tiny_amplitude_pair_kept(self):
+        # the gap is 1e-2 A here, so +-A, 2A apart, stay two points
+        a = 1e-10
+        u2, w2, has_center = _merge_groups(
+            np.array([a]), np.array([1.0]), False, a, self.SECRET_KEY)
+        assert not has_center
+        assert list(u2) == [a] and list(w2) == [1.0]
+
+    @pytest.mark.parametrize("has_center", [True, False])
+    def test_innermost_pair_collapses_into_center(self, has_center):
+        # 1e-3 from the center (2e-3 across the pair) is inside the gap
+        # 1e-2 at sigma = A = 1
+        u = np.array([1e-3, 1.0])
+        w = np.array([0.3, 0.2, 0.5]) if has_center else np.array([0.4, 0.6])
+        u2, w2, center = _merge_groups(u, w, has_center, 1.0, ((1.0, 1.0),))
+        assert center
+        np.testing.assert_array_equal(u2, [1.0])
+        np.testing.assert_allclose(
+            w2, [0.5, 0.5] if has_center else [0.4, 0.6], rtol=1e-15)
+
+    def test_certified_law_left_alone(self, fig1_params):
+        p = fig1_params(2.0)
+        rep = secret_key_capacity(p, SolverConfig(restarts=1))
+        points, probs = rep.distribution.as_arrays()
+        assert len(points) == 3
+        u, w = points[2:], np.array([probs[1], 2.0 * probs[2]])
+        u2, w2, has_center = _merge_groups(u, w, True, p.amplitude,
+                                           self.SECRET_KEY)
+        assert has_center
+        np.testing.assert_array_equal(u2, u)
+        np.testing.assert_array_equal(w2, w)
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
