@@ -42,13 +42,6 @@ class DiscreteDistribution:
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.points, float), np.asarray(self.probs, float)
 
-    def mirrored(self) -> "DiscreteDistribution":
-        """The distribution of -X."""
-        return DiscreteDistribution(
-            tuple(-x for x in reversed(self.points)),
-            tuple(reversed(self.probs)),
-        )
-
 
 @dataclass(frozen=True)
 class DiscreteScheme:
@@ -103,8 +96,4 @@ def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteScheme:
     points = np.linspace(-amplitude, amplitude, num_points)
     probs = np.full(num_points, 1.0 / num_points)
     return DiscreteScheme(DiscreteDistribution(tuple(points), tuple(probs)))
-
-
-def point_mass_scheme(location: float = 0.0) -> DiscreteScheme:
-    return DiscreteScheme(DiscreteDistribution((location,), (1.0,)))
 

@@ -359,15 +359,6 @@ def differential_entropy(d: OutputDensity) -> RateResult:
     return RateResult(nats=float(value), quad_error=float(err))
 
 
-def density_variance(d: OutputDensity) -> float:
-    """Variance of the density by quadrature (mean subtracted)."""
-    lo, hi = d.support
-    mean, _ = _quad(lambda t: t * float(d(t)), lo, hi, d.critical_points)
-    m2, _ = _quad(
-        lambda t: (t - mean) ** 2 * float(d(t)), lo, hi, d.critical_points)
-    return m2
-
-
 def _log_cosh(y: np.ndarray) -> np.ndarray:
     y = np.abs(y)
     return y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0)

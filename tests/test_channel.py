@@ -15,7 +15,7 @@ from keycap import (
     secret_key_rate,
 )
 from keycap.channel import rate_constant
-from keycap.inputs import point_mass_scheme
+from support import mirrored, point_mass_scheme
 
 
 def test_equivalent_channel_symmetric_case():
@@ -79,7 +79,7 @@ def test_mirror_invariance():
     p = ChannelParams(1.0, 1.0, 2.0)
     d = DiscreteDistribution((-1.0, 0.2, 0.9), (0.3, 0.3, 0.4))
     r = secret_key_rate(p, DiscreteScheme(d))
-    rm = secret_key_rate(p, DiscreteScheme(d.mirrored()))
+    rm = secret_key_rate(p, DiscreteScheme(mirrored(d)))
     assert r.nats == pytest.approx(rm.nats, abs=1e-10)
 
 

@@ -67,14 +67,18 @@ def test_meta_records_the_kkt_trace(tmp_path):
                  "0.5,2", "--restarts", "1", "--outputs", "capacity",
                  "--format", "json", "--out", str(out)]).exit_code == 0
     rows = json.loads((tmp_path / "s.json.meta.json").read_text())["rows"]
+    data = json.loads(out.read_text())
     # one KKT profile at A^2 = 0.5, two at A^2 = 2; no timings
     assert [[s["K_tried"] for s in r["kkt_trace"]] for r in rows] == \
         [[2], [2, 3]]
-    for row in rows:
+    for row, cols in zip(rows, data):
         last = row["kkt_trace"][-1]
-        assert set(last) == {"K_tried", "K", "kkt_violation"}
+        # both ends of the step's interval [R(F), R(F) + violation]
+        assert set(last) == {"K_tried", "K", "rate_nats", "kkt_violation"}
         assert (last["K"], last["kkt_violation"]) == \
             (row["K"], row["kkt_violation"])
+        # the solver's Gauss-Hermite rate against the reported C_k
+        assert last["rate_nats"] == pytest.approx(cols["C_k_nats"], abs=1e-9)
     assert rows[1]["kkt_trace"][0]["kkt_violation"] > 1e-6
 
 

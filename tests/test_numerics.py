@@ -27,14 +27,12 @@ from keycap.inputs import (
     DiscreteScheme,
     TruncatedGaussianScheme,
     UniformScheme,
-    point_mass_scheme,
 )
 from keycap.numerics import (
     _DENSITY_FLOOR,
     QUAD_ABS_TOL,
     _log_mixture,
     _quad,
-    density_variance,
     minimize_bounded,
     normalization_error,
     scheme_output_density,
@@ -44,6 +42,7 @@ from keycap.schemes import (
     optimize_truncated_gaussian,
     uniform_scheme_rate,
 )
+from support import density_variance, mirrored, point_mass_scheme
 
 H_STD_NORMAL = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -455,7 +454,7 @@ class TestDiscreteDistributionContract:
 
     def test_mirrored(self):
         d = DiscreteDistribution((-1.0, 0.5), (0.4, 0.6))
-        m = d.mirrored()
+        m = mirrored(d)
         assert m.points == (-0.5, 1.0)
         assert m.probs == (0.6, 0.4)
 

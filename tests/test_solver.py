@@ -17,7 +17,7 @@ from keycap import (
     secret_key_rate,
 )
 from keycap import solver
-from keycap.numerics import _quad
+from keycap.numerics import _log_mixture, _quad
 from keycap.solver import (
     _marginal_density,
     _merge_groups,
@@ -187,6 +187,79 @@ class TestMarginalDensityAgainstQuadpack:
         want = [_quadpack_marginal_density(float(x), points, probs, channels)
                 for x in xs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+
+
+class TestBlockedExpectation:
+    """_expect_log_mixture in cache-sized blocks of x against one block."""
+
+    @pytest.mark.parametrize("zero_weight", [False, True])
+    @pytest.mark.parametrize("k", [2, 7, 32])
+    def test_equals_one_block(self, k, zero_weight):
+        rng = np.random.default_rng(k)
+        points = np.sort(rng.uniform(-3.0, 3.0, k))
+        probs = rng.dirichlet(np.ones(k))
+        if zero_weight:
+            probs[1] = 0.0
+            probs /= probs.sum()
+        sigma = 0.8
+        offsets = math.sqrt(2.0) * sigma * solver._GH_NODES
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(probs)
+        rows = solver._block_rows(k)
+        for n in (1, rows - 1, rows, rows + 1, 2001):
+            x = rng.uniform(-4.0, 4.0, n)
+            want = _log_mixture(x[:, None] + offsets, points, log_probs,
+                                sigma) @ solver._GH_W
+            got = solver._expect_log_mixture(x, points, probs, sigma)
+            assert np.array_equal(got, want), n
+
+
+def _equispaced_law(k, a):
+    """The equally spaced, equiprobable K-point law, built by the solver's
+    own symmetric expansion (exactly mirror-symmetric)."""
+    return solver._expand(*solver._initial_state(k, a))
+
+
+_STACKS = pytest.mark.parametrize("channels", [
+    ((math.sqrt(2.0 / 3.0), 1.0),),
+    ((math.sqrt(2.0 / 3.0), 1.0), (math.sqrt(2.0), -1.0)),
+], ids=["plain", "secret_key"])
+
+
+class TestKKTProfile:
+    """The certificate's profile, evaluated on x >= 0 and mirrored."""
+
+    @_STACKS
+    def test_grid_is_mirrored(self, channels):
+        a = math.sqrt(2.0)
+        # +-0.7123 lie off the A/1000 lattice, 0 on it
+        points = np.array([-0.7123, 0.0, 0.7123])
+        probs = np.array([0.3, 0.4, 0.3])
+        grid, s_grid, _, _ = solver._kkt_profile(points, probs, channels, a)
+        assert np.array_equal(grid, -grid[::-1])
+        assert np.array_equal(s_grid, s_grid[::-1])
+        assert (grid[0], grid[-1]) == (-a, a)
+        assert np.isin(points, grid).all()
+        assert len(grid) == solver._KKT_GRID_SIZE + 2
+        lattice = grid[~np.isin(grid, points[points != 0.0])]
+        np.testing.assert_allclose(np.diff(lattice), a / 1000, rtol=1e-12)
+
+    @_STACKS
+    @pytest.mark.parametrize("k,a2", [(2, 0.5), (3, 2.0), (7, 20.0)])
+    def test_matches_full_grid(self, k, a2, channels):
+        # the profile before the fold: s on the whole of [-A, A]
+        a = math.sqrt(a2)
+        points, probs = _equispaced_law(k, a)
+        grid = np.unique(np.concatenate(
+            [np.linspace(-a, a, solver._KKT_GRID_SIZE), points]))
+        s_grid = _marginal_density(grid, points, probs, channels)
+        s_pts = _marginal_density(points, points, probs, channels)
+        rate = float(probs @ s_pts)
+        want = max(float(np.max(s_grid) - rate),
+                   float(np.max(np.abs(s_pts - rate))))
+        _, _, got_rate, got = solver._kkt_profile(points, probs, channels, a)
+        assert got_rate == rate == _rate(points, probs, channels)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-14)
 
 
 class TestPlainCapacity:
