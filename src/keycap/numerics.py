@@ -319,6 +319,18 @@ def normalization_error(d: OutputDensity) -> float:
     return abs(val - 1.0)
 
 
+def _gl_panels(lo: float, hi: float, sigma: float) -> tuple[np.ndarray, float]:
+    """Centers and common half-width of the entropy rule's panels on [lo, hi],
+    each about GL_PANEL_SIGMAS * sigma wide; QuadratureFailure past 2^16."""
+    n = math.ceil((hi - lo) / (GL_PANEL_SIGMAS * sigma))
+    if n > _GL_MAX_PANELS:
+        raise QuadratureFailure(
+            f"entropy on [{lo}, {hi}] needs {n} panels, more than "
+            f"{_GL_MAX_PANELS}, to reach abs_tol={QUAD_ABS_TOL}")
+    half = 0.5 * (hi - lo) / n
+    return lo + half * (2.0 * np.arange(n) + 1.0), half
+
+
 def differential_entropy(d: OutputDensity) -> RateResult:
     """h = -integral p log p over the support hint, in nats.
 
@@ -333,15 +345,9 @@ def differential_entropy(d: OutputDensity) -> RateResult:
     Raises QuadratureFailure when it exceeds QUAD_ABS_TOL.
     """
     lo, hi = d.support
-    n = math.ceil((hi - lo) / (GL_PANEL_SIGMAS * d.sigma))
-    if n > _GL_MAX_PANELS:
-        raise QuadratureFailure(
-            f"entropy on [{lo}, {hi}] needs {n} panels, more than "
-            f"{_GL_MAX_PANELS}, to reach abs_tol={QUAD_ABS_TOL}")
-    half = 0.5 * (hi - lo) / n
-    centers = lo + half * (2.0 * np.arange(n) + 1.0)
+    centers, half = _gl_panels(lo, hi, d.sigma)
     value = gap = magnitude = 0.0
-    for i in range(0, n, _GL_PANELS_PER_CALL):
+    for i in range(0, len(centers), _GL_PANELS_PER_CALL):
         c = centers[i:i + _GL_PANELS_PER_CALL, None]
         p = d(c + half * _GL_ALL_X)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -351,7 +357,7 @@ def differential_entropy(d: OutputDensity) -> RateResult:
         value += half * fine.sum()
         gap += half * np.abs(fine - coarse).sum()
         magnitude += half * (np.abs(f[:, :GL_NODES]) @ _GL_W).sum()
-    err = gap + np.finfo(float).eps * n * magnitude
+    err = gap + np.finfo(float).eps * len(centers) * magnitude
     if not err <= QUAD_ABS_TOL:
         raise QuadratureFailure(
             f"entropy on [{lo}, {hi}] did not reach abs_tol={QUAD_ABS_TOL}: "

@@ -1,5 +1,10 @@
 """Capacity-achieving discrete inputs via mass-point escalation.
 
+One quadrature rule gives every number here: s(x; F), R(F) and its gradient
+are sums over the nodes of the entropy rule (`differential_entropy`) on
+[-A - 10 sigma, A + 10 sigma], laid out once per solve; for a law with mass
+at +-A, R(F) is the reported rate's own sum, up to rounding.
+
 The number of mass points K is increased one at a time; for each K the
 input law is optimized by alternating a concave projected-gradient ascent
 over the probability weights with a derivative-free coordinate search over
@@ -39,13 +44,10 @@ import numpy as np
 from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
 from .inputs import DiscreteDistribution, DiscreteScheme
-from .numerics import _log_mixture, minimize_bounded, mutual_information
+from .numerics import (_GL_W, _GL_X, _TAIL_SIGMAS, _gl_panels, _log_mixture,
+                       minimize_bounded, mutual_information)
 
-_GH_ORDER = 96
-_GH_NODES, _GH_W = np.polynomial.hermite.hermgauss(_GH_ORDER)
-_GH_W = _GH_W / math.sqrt(math.pi)
-_GH_BLOCK_TERMS = 2**14  # points x nodes x rows per block: 128 kB temporaries
-
+_KERNEL_BLOCK_TERMS = 2**14  # x values x nodes per block: 128 kB temporaries
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _KKT_TOLERANCE = 1e-6     # largest s(x; F) - rate a certificate accepts
@@ -74,8 +76,8 @@ DEFAULT_SOLVER = SolverConfig()
 
 class EscalationStep(NamedTuple):
     """One mass-point count tried by the escalation: the K it started from,
-    the K of the law it returned after merging, that law's Gauss-Hermite
-    rate R(F) and its KKT violation; C_k lies in [R(F), R(F) + violation]."""
+    the K of the law it returned after merging, that law's rate R(F) and
+    its KKT violation; C_k lies in [R(F), R(F) + violation]."""
 
     K_tried: int
     K: int
@@ -96,43 +98,62 @@ class SolverReport:
 
 
 # ---------------------------------------------------------------------------
-# rate machinery; a "channel stack" is a tuple of (sigma, sign) pairs
+# rate machinery
 
 
-def _block_rows(num_points):
-    """Rows of x per block: about _GH_BLOCK_TERMS terms, a multiple of 16 so
-    that BLAS's gemv groups a block's rows as it groups the whole x's."""
-    return 16 * max(1, _GH_BLOCK_TERMS // (16 * num_points * _GH_ORDER))
+def _channel_stack(amplitude, channels):
+    """(sigma, sign) pairs -> channel stack, (sigma, sign, nodes, weights)
+    per channel: the entropy rule on [-A - 10 sigma, A + 10 sigma], the
+    window `differential_entropy` takes for any law with mass at +-A."""
+    stack = []
+    for sigma, sign in channels:
+        hi = amplitude + _TAIL_SIGMAS * sigma
+        centers, half = _gl_panels(-hi, hi, sigma)
+        stack.append((sigma, sign, (centers[:, None] + half * _GL_X).ravel(),
+                      np.tile(half * _GL_W, len(centers))))
+    return tuple(stack)
 
 
-def _expect_log_mixture(x, points, probs, sigma):
-    """E[ log f(x + sigma * Z) ] per entry of x, Z standard normal, f the
-    Gaussian mixture with the given points/probs through noise sigma; x is
-    taken in cache-sized blocks, each output computed as in one block."""
-    x = np.atleast_1d(np.asarray(x, float))
-    offsets = math.sqrt(2.0) * sigma * _GH_NODES                 # (H,)
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(probs)
-    rows = _block_rows(len(points))
-    # no one-row last block: numpy computes a one-row product as a dot
-    cuts = [0, *range(rows, len(x) - 1, rows), len(x)]
-    out = [_log_mixture(x[i:j, None] + offsets, points, log_probs, sigma)
-           @ _GH_W for i, j in zip(cuts, cuts[1:])]              # (rows,) each
-    return out[0] if len(out) == 1 else np.concatenate(out)
+def _log_weights(probs):
+    """log p, -inf at zero weights: those points drop out of _log_mixture."""
+    return np.log(probs, out=np.full(len(probs), -np.inf), where=probs > 0.0)
 
 
 def _marginal_density(x, points, probs, channels):
-    """s(x; F): signed sum of per-channel relative entropies D(p(.|x)||f)."""
+    """s(x; F): signed sum of per-channel relative entropies D(p(.|x)||f).
+
+    E log f(x + sigma Z) = sum_j w_j phi_sigma(y_j - x) log f(y_j) on the
+    channel's nodes y_j, with log f evaluated once per call; x is taken in
+    cache-sized blocks, and each row's sum is the same in any block."""
     x = np.atleast_1d(np.asarray(x, float))
+    log_probs = _log_weights(probs)
     out = np.zeros(len(x))
-    for sigma, sign in channels:
+    for sigma, sign, nodes, weights in channels:
         h_noise = _LOG_SQRT_2PI + math.log(sigma) + 0.5
-        out += sign * (-h_noise - _expect_log_mixture(x, points, probs, sigma))
+        w_log_f = (weights / (sigma * math.sqrt(2.0 * math.pi))
+                   * _log_mixture(nodes, points, log_probs, sigma))
+        scale = math.sqrt(0.5) / sigma
+        xs, ys = x * scale, nodes * scale
+        rows = max(1, _KERNEL_BLOCK_TERMS // len(nodes))
+        for i in range(0, len(x), rows):
+            z2 = xs[i:i + rows, None] - ys
+            z2 *= z2
+            kernel = np.exp(np.negative(z2, out=z2), out=z2)
+            out[i:i + rows] -= sign * (
+                h_noise + np.einsum("ij,j->i", kernel, w_log_f))
     return out
 
 
 def _rate(points, probs, channels):
-    return float(probs @ _marginal_density(points, points, probs, channels))
+    """R(F) = sum_c sign_c (h(f_c) - h(N_c)), each h(f_c) = -sum_j w_j f_c
+    log f_c on the channel's nodes: the sum `differential_entropy` takes."""
+    log_probs = _log_weights(probs)
+    rate = 0.0
+    for sigma, sign, nodes, weights in channels:
+        h_noise = _LOG_SQRT_2PI + math.log(sigma) + 0.5
+        log_f = _log_mixture(nodes, points, log_probs, sigma)
+        rate += sign * (-float(weights @ (np.exp(log_f) * log_f)) - h_noise)
+    return rate
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -171,12 +192,6 @@ def _fold(values, m, has_center):
     return 0.5 * (values[m:] + values[m - 1::-1])
 
 
-def _group_rate(u, w, has_center, channels):
-    points, probs = _expand(u, w, has_center)
-    keep = probs > 0.0
-    return _rate(points[keep], probs[keep], channels)
-
-
 def _optimize_weights(u, w, has_center, channels, tol, max_iter=3000):
     """Projected-gradient ascent on the simplex with backtracking.
 
@@ -188,15 +203,8 @@ def _optimize_weights(u, w, has_center, channels, tol, max_iter=3000):
 
     def rate_and_grad(wv):
         points, probs = _expand(u, wv, has_center)
-        keep = probs > 0.0
-        d = np.full(len(points), -np.inf)
-        d[keep] = _marginal_density(points[keep], points[keep], probs[keep], channels)
-        val = float(probs[keep] @ d[keep])
-        # zero-weight points still have a finite marginal density
-        if not keep.all():
-            d[~keep] = _marginal_density(
-                points[~keep], points[keep], probs[keep], channels)
-        return val, _fold(d, m, has_center)
+        d = _marginal_density(points, points, probs, channels)
+        return float(probs @ d), _fold(d, m, has_center)
 
     val, g = rate_and_grad(w)
     step = 1.0
@@ -232,30 +240,23 @@ def _optimize_locations(u, w, has_center, amplitude, channels, xatol):
         def neg(ui, i=i):
             uu = u.copy()
             uu[i] = ui
-            return -_group_rate(uu, w, has_center, channels)
+            return -_rate(*_expand(uu, w, has_center), channels)
 
         x, fx = minimize_bounded(neg, 1e-9 * amplitude, amplitude, xatol)
         candidates = [(neg(u[i]), u[i]), (fx, x), (neg(amplitude), amplitude)]
         u[i] = min(candidates)[1]
     order = np.argsort(u)
-    u = u[order]
-    if has_center:
-        w = np.concatenate([w[:1], w[1:][order]])
-    else:
-        w = np.asarray(w, float)[order]
-    return u, w
+    w_order = np.concatenate([[0], order + 1]) if has_center else order
+    return u[order], np.asarray(w, float)[w_order]
 
 
 def _merge_groups(u, w, has_center, amplitude, channels):
     """Merge mass points closer than 1e-2 * min(sigma_min, A) (pair-pair,
     or pair into center); sigma_min is the smallest noise std of the stack.
     """
-    gap = 1e-2 * min(min(sigma for sigma, _ in channels), amplitude)
-    u = list(np.asarray(u, float))
-    if has_center:
-        wc, wp = float(w[0]), list(np.asarray(w[1:], float))
-    else:
-        wc, wp = 0.0, list(np.asarray(w, float))
+    gap = 1e-2 * min(min(sigma for sigma, *_ in channels), amplitude)
+    u, w = list(np.asarray(u, float)), np.asarray(w, float)
+    wc, wp = (float(w[0]), list(w[1:])) if has_center else (0.0, list(w))
     # innermost pair collapsing onto the axis
     while u and (u[0] if has_center else 2.0 * u[0]) < gap:
         wc += wp.pop(0)
@@ -271,11 +272,8 @@ def _merge_groups(u, w, has_center, amplitude, channels):
             del u[i + 1], wp[i + 1]
         else:
             i += 1
-    if has_center:
-        w_out = np.concatenate([[wc], wp])
-    else:
-        w_out = np.asarray(wp)
-    return np.asarray(u), w_out, has_center
+    w_out = [wc, *wp] if has_center else wp
+    return np.asarray(u), np.asarray(w_out), has_center
 
 
 def _initial_state(num_points, amplitude, rng=None):
@@ -283,10 +281,9 @@ def _initial_state(num_points, amplitude, rng=None):
     has_center = num_points % 2 == 1
     u = pts[pts > 1e-12 * amplitude]
     m = len(u)
+    w = np.full(m, 2.0 / num_points)
     if has_center:
-        w = np.concatenate([[1.0 / num_points], np.full(m, 2.0 / num_points)])
-    else:
-        w = np.full(m, 2.0 / num_points)
+        w = np.concatenate([[1.0 / num_points], w])
     if rng is not None:
         u = np.sort(np.clip(u * np.exp(0.25 * rng.standard_normal(m)),
                             1e-6 * amplitude, amplitude))
@@ -311,7 +308,7 @@ def _alternate(u, w, has_center, amplitude, channels, coarse=False):
             # the screen only ranks starts; its points are not settled yet
             u, w, has_center = _merge_groups(
                 u, w, has_center, amplitude, channels)
-        val_new = _group_rate(u, w, has_center, channels)
+        val_new = _rate(*_expand(u, w, has_center), channels)
         if val_new - val < val_tol:
             val = max(val, val_new)
             break
@@ -323,19 +320,14 @@ def _alternate(u, w, has_center, amplitude, channels, coarse=False):
 
 def _solve_fixed_k(num_points, amplitude, channels, cfg, rng):
     # coarse screening over restarts, then one full-tolerance polish
-    best = None
-    for r in range(cfg.restarts):
-        u0, w0, hc = _initial_state(
-            num_points, amplitude, rng if r > 0 else None)
-        state = _alternate(u0, w0, hc, amplitude, channels, coarse=True)
-        if best is None or state[3] > best[3]:
-            best = state
-    u, w, has_center, _ = _alternate(
-        best[0], best[1], best[2], amplitude, channels)
+    starts = (_initial_state(num_points, amplitude, rng if r > 0 else None)
+              for r in range(cfg.restarts))
+    best = max((_alternate(*start, amplitude, channels, coarse=True)
+                for start in starts), key=lambda state: state[3])
+    u, w, has_center, _ = _alternate(*best[:3], amplitude, channels)
     points, probs = _expand(u, w, has_center)
     keep = probs > 1e-12
-    probs = probs[keep] / probs[keep].sum()
-    return points[keep], probs
+    return points[keep], probs[keep] / probs[keep].sum()
 
 
 def _kkt_profile(points, probs, channels, amplitude):
@@ -347,7 +339,7 @@ def _kkt_profile(points, probs, channels, amplitude):
     grid = np.concatenate([-half[:0:-1], half])
     s_grid = np.concatenate([s_half[:0:-1], s_half])
     s_pts = _marginal_density(points, points, probs, channels)
-    rate_ref = float(probs @ s_pts)
+    rate_ref = _rate(points, probs, channels)
     violation = max(float(np.max(s_grid) - rate_ref),
                     float(np.max(np.abs(s_pts - rate_ref))))
     return grid, s_grid, rate_ref, violation
@@ -355,7 +347,9 @@ def _kkt_profile(points, probs, channels, amplitude):
 
 def _capacity(amplitude, channels, cfg, rate_of):
     """Escalate K on the channel stack until the KKT certificate holds; the
-    reported rate is rate_of applied to the certified law's DiscreteScheme."""
+    reported rate is rate_of applied to the certified law's DiscreteScheme.
+    channels holds (sigma, sign) pairs; their nodes are laid out once here."""
+    channels = _channel_stack(amplitude, channels)
     rng = np.random.default_rng(cfg.seed)
     trace = []
     for num_points in range(2, cfg.max_K + 1):

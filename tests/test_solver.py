@@ -17,8 +17,9 @@ from keycap import (
     secret_key_rate,
 )
 from keycap import solver
-from keycap.numerics import _log_mixture, _quad
+from keycap.numerics import _quad
 from keycap.solver import (
+    _channel_stack,
     _marginal_density,
     _merge_groups,
     _optimize_weights,
@@ -51,7 +52,7 @@ class TestProjectSimplex:
 
 class TestWeightOptimizer:
     def test_stationarity_residual(self):
-        channels = ((1.0, 1.0),)
+        channels = _channel_stack(1.0, ((1.0, 1.0),))
         u = np.array([1.0])
         w, _, residual = _optimize_weights(u, np.array([1.0]), False,
                                            channels, 1e-9)
@@ -59,7 +60,7 @@ class TestWeightOptimizer:
         assert w[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_improves_rate(self):
-        channels = ((1.0, 1.0),)
+        channels = _channel_stack(2.0, ((1.0, 1.0),))
         u = np.array([0.5, 2.0])
         w0 = np.array([0.9, 0.1])
         before = -np.inf
@@ -76,9 +77,10 @@ class TestWeightOptimizer:
     def test_reaches_tolerance(self, channels):
         # A^2=2, var_d=1, var_e=2 at K=3: the step rule must let the
         # residual fall below the fine tolerance, not spin to max_iter
+        a = math.sqrt(2.0)
         _, _, residual = _optimize_weights(
-            np.array([math.sqrt(2.0)]), np.array([0.5, 0.5]), True,
-            channels, 1e-9)
+            np.array([a]), np.array([0.5, 0.5]), True,
+            _channel_stack(a, channels), 1e-9)
         assert residual <= 1e-9
 
 
@@ -92,7 +94,8 @@ class TestMergeGroups:
         a = math.sqrt(20.0)
         u = np.array([1.0, 2.61317, 2.61397, a])
         w = np.array([0.2, 0.2, 0.1, 0.3, 0.2])
-        u2, w2, has_center = _merge_groups(u, w, True, a, self.SECRET_KEY)
+        u2, w2, has_center = _merge_groups(
+            u, w, True, a, _channel_stack(a, self.SECRET_KEY))
         assert has_center
         np.testing.assert_allclose(
             u2, [1.0, (0.1 * 2.61317 + 0.3 * 2.61397) / 0.4, a], rtol=1e-15)
@@ -102,7 +105,8 @@ class TestMergeGroups:
         # the gap is 1e-2 A here, so +-A, 2A apart, stay two points
         a = 1e-10
         u2, w2, has_center = _merge_groups(
-            np.array([a]), np.array([1.0]), False, a, self.SECRET_KEY)
+            np.array([a]), np.array([1.0]), False, a,
+            _channel_stack(a, self.SECRET_KEY))
         assert not has_center
         assert list(u2) == [a] and list(w2) == [1.0]
 
@@ -112,7 +116,8 @@ class TestMergeGroups:
         # 1e-2 at sigma = A = 1
         u = np.array([1e-3, 1.0])
         w = np.array([0.3, 0.2, 0.5]) if has_center else np.array([0.4, 0.6])
-        u2, w2, center = _merge_groups(u, w, has_center, 1.0, ((1.0, 1.0),))
+        u2, w2, center = _merge_groups(u, w, has_center, 1.0,
+                                       _channel_stack(1.0, ((1.0, 1.0),)))
         assert center
         np.testing.assert_array_equal(u2, [1.0])
         np.testing.assert_allclose(
@@ -124,8 +129,9 @@ class TestMergeGroups:
         points, probs = rep.distribution.as_arrays()
         assert len(points) == 3
         u, w = points[2:], np.array([probs[1], 2.0 * probs[2]])
-        u2, w2, has_center = _merge_groups(u, w, True, p.amplitude,
-                                           self.SECRET_KEY)
+        u2, w2, has_center = _merge_groups(
+            u, w, True, p.amplitude,
+            _channel_stack(p.amplitude, self.SECRET_KEY))
         assert has_center
         np.testing.assert_array_equal(u2, u)
         np.testing.assert_array_equal(w2, w)
@@ -135,9 +141,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _quadpack_marginal_density(x, points, probs, channels):
-    """Oracle for s(x; F): each channel's D(N(x, sigma^2) || f) by QUADPACK,
-    with the mixture log-density summed in plain Python (independent of the
-    solver's Gauss-Hermite rule and of `numerics._log_mixture`)."""
+    """Oracle for s(x; F): each channel's D(N(x, sigma^2) || f) by QUADPACK
+    on (sigma, sign) pairs, with the mixture log-density summed in plain
+    Python (independent of the solver's Gauss-Legendre nodes and of
+    `numerics._log_mixture`)."""
     total = 0.0
     for sigma, sign in channels:
         log_norm = _LOG_SQRT_2PI + math.log(sigma)
@@ -157,13 +164,6 @@ def _quadpack_marginal_density(x, points, probs, channels):
     return total
 
 
-# a known defect, kept visible: the 96-node Gauss-Hermite rule cannot follow
-# log f across the dip between mass points 2A/(K-1) >= 3 sigma apart;
-# measured gaps to the oracle 1e-4 (K=2) and 3e-9 (K=3) at A^2 = 10
-_GH_MISSES_THE_BEND = pytest.mark.xfail(
-    strict=True, reason="Gauss-Hermite rule too coarse for far-apart points")
-
-
 class TestMarginalDensityAgainstQuadpack:
     """s(x; F) of the solver against an adaptive-quadrature oracle."""
 
@@ -172,45 +172,46 @@ class TestMarginalDensityAgainstQuadpack:
         ((math.sqrt(2.0 / 3.0), 1.0), (math.sqrt(2.0), -1.0)),
     ], ids=["plain", "secret_key"])
     @pytest.mark.parametrize("k,a2", [
-        (2, 0.5), (3, 0.5), (8, 0.5), (17, 0.5),
-        pytest.param(2, 10.0, marks=_GH_MISSES_THE_BEND),
-        pytest.param(3, 10.0, marks=_GH_MISSES_THE_BEND),
-        (8, 10.0), (17, 10.0),
+        (2, 0.5), (3, 0.5), (8, 0.5), (17, 0.5), (2, 2.0),
+        (2, 10.0), (3, 10.0), (8, 10.0), (17, 10.0),
     ])
     def test_maxentropic_laws(self, k, a2, channels):
         # var_d = 1, var_e = 2; K >= 8 reaches the mixture sums of more
-        # than 8 terms, whose order of addition the kernel may change
+        # than 8 terms, whose order of addition the kernel may change; at
+        # A^2 = 10, K <= 3 puts the mass points 3 sigma or more apart, where
+        # log f bends between them
         a = math.sqrt(a2)
         points, probs = maxentropic_scheme(a, k).dist.as_arrays()
         xs = np.unique(np.concatenate([[-a, 0.0, a], points]))
-        got = _marginal_density(xs, points, probs, channels)
+        got = _marginal_density(xs, points, probs, _channel_stack(a, channels))
         want = [_quadpack_marginal_density(float(x), points, probs, channels)
                 for x in xs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
 
 
 class TestBlockedExpectation:
-    """_expect_log_mixture in cache-sized blocks of x against one block."""
+    """s(x; F), whose kernel product takes x in cache-sized blocks, against
+    x in one block."""
 
     @pytest.mark.parametrize("zero_weight", [False, True])
     @pytest.mark.parametrize("k", [2, 7, 32])
-    def test_equals_one_block(self, k, zero_weight):
+    def test_equals_one_block(self, k, zero_weight, monkeypatch):
         rng = np.random.default_rng(k)
         points = np.sort(rng.uniform(-3.0, 3.0, k))
         probs = rng.dirichlet(np.ones(k))
         if zero_weight:
             probs[1] = 0.0
             probs /= probs.sum()
-        sigma = 0.8
-        offsets = math.sqrt(2.0) * sigma * solver._GH_NODES
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-        rows = solver._block_rows(k)
+        (channel,) = channels = _channel_stack(3.0, ((0.8, 1.0),))
+        rows = solver._KERNEL_BLOCK_TERMS // len(channel[2])
+        assert rows > 1
         for n in (1, rows - 1, rows, rows + 1, 2001):
             x = rng.uniform(-4.0, 4.0, n)
-            want = _log_mixture(x[:, None] + offsets, points, log_probs,
-                                sigma) @ solver._GH_W
-            got = solver._expect_log_mixture(x, points, probs, sigma)
+            got = _marginal_density(x, points, probs, channels)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_KERNEL_BLOCK_TERMS", 2001 * len(channel[2]))
+                want = _marginal_density(x, points, probs, channels)
+            assert np.isfinite(got).all()
             assert np.array_equal(got, want), n
 
 
@@ -235,7 +236,8 @@ class TestKKTProfile:
         # +-0.7123 lie off the A/1000 lattice, 0 on it
         points = np.array([-0.7123, 0.0, 0.7123])
         probs = np.array([0.3, 0.4, 0.3])
-        grid, s_grid, _, _ = solver._kkt_profile(points, probs, channels, a)
+        grid, s_grid, _, _ = solver._kkt_profile(
+            points, probs, _channel_stack(a, channels), a)
         assert np.array_equal(grid, -grid[::-1])
         assert np.array_equal(s_grid, s_grid[::-1])
         assert (grid[0], grid[-1]) == (-a, a)
@@ -249,16 +251,19 @@ class TestKKTProfile:
     def test_matches_full_grid(self, k, a2, channels):
         # the profile before the fold: s on the whole of [-A, A]
         a = math.sqrt(a2)
+        channels = _channel_stack(a, channels)
         points, probs = _equispaced_law(k, a)
         grid = np.unique(np.concatenate(
             [np.linspace(-a, a, solver._KKT_GRID_SIZE), points]))
         s_grid = _marginal_density(grid, points, probs, channels)
         s_pts = _marginal_density(points, points, probs, channels)
-        rate = float(probs @ s_pts)
+        rate = _rate(points, probs, channels)
+        # on shared nodes the profile's own sum is R(F) up to rounding
+        assert float(probs @ s_pts) == pytest.approx(rate, rel=0.0, abs=1e-14)
         want = max(float(np.max(s_grid) - rate),
                    float(np.max(np.abs(s_pts - rate))))
         _, _, got_rate, got = solver._kkt_profile(points, probs, channels, a)
-        assert got_rate == rate == _rate(points, probs, channels)
+        assert got_rate == rate
         assert got == pytest.approx(want, rel=0.0, abs=1e-14)
 
 
@@ -312,7 +317,8 @@ class TestSecretKeyCapacity:
         # allowing one more mass point can never reduce the optimized rate
         p = fig1_params(0.5)
         eq = equivalent_channel(p)
-        channels = ((math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0))
+        channels = _channel_stack(p.amplitude, (
+            (math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0)))
         rng = np.random.default_rng(0)
         r2 = _rate(*_solve_fixed_k(2, p.amplitude, channels, fast_cfg, rng),
                    channels)
@@ -346,11 +352,15 @@ class TestSecretKeyCapacity:
 
 
 class TestCapacityWrappers:
-    @pytest.mark.parametrize("secret_key", [False, True])
-    def test_reported_rate_matches_solver_rate(self, fig1_params, secret_key):
-        # the quadrature rate each wrapper reports agrees with the solver's
-        # own rate of the returned law on the wrapper's channel stack
-        p = fig1_params(2.0)
+    @pytest.mark.parametrize("secret_key,a2,k", [
+        (False, 2.0, 3), (True, 2.0, 3), (False, 10.0, 4), (True, 10.0, 5),
+    ], ids=["False", "True", "a2_10-False", "a2_10-True"])
+    def test_reported_rate_matches_solver_rate(self, fig1_params, secret_key,
+                                               a2, k):
+        # the entropy-rule rate each wrapper reports is the solver's own
+        # rate of the returned law on the wrapper's channel stack: one sum
+        # on the same nodes, up to rounding
+        p = fig1_params(a2)
         eq = equivalent_channel(p)
         cfg = SolverConfig(restarts=1)
         if secret_key:
@@ -360,10 +370,11 @@ class TestCapacityWrappers:
         else:
             rep = plain_capacity(p.amplitude, math.sqrt(eq.var_eq), cfg)
             channels = ((math.sqrt(eq.var_eq), 1.0),)
-        assert rep.num_points_K == 3
+        assert rep.num_points_K == k
         points, probs = rep.distribution.as_arrays()
         assert rep.rate_nats == pytest.approx(
-            _rate(points, probs, channels), abs=1e-9)
+            _rate(points, probs, _channel_stack(p.amplitude, channels)),
+            rel=0.0, abs=1e-14)
 
 
 class TestSolverConfigContract:
