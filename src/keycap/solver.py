@@ -1,36 +1,28 @@
 """Capacity-achieving discrete inputs via mass-point escalation.
 
-One quadrature rule gives every number here: s(x; F), R(F) and its gradient
-are sums over the nodes of the entropy rule (`differential_entropy`) on
-[-A - 10 sigma, A + 10 sigma], laid out once per solve; for a law with mass
-at +-A, R(F) is the reported rate's own sum, up to rounding.
+One quadrature rule gives every number here: s(x; F), R(F) and R's exact
+first and second derivatives are sums over the nodes of the entropy rule
+(`differential_entropy`) on [-A - 10 sigma, A + 10 sigma], laid out once per
+solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
 
-The number of mass points K is increased one at a time; for each K the
-input law is optimized by alternating a concave projected-gradient ascent
-over the probability weights with a derivative-free coordinate search over
-the point locations. A candidate is accepted once the marginal density
+The number of mass points K is increased one at a time; for each K the law
+is optimized by alternating Newton ascent over the weights (on the active
+face of the simplex) with projected Newton ascent over the locations. It is
+accepted once the marginal density
 
     s(x; F) = sum_c sign_c * D( p_c(.|x) || f_{F,c} )
 
 is below the achieved rate everywhere on [-A, A] (equality at mass points),
-which certifies optimality for these concave objectives. The law is mirror-
-symmetric, so s is even: the certificate evaluates it on 1001 points of
-[0, A] spaced A / 1000, plus the mass points, and mirrors it. For the plain
-channel the sum has a single positive term and s is the usual information
-density i(x; F); for the secret-key objective it is the difference of the
-legitimate-equivalent and eavesdropper relative entropies, whose weighted
-average over F equals the full rate including the constant
-0.5 log(var_e / var_eq).
+which certifies optimality for these concave objectives; the average of s
+over F is the rate. s is even: the certificate evaluates it on 1001 points
+of [0, A] spaced A / 1000, plus the mass points, and mirrors it.
 
-After every location pass of the full-tolerance polish, mass points closer
-than 1e-2 * min(sigma_min, A) are merged, sigma_min being the smallest noise
-std of the channel stack: two pairs into one at their weighted mean, an
-innermost pair into the center point. The next passes re-optimize the
-merged law, and it must still pass the certificate. The A term keeps the
-+-A pair apart at tiny amplitudes.
-
-Symmetry of the channel law is exploited throughout: only nonnegative
-locations are optimized and every solution is exactly mirror-symmetric.
+After every location pass of the full-tolerance polish, zero-weight groups
+are dropped and mass points closer than 1e-2 * min(sigma_min, A) merge,
+sigma_min being the smallest noise std of the channel stack: two pairs into
+one at their weighted mean, an innermost pair into the center point (the A
+term keeps +-A apart at tiny amplitudes). Only locations u >= 0 are
+optimized, and every law is exactly mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -44,8 +36,8 @@ import numpy as np
 from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
 from .inputs import DiscreteDistribution, DiscreteScheme
-from .numerics import (_GL_W, _GL_X, _TAIL_SIGMAS, _gl_panels, _log_mixture,
-                       minimize_bounded, mutual_information)
+from .numerics import (_GL_W, _GL_X, _SQRT_2PI, _TAIL_SIGMAS, _gl_panels,
+                       _log_mixture, mutual_information)
 
 _KERNEL_BLOCK_TERMS = 2**14  # x values x nodes per block: 128 kB temporaries
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -53,6 +45,9 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _KKT_TOLERANCE = 1e-6     # largest s(x; F) - rate a certificate accepts
 _KKT_GRID_SIZE = 2001     # points of [-A, A] the certificate checks
 _INNER_TOLERANCE = 1e-9   # weight residual and rate gain of a fine solve
+_RATE_ROUNDING = 1e-13    # how far a Newton step may lower R(F): rounding
+_NEWTON_STEPS = 100       # Newton steps of one fine weight or location solve
+_COARSE_NEWTON_STEPS = 20  # and of one coarse screening solve
 
 
 @dataclass(frozen=True)
@@ -76,13 +71,17 @@ DEFAULT_SOLVER = SolverConfig()
 
 class EscalationStep(NamedTuple):
     """One mass-point count tried by the escalation: the K it started from,
-    the K of the law it returned after merging, that law's rate R(F) and
-    its KKT violation; C_k lies in [R(F), R(F) + violation]."""
+    the K of the law it returned, that law's R(F) and KKT violation (C_k is
+    in [R(F), R(F) + violation]), the polish's Newton steps over weights and
+    over locations, and whether one of its inner solves stopped at its cap."""
 
     K_tried: int
     K: int
     rate_nats: float
     kkt_violation: float
+    weight_steps: int
+    location_steps: int
+    capped: bool
 
 
 @dataclass(frozen=True)
@@ -144,15 +143,18 @@ def _marginal_density(x, points, probs, channels):
     return out
 
 
-def _rate(points, probs, channels):
+def _rate(points, probs, channels, log_fs=None):
     """R(F) = sum_c sign_c (h(f_c) - h(N_c)), each h(f_c) = -sum_j w_j f_c
-    log f_c on the channel's nodes: the sum `differential_entropy` takes."""
+    log f_c on the channel's nodes: the sum `differential_entropy` takes.
+    Each channel's log f is appended to log_fs when one is given."""
     log_probs = _log_weights(probs)
     rate = 0.0
     for sigma, sign, nodes, weights in channels:
         h_noise = _LOG_SQRT_2PI + math.log(sigma) + 0.5
         log_f = _log_mixture(nodes, points, log_probs, sigma)
         rate += sign * (-float(weights @ (np.exp(log_f) * log_f)) - h_noise)
+        if log_fs is not None:
+            log_fs.append(log_f)
     return rate
 
 
@@ -172,91 +174,140 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _expand(u, w, has_center):
     """Group state -> full (points, probs). Groups are (center?, pairs...)."""
-    u = np.asarray(u, float)
-    w = np.asarray(w, float)
-    if has_center:
-        wp = w[1:]
-        points = np.concatenate([-u[::-1], [0.0], u])
-        probs = np.concatenate([wp[::-1] / 2.0, w[:1], wp / 2.0])
+    u, w, c = np.asarray(u, float), np.asarray(w, float), int(has_center)
+    wp = w[c:] / 2.0
+    return (np.concatenate([-u[::-1], np.zeros(c), u]),
+            np.concatenate([wp[::-1], w[:c], wp]))
+
+
+def _group_kernels(u, has_center, channels):
+    """Per channel, on its nodes y: the folded kernel phi (groups x nodes),
+    (phi(y - u_i) + phi(y + u_i)) / 2 per group (u = 0 for the center), so
+    that f_c = w @ phi; and its first and second u-derivatives."""
+    u = np.concatenate([[0.0], u]) if has_center else u
+    out = []
+    for sigma, _, nodes, _ in channels:
+        zm, zp = (nodes - u[:, None]) / sigma, (nodes + u[:, None]) / sigma
+        em = np.exp(-0.5 * zm * zm) / (2.0 * sigma * _SQRT_2PI)
+        ep = np.exp(-0.5 * zp * zp) / (2.0 * sigma * _SQRT_2PI)
+        out.append((em + ep, (em * zm - ep * zp) / sigma,
+                    (em * (zm * zm - 1.0) + ep * (zp * zp - 1.0)) / sigma**2))
+    return out
+
+
+def _derivatives(u, w, has_center, channels, phi=None):
+    """R(F) and its exact gradient and Hessian on the entropy rule's nodes:
+    in the weights given the kernels phi of `_group_kernels` (f_c = w @ phi),
+    else in the pair locations. log f is _log_mixture's: w @ phi underflows."""
+    if phi is None:
+        wp = w[int(has_center):, None]
+        kernels = _group_kernels(u, False, channels)
+        jac, curv = [wp * k[1] for k in kernels], [wp * k[2] for k in kernels]
     else:
-        points = np.concatenate([-u[::-1], u])
-        probs = np.concatenate([w[::-1] / 2.0, w / 2.0])
-    return points, probs
+        jac, curv = phi, [None] * len(channels)
+    log_fs = []
+    rate = _rate(*_expand(u, w, has_center), channels, log_fs)
+    grad = hess = 0.0
+    for (_, sign, _, weights), log_f, j, c in zip(channels, log_fs, jac, curv):
+        d_log = weights * (log_f + 1.0)
+        # weights / f, kept finite where f underflows (there j does too)
+        h = (j * (weights * np.exp(-np.maximum(log_f, -700.0)))) @ j.T
+        if c is not None:
+            h[np.diag_indices_from(h)] += c @ d_log
+        grad = grad - sign * (j @ d_log)
+        hess = hess - sign * h
+    return rate, grad, hess
 
 
-def _fold(values, m, has_center):
-    """Full per-point values -> per-group values (pair entries averaged)."""
-    if has_center:
-        pairs = 0.5 * (values[m + 1:] + values[m - 1::-1]) if m else values[:0]
-        return np.concatenate([values[m:m + 1], pairs])
-    return 0.5 * (values[m:] + values[m - 1::-1])
+def _backtrack(x, d, val, derivatives, project, min_step):
+    """The first of project(x + t d), t = 1, 1/2, ..., whose R(F) is not
+    below val by more than rounding, with its `derivatives`; None once the
+    step moves no coordinate by min_step."""
+    t = 1.0
+    while True:
+        cand = project(x + t * d)
+        if float(np.max(np.abs(cand - x), initial=0.0)) < min_step:
+            return None
+        found = derivatives(cand)
+        if found[0] >= val - _RATE_ROUNDING:
+            return cand, found
+        t *= 0.5
 
 
-def _optimize_weights(u, w, has_center, channels, tol, max_iter=3000):
-    """Projected-gradient ascent on the simplex with backtracking.
-
-    The objective is concave in the weights (degraded stack), so the
-    projected-gradient residual certifies stationarity.
-    """
-    m = len(u)
+def _optimize_weights(u, w, has_center, channels, tol,
+                      max_steps=_NEWTON_STEPS):
+    """Newton ascent of R, concave in the weights, on the simplex's face of
+    nonzero weights; a projected-gradient step only changes the face. Stops
+    once max|P(w + g) - w| <= tol. Returns (w, R, residual, steps)."""
     w = np.asarray(w, float)
-
-    def rate_and_grad(wv):
-        points, probs = _expand(u, wv, has_center)
-        d = _marginal_density(points, points, probs, channels)
-        return float(probs @ d), _fold(d, m, has_center)
-
-    val, g = rate_and_grad(w)
-    step = 1.0
-    residual = np.inf
-    for _ in range(max_iter):
-        residual = float(np.max(np.abs(project_simplex(w + g) - w)))
-        if residual <= tol:
+    if len(w) == 1:
+        return w, _rate(*_expand(u, w, has_center), channels), 0.0, 0
+    phi = [kernels[0] for kernels in _group_kernels(u, has_center, channels)]
+    val, g, hess = _derivatives(u, w, has_center, channels, phi)
+    for steps in range(max_steps + 1):
+        pg = project_simplex(w + g) - w
+        residual = float(np.max(np.abs(pg)))
+        if residual <= tol or steps == max_steps:
             break
-        moved = False
-        while step > 1e-15:
-            cand = project_simplex(w + step * g)
-            delta = cand - w
-            val_c, g_c = rate_and_grad(cand)
-            # the objective is concave, so the segment ascends all the way
-            # while its far end still does; centering g_c cancels the
-            # rounding left in sum(delta) = 0, which would otherwise swamp
-            # the directional derivative near the optimum
-            if float((g_c - g_c.mean()) @ delta) >= 0.0:
-                moved = True
-                break
-            step *= 0.5
-        if not moved or float(np.max(np.abs(delta))) < 1e-16:
+        free = w > 0.0
+        n = int(free.sum())
+        kkt = np.block([[hess[np.ix_(free, free)], np.ones((n, 1))],
+                        [np.ones((1, n)), np.zeros((1, 1))]])
+        d = np.zeros(len(w))
+        d[free] = np.linalg.lstsq(kkt, np.append(-g[free], 0.0))[0][:n]
+        if np.ptp(g[free]) <= tol or (g - g.mean()) @ d <= 0.0:
+            d = pg  # the face is flat, or Newton does not ascend on it
+        # cap the step where a weight reaches 0, exactly 0
+        ratio = np.divide(w, -d, out=np.full(len(w), np.inf), where=d < 0.0)
+        t = min(1.0, float(ratio.min()))
+        d = np.where(ratio == t, -w, t * d)
+        found = _backtrack(
+            w, d, val, lambda v: _derivatives(u, v, has_center, channels, phi),
+            lambda v: np.maximum(v, 0.0) / np.maximum(v, 0.0).sum(), 1e-16)
+        if found is None:
             break
-        w, val, g = cand, val_c, g_c
-        step = min(step * 2.0, 1e4)
-    return w, val, residual
+        w, (val, g, hess) = found
+    return w, val, residual, steps
 
 
-def _optimize_locations(u, w, has_center, amplitude, channels, xatol):
-    """One coordinate-ascent pass over the pair locations in (0, A]."""
-    u = np.asarray(u, float).copy()
-    for i in range(len(u)):
-        def neg(ui, i=i):
-            uu = u.copy()
-            uu[i] = ui
-            return -_rate(*_expand(uu, w, has_center), channels)
-
-        x, fx = minimize_bounded(neg, 1e-9 * amplitude, amplitude, xatol)
-        candidates = [(neg(u[i]), u[i]), (fx, x), (neg(amplitude), amplitude)]
-        u[i] = min(candidates)[1]
+def _optimize_locations(u, w, has_center, amplitude, channels, xatol,
+                        max_steps=_NEWTON_STEPS):
+    """Projected Newton ascent of R over the pair locations in [1e-9 A, A],
+    the Hessian's eigenvalues flipped negative and kept off 0; a location at
+    a bound is held while the gradient pushes past it. Stops once a step
+    would move no location by xatol. Returns (u, w, steps), by location."""
+    lo = 1e-9 * amplitude
+    u, w = np.asarray(u, float), np.asarray(w, float)
+    val, g, hess = _derivatives(u, w, has_center, channels)
+    steps = 0
+    while steps < max_steps:
+        free = ~(((u >= amplitude) & (g > 0.0)) | ((u <= lo) & (g < 0.0)))
+        lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+        lam = np.maximum(abs(lam), 1e-12 * abs(lam).max(initial=1e-300))
+        d = np.zeros(len(u))
+        d[free] = vec @ ((vec.T @ g[free]) / lam)
+        found = _backtrack(
+            u, d, val, lambda v: _derivatives(v, w, has_center, channels),
+            lambda v: np.clip(v, lo, amplitude), xatol)
+        if found is None:
+            break
+        u, (val, g, hess) = found
+        steps += 1
     order = np.argsort(u)
     w_order = np.concatenate([[0], order + 1]) if has_center else order
-    return u[order], np.asarray(w, float)[w_order]
+    return u[order], w[w_order], steps
 
 
 def _merge_groups(u, w, has_center, amplitude, channels):
-    """Merge mass points closer than 1e-2 * min(sigma_min, A) (pair-pair,
-    or pair into center); sigma_min is the smallest noise std of the stack.
+    """Drop zero-weight groups, then merge mass points closer than
+    1e-2 * min(sigma_min, A) (pair-pair, or pair into center); sigma_min is
+    the smallest noise std of the stack.
     """
     gap = 1e-2 * min(min(sigma for sigma, *_ in channels), amplitude)
-    u, w = list(np.asarray(u, float)), np.asarray(w, float)
-    wc, wp = (float(w[0]), list(w[1:])) if has_center else (0.0, list(w))
+    w = np.asarray(w, float)
+    wc, pairs = (float(w[0]), w[1:]) if has_center else (0.0, w)
+    u, wp = list(np.asarray(u, float)[pairs > 0.0]), list(pairs[pairs > 0.0])
+    has_center = wc > 0.0
     # innermost pair collapsing onto the axis
     while u and (u[0] if has_center else 2.0 * u[0]) < gap:
         wc += wp.pop(0)
@@ -266,8 +317,7 @@ def _merge_groups(u, w, has_center, amplitude, channels):
     while i + 1 < len(u):
         if u[i + 1] - u[i] < gap:
             tot = wp[i] + wp[i + 1]
-            if tot > 0.0:
-                u[i] = (wp[i] * u[i] + wp[i + 1] * u[i + 1]) / tot
+            u[i] = (wp[i] * u[i] + wp[i + 1] * u[i + 1]) / tot
             wp[i] = tot
             del u[i + 1], wp[i + 1]
         else:
@@ -292,18 +342,20 @@ def _initial_state(num_points, amplitude, rng=None):
 
 
 def _alternate(u, w, has_center, amplitude, channels, coarse=False):
-    if coarse:
-        xatol = 1e-6 * max(amplitude, 1.0)
-        w_tol, val_tol, rounds, pg_iter = 1e-6, 1e-7, 15, 400
-    else:
-        xatol = 1e-10 * max(amplitude, 1.0)
-        w_tol, val_tol, rounds, pg_iter = \
-            _INNER_TOLERANCE, _INNER_TOLERANCE, 60, 3000
+    """Alternate weight and location solves; returns the state, its rate and
+    (weight steps, location steps, whether a solve stopped at its cap)."""
+    xatol, w_tol, val_tol, rounds, cap = (
+        (1e-6, 1e-6, 1e-7, 15, _COARSE_NEWTON_STEPS) if coarse else
+        (1e-10, _INNER_TOLERANCE, _INNER_TOLERANCE, 60, _NEWTON_STEPS))
+    xatol *= max(amplitude, 1.0)
     val = -np.inf
+    w_steps = u_steps = longest = 0
     for _ in range(rounds):
-        w, val_w, _ = _optimize_weights(
-            u, w, has_center, channels, w_tol, max_iter=pg_iter)
-        u, w = _optimize_locations(u, w, has_center, amplitude, channels, xatol)
+        w, _, _, n_w = _optimize_weights(u, w, has_center, channels, w_tol, cap)
+        u, w, n_u = _optimize_locations(
+            u, w, has_center, amplitude, channels, xatol, cap)
+        w_steps, u_steps = w_steps + n_w, u_steps + n_u
+        longest = max(longest, n_w, n_u)
         if not coarse:
             # the screen only ranks starts; its points are not settled yet
             u, w, has_center = _merge_groups(
@@ -313,9 +365,9 @@ def _alternate(u, w, has_center, amplitude, channels, coarse=False):
             val = max(val, val_new)
             break
         val = val_new
-    w, val, _ = _optimize_weights(
-        u, w, has_center, channels, w_tol, max_iter=pg_iter)
-    return u, w, has_center, val
+    w, val, _, n_w = _optimize_weights(u, w, has_center, channels, w_tol, cap)
+    return u, w, has_center, val, (w_steps + n_w, u_steps,
+                                   max(longest, n_w) == cap)
 
 
 def _solve_fixed_k(num_points, amplitude, channels, cfg, rng):
@@ -324,10 +376,10 @@ def _solve_fixed_k(num_points, amplitude, channels, cfg, rng):
               for r in range(cfg.restarts))
     best = max((_alternate(*start, amplitude, channels, coarse=True)
                 for start in starts), key=lambda state: state[3])
-    u, w, has_center, _ = _alternate(*best[:3], amplitude, channels)
+    u, w, has_center, _, steps = _alternate(*best[:3], amplitude, channels)
     points, probs = _expand(u, w, has_center)
     keep = probs > 1e-12
-    return points[keep], probs[keep] / probs[keep].sum()
+    return points[keep], probs[keep] / probs[keep].sum(), steps
 
 
 def _kkt_profile(points, probs, channels, amplitude):
@@ -353,10 +405,12 @@ def _capacity(amplitude, channels, cfg, rate_of):
     rng = np.random.default_rng(cfg.seed)
     trace = []
     for num_points in range(2, cfg.max_K + 1):
-        points, probs = _solve_fixed_k(num_points, amplitude, channels, cfg, rng)
+        points, probs, steps = _solve_fixed_k(
+            num_points, amplitude, channels, cfg, rng)
         grid, s_grid, rate, violation = _kkt_profile(
             points, probs, channels, amplitude)
-        trace.append(EscalationStep(num_points, len(points), rate, violation))
+        trace.append(EscalationStep(num_points, len(points), rate, violation,
+                                    *steps))
         if violation <= _KKT_TOLERANCE:
             break
     else:
@@ -367,14 +421,8 @@ def _capacity(amplitude, channels, cfg, rate_of):
     dist = DiscreteDistribution(tuple(points), tuple(probs))
     rate = rate_of(DiscreteScheme(dist))
     return SolverReport(
-        distribution=dist,
-        rate_nats=rate.nats,
-        quad_error=rate.quad_error,
-        num_points_K=len(points),
-        kkt_max_violation=violation,
-        kkt_grid=tuple(zip(map(float, grid), map(float, s_grid))),
-        trace=tuple(trace),
-    )
+        dist, rate.nats, rate.quad_error, len(points), violation,
+        tuple(zip(map(float, grid), map(float, s_grid))), tuple(trace))
 
 
 def plain_capacity(

@@ -74,7 +74,8 @@ def test_meta_records_the_kkt_trace(tmp_path):
     for row, cols in zip(rows, data):
         last = row["kkt_trace"][-1]
         # both ends of the step's interval [R(F), R(F) + violation]
-        assert set(last) == {"K_tried", "K", "rate_nats", "kkt_violation"}
+        assert set(last) == {"K_tried", "K", "rate_nats", "kkt_violation",
+                             "weight_steps", "location_steps", "capped"}
         assert (last["K"], last["kkt_violation"]) == \
             (row["K"], row["kkt_violation"])
         # the solver's rate on the entropy rule's nodes against the
@@ -82,6 +83,10 @@ def test_meta_records_the_kkt_trace(tmp_path):
         assert last["rate_nats"] == pytest.approx(cols["C_k_nats"], rel=0.0,
                                                   abs=1e-14)
     assert rows[1]["kkt_trace"][0]["kkt_violation"] > 1e-6
+    # K = 2 is one weight group: no weight step, and no inner solve capped
+    steps = [s for r in rows for s in r["kkt_trace"]]
+    assert [s["weight_steps"] for s in steps if s["K_tried"] == 2] == [0, 0]
+    assert not any(s["capped"] for s in steps)
 
 
 def test_units_round_trip(tmp_path):

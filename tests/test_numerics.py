@@ -11,17 +11,19 @@ from keycap import (
     DiscreteDistribution,
     QuadratureFailure,
     SolverConfig,
+    bounds,
     differential_entropy,
     density_discrete_conv,
     density_trunc_gauss_conv,
     density_uniform_conv,
     maxentropic_scheme,
+    maximize_lower_bound_2,
     mixed_gaussian_entropy_integral,
     monte_carlo_mi_oracle,
     mutual_information,
     q_function,
+    schemes,
     secret_key_capacity,
-    solver,
 )
 from keycap.inputs import (
     DiscreteScheme,
@@ -374,19 +376,23 @@ class TestMinimizeBounded:
         x, fx = _same_as_scipy(lambda x: 1.0, 0.5, 2.0, 1e-8)
         assert 0.5 < x < 2.0 and fx == 1.0
 
-    def test_solver_location_search(self, monkeypatch, fig1_params):
-        # the location searches of the A^2 = 2 secret-key solve, replayed
+    def test_scheme_and_bound_searches(self, monkeypatch, fig1_params):
+        # the two searches left, replayed at A^2 = 20, where the best
+        # sigma_x (about 0.96 A) is inside the truncated Gaussian's grid:
+        # sigma_x and beta of the closed-form lower bound
         searches = []
 
         def recording(f, lo, hi, xatol):
             searches.append((f, lo, hi, xatol))
             return minimize_bounded(f, lo, hi, xatol)
 
-        monkeypatch.setattr(solver, "minimize_bounded", recording)
-        secret_key_capacity(fig1_params(2.0), SolverConfig(restarts=1))
-        # one coarse screening search and the last fine one
-        coarse = next(s for s in searches if s[3] > 1e-8)
-        for f, lo, hi, xatol in (coarse, searches[-1]):
+        monkeypatch.setattr(schemes, "minimize_bounded", recording)
+        monkeypatch.setattr(bounds, "minimize_bounded", recording)
+        p = fig1_params(20.0)
+        optimize_truncated_gaussian(p)
+        maximize_lower_bound_2(p)
+        assert [s[3] for s in searches] == [1e-6 * p.amplitude, 1e-10]
+        for f, lo, hi, xatol in searches:
             _same_as_scipy(f, lo, hi, xatol)
 
 

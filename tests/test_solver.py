@@ -20,6 +20,9 @@ from keycap import solver
 from keycap.numerics import _quad
 from keycap.solver import (
     _channel_stack,
+    _derivatives,
+    _expand,
+    _group_kernels,
     _marginal_density,
     _merge_groups,
     _optimize_weights,
@@ -54,8 +57,8 @@ class TestWeightOptimizer:
     def test_stationarity_residual(self):
         channels = _channel_stack(1.0, ((1.0, 1.0),))
         u = np.array([1.0])
-        w, _, residual = _optimize_weights(u, np.array([1.0]), False,
-                                           channels, 1e-9)
+        w, _, residual, _ = _optimize_weights(u, np.array([1.0]), False,
+                                              channels, 1e-9)
         assert residual <= 1e-9
         assert w[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -64,7 +67,7 @@ class TestWeightOptimizer:
         u = np.array([0.5, 2.0])
         w0 = np.array([0.9, 0.1])
         before = -np.inf
-        w, after, _ = _optimize_weights(u, w0, False, channels, 1e-9)
+        w, after, _, _ = _optimize_weights(u, w0, False, channels, 1e-9)
         pts = np.concatenate([-u[::-1], u])
         pr0 = np.concatenate([w0[::-1], w0]) / 2.0
         before = _rate(pts, pr0, channels)
@@ -75,13 +78,14 @@ class TestWeightOptimizer:
         ((math.sqrt(2.0 / 3.0), 1.0), (math.sqrt(2.0), -1.0)),
     ], ids=["plain", "secret_key"])
     def test_reaches_tolerance(self, channels):
-        # A^2=2, var_d=1, var_e=2 at K=3: the step rule must let the
-        # residual fall below the fine tolerance, not spin to max_iter
+        # A^2=2, var_d=1, var_e=2 at K=3: Newton on the simplex must bring
+        # the residual below the fine tolerance in a few steps, not spin to
+        # its step cap
         a = math.sqrt(2.0)
-        _, _, residual = _optimize_weights(
+        _, _, residual, steps = _optimize_weights(
             np.array([a]), np.array([0.5, 0.5]), True,
             _channel_stack(a, channels), 1e-9)
-        assert residual <= 1e-9
+        assert residual <= 1e-9 and steps <= 10
 
 
 class TestMergeGroups:
@@ -122,6 +126,21 @@ class TestMergeGroups:
         np.testing.assert_array_equal(u2, [1.0])
         np.testing.assert_allclose(
             w2, [0.5, 0.5] if has_center else [0.4, 0.6], rtol=1e-15)
+
+    @pytest.mark.parametrize("has_center", [True, False])
+    def test_zero_weight_groups_dropped(self, has_center):
+        # a pair driven to weight exactly 0, 0.11 from its neighbour (no
+        # merge), as at A^2 = 20; and a weightless center
+        a = math.sqrt(20.0)
+        u = np.array([1.0, 2.57, 2.68011, a])
+        w = np.array([0.4, 0.3, 0.0, 0.3])
+        if has_center:
+            w = np.concatenate([[0.0], w])
+        u2, w2, center = _merge_groups(
+            u, w, has_center, a, _channel_stack(a, self.SECRET_KEY))
+        assert not center
+        np.testing.assert_array_equal(u2, [1.0, 2.57, a])
+        np.testing.assert_array_equal(w2, [0.4, 0.3, 0.3])
 
     def test_certified_law_left_alone(self, fig1_params):
         p = fig1_params(2.0)
@@ -267,6 +286,85 @@ class TestKKTProfile:
         assert got == pytest.approx(want, rel=0.0, abs=1e-14)
 
 
+def _central_differences(f, x, idx, h):
+    """Gradient and Hessian of f over the coordinates idx of x from central
+    differences of step h (the Hessian from second differences of f)."""
+    e = np.eye(len(x))[idx] * h
+    grad = np.array([(f(x + ei) - f(x - ei)) / (2.0 * h) for ei in e])
+    hess = np.array([[(f(x + ei + ek) - f(x + ei - ek) - f(x - ei + ek)
+                       + f(x - ei - ek)) / (4.0 * h * h) for ek in e]
+                     for ei in e])
+    return grad, hess
+
+
+# (pairs, center, one group weightless): K = 2, 3, 6 and 7
+_GROUPS = pytest.mark.parametrize("m,has_center,zero", [
+    (1, False, False), (1, True, False), (3, False, False), (3, True, False),
+    (3, True, True), (3, False, True),
+], ids=["K2", "K3", "K6", "K7", "K7-zero", "K6-zero"])
+
+
+class TestSecondOrderSteps:
+    """R's exact weight and location derivatives against central
+    differences of _rate (the Newton weight solve's step count is checked
+    in TestWeightOptimizer::test_reaches_tolerance)."""
+
+    A = math.sqrt(5.0)
+
+    def _state(self, m, has_center, zero):
+        rng = np.random.default_rng(10 * m + has_center)
+        u = np.sort(rng.uniform(0.15, 1.0, m)) * self.A
+        w = rng.dirichlet(np.full(m + has_center, 4.0))
+        if zero:
+            w[has_center + 1] = 0.0  # the second pair
+            w /= w.sum()
+        return u, w
+
+    @_STACKS
+    @_GROUPS
+    def test_weight_derivatives(self, channels, m, has_center, zero):
+        channels = _channel_stack(self.A, channels)
+        u, w = self._state(m, has_center, zero)
+        phi = [k[0] for k in _group_kernels(u, has_center, channels)]
+        val, g, hess = _derivatives(u, w, has_center, channels, phi)
+
+        def rate(wv):
+            return _rate(*_expand(u, wv, has_center), channels)
+
+        assert val == rate(w)
+        # a weight below 0 drops out of _rate: difference on the others
+        pos = np.flatnonzero(w > 0.0)
+        want_g = _central_differences(rate, w, pos, 1e-5)[0]
+        np.testing.assert_allclose(g[pos], want_g, rtol=0.0, atol=1e-9)
+        want_h = _central_differences(rate, w, pos, 1e-4)[1]
+        np.testing.assert_allclose(hess[np.ix_(pos, pos)], want_h,
+                                   rtol=0.0, atol=1e-6)
+        for i in np.flatnonzero(w == 0.0):
+            # one-sided, second order: (-3 R(w) + 4 R(w + h) - R(w + 2h))/2h
+            e = np.eye(len(w))[i] * 1e-5
+            want = (-3.0 * val + 4.0 * rate(w + e) - rate(w + 2.0 * e)) / 2e-5
+            assert g[i] == pytest.approx(want, rel=0.0, abs=1e-9)
+
+    @_STACKS
+    @_GROUPS
+    def test_location_derivatives(self, channels, m, has_center, zero):
+        channels = _channel_stack(self.A, channels)
+        u, w = self._state(m, has_center, zero)
+        val, g, hess = _derivatives(u, w, has_center, channels)
+
+        def rate(uv):
+            return _rate(*_expand(uv, w, has_center), channels)
+
+        assert val == rate(u)
+        want_g = _central_differences(rate, u, np.arange(m), 1e-5)[0]
+        np.testing.assert_allclose(g, want_g, rtol=0.0, atol=1e-9)
+        want_h = _central_differences(rate, u, np.arange(m), 1e-4)[1]
+        np.testing.assert_allclose(hess, want_h, rtol=0.0, atol=1e-6)
+        if zero:
+            # R does not depend on a weightless pair's location
+            assert g[1] == 0.0 and not hess[1].any() and not hess[:, 1].any()
+
+
 class TestPlainCapacity:
     def test_small_amplitude_two_point(self):
         # below the first escalation threshold the optimum is +-A with
@@ -320,10 +418,10 @@ class TestSecretKeyCapacity:
         channels = _channel_stack(p.amplitude, (
             (math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0)))
         rng = np.random.default_rng(0)
-        r2 = _rate(*_solve_fixed_k(2, p.amplitude, channels, fast_cfg, rng),
-                   channels)
-        r3 = _rate(*_solve_fixed_k(3, p.amplitude, channels, fast_cfg, rng),
-                   channels)
+        r2 = _rate(*_solve_fixed_k(2, p.amplitude, channels, fast_cfg,
+                                   rng)[:2], channels)
+        r3 = _rate(*_solve_fixed_k(3, p.amplitude, channels, fast_cfg,
+                                   rng)[:2], channels)
         assert r3 >= r2 - 1e-9
 
     def test_trace_has_one_step_per_kkt_profile(self, fig1_params,
