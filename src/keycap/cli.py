@@ -69,7 +69,7 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _validate(grid, var_d, var_e, max_k, restarts, seed):
+def _validate(grid, var_d, var_e, max_k):
     """Channel parameters per grid point and the solver config, checked
     before any row is solved."""
     if not all(math.isfinite(a2) and a2 > 0 for a2 in grid):
@@ -77,7 +77,7 @@ def _validate(grid, var_d, var_e, max_k, restarts, seed):
             "squared amplitudes must be positive and finite")
     try:
         params = [ChannelParams(math.sqrt(a2), var_d, var_e) for a2 in grid]
-        cfg = SolverConfig(max_K=max_k, restarts=restarts, seed=seed)
+        cfg = SolverConfig(max_K=max_k)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from None
     return params, cfg
@@ -199,10 +199,12 @@ def _options(amplitudes):
                          default="csv", show_default=True),
             click.option("--out", type=click.Path(dir_okay=False),
                          required=True),
-            click.option("--seed", type=int, default=0, show_default=True),
+            click.option("--seed", type=click.IntRange(min=0), default=0,
+                         help="recorded only; no longer changes the result"),
             click.option("--max-k", type=int, default=64, show_default=True,
                          help="mass-point budget for the solver"),
-            click.option("--restarts", type=int, default=8, show_default=True),
+            click.option("--restarts", type=click.IntRange(min=1), default=8,
+                         help="accepted only; no longer changes the result"),
         ]):
             fn = opt(fn)
         return fn
@@ -215,9 +217,9 @@ _common_options = _options(click.option(
 
 
 def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               restarts, outputs, k_max_schemes=32):
+               outputs, k_max_schemes=32):
     grid = _parse_grid(a2_grid)
-    params, cfg = _validate(grid, var_d, var_e, max_k, restarts, seed)
+    params, cfg = _validate(grid, var_d, var_e, max_k)
     columns = ["A_squared"]
     if "capacity" in outputs:
         columns += ["C_k", "K", "kkt_violation"]
@@ -251,7 +253,7 @@ def main():
 def capacity(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts):
     """Secret-key capacity over the amplitude grid."""
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               restarts, {"capacity"})
+               {"capacity"})
 
 
 @main.command()
@@ -259,7 +261,7 @@ def capacity(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts):
 def bounds(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts):
     """Closed-form bounds (plus the solver-backed bound) over the grid."""
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               restarts, {"bounds"})
+               {"bounds"})
 
 
 @main.command()
@@ -271,7 +273,7 @@ def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
             k_max):
     """Suboptimal scheme rates over the grid."""
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               restarts, {"schemes"}, k_max_schemes=k_max)
+               {"schemes"}, k_max_schemes=k_max)
 
 
 @main.command()
@@ -286,8 +288,7 @@ def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
     bad = chosen - {"capacity", "schemes", "bounds"}
     if bad:
         raise click.BadParameter(f"unknown outputs: {sorted(bad)}")
-    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               restarts, chosen)
+    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, chosen)
 
 
 @main.command("kkt-profile")
@@ -295,7 +296,7 @@ def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
                        help="squared amplitude"))
 def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k, restarts):
     """Dump the optimality-profile s(x; F) of the capacity solution."""
-    (params,), cfg = _validate([a2], var_d, var_e, max_k, restarts, seed)
+    (params,), cfg = _validate([a2], var_d, var_e, max_k)
     try:
         rep = secret_key_capacity(params, cfg)
     except KeycapError as exc:

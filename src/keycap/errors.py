@@ -32,8 +32,8 @@ class QuadratureFailure(KeycapError):
 class NoConvergence(KeycapError):
     """Mass-point escalation exhausted without satisfying the KKT certificate.
 
-    trace holds the escalation's steps (`solver.EscalationStep`), one per K
-    tried."""
+    trace holds the escalation's steps (`solver.EscalationStep`), one per
+    law polished."""
 
     status = "no_convergence"
 

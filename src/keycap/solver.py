@@ -5,24 +5,25 @@ first and second derivatives are sums over the nodes of the entropy rule
 (`differential_entropy`) on [-A - 10 sigma, A + 10 sigma], laid out once per
 solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
 
-The number of mass points K is increased one at a time; for each K the law
-is optimized by alternating Newton ascent over the weights (on the active
-face of the simplex) with projected Newton ascent over the locations. It is
-accepted once the marginal density
+The search starts from the 2-point law +-A. Each law is optimized by
+alternating Newton ascent over the weights (on the active face of the
+simplex) with projected Newton ascent over the locations, and accepted once
+the marginal density
 
     s(x; F) = sum_c sign_c * D( p_c(.|x) || f_{F,c} )
 
 is below the achieved rate everywhere on [-A, A] (equality at mass points),
 which certifies optimality for these concave objectives; the average of s
 over F is the rate. s is even: the certificate evaluates it on 1001 points
-of [0, A] spaced A / 1000, plus the mass points, and mirrors it.
+of [0, A] spaced A / 1000, plus the mass points, and mirrors it. Otherwise
+a point of weight 1e-3 is added where s is largest (Smith 1971; Huang & Meyn
+2005) and the grown law is optimized from there.
 
-After every location pass of the full-tolerance polish, zero-weight groups
-are dropped and mass points closer than 1e-2 * min(sigma_min, A) merge,
-sigma_min being the smallest noise std of the channel stack: two pairs into
-one at their weighted mean, an innermost pair into the center point (the A
-term keeps +-A apart at tiny amplitudes). Only locations u >= 0 are
-optimized, and every law is exactly mirror-symmetric.
+After every location pass, zero-weight groups are dropped and mass points
+closer than 1e-2 * min(sigma_min, A) merge (sigma_min the smallest noise std
+of the stack): two pairs into one at their weighted mean, an innermost pair
+into the center point (the A term keeps +-A apart at tiny amplitudes). Only
+locations u >= 0 are optimized, and every law is exactly mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -44,23 +45,17 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _KKT_TOLERANCE = 1e-6     # largest s(x; F) - rate a certificate accepts
 _KKT_GRID_SIZE = 2001     # points of [-A, A] the certificate checks
-_INNER_TOLERANCE = 1e-9   # weight residual and rate gain of a fine solve
+_INNER_TOLERANCE = 1e-9   # weight residual and rate gain of a polish
 _RATE_ROUNDING = 1e-13    # how far a Newton step may lower R(F): rounding
-_NEWTON_STEPS = 100       # Newton steps of one fine weight or location solve
-_COARSE_NEWTON_STEPS = 20  # and of one coarse screening solve
+_NEWTON_STEPS = 100       # Newton steps of one weight or location solve
+_GROWTH_WEIGHT = 1e-3     # weight of the mass point each growth step adds
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_K: int = 64
-    restarts: int = 8
-    seed: int = 0
 
     def __post_init__(self):
-        if self.restarts <= 0:
-            raise ValueError("restarts must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_K < 2:
             # escalation starts at K=2
             raise ValueError(f"max_K must be at least 2, got {self.max_K}")
@@ -70,8 +65,8 @@ DEFAULT_SOLVER = SolverConfig()
 
 
 class EscalationStep(NamedTuple):
-    """One mass-point count tried by the escalation: the K it started from,
-    the K of the law it returned, that law's R(F) and KKT violation (C_k is
+    """One polished law: the point count of its grown start law, the K of
+    the law the polish returned, that law's R(F) and KKT violation (C_k is
     in [R(F), R(F) + violation]), the polish's Newton steps over weights and
     over locations, and whether one of its inner solves stopped at its cap."""
 
@@ -234,20 +229,19 @@ def _backtrack(x, d, val, derivatives, project, min_step):
         t *= 0.5
 
 
-def _optimize_weights(u, w, has_center, channels, tol,
-                      max_steps=_NEWTON_STEPS):
-    """Newton ascent of R, concave in the weights, on the simplex's face of
-    nonzero weights; a projected-gradient step only changes the face. Stops
-    once max|P(w + g) - w| <= tol. Returns (w, R, residual, steps)."""
+def _optimize_weights(u, w, has_center, channels):
+    """Newton ascent of R (concave in w) on the simplex's face of nonzero
+    weights, a projected-gradient step only to change the face, until
+    max|P(w + g) - w| <= _INNER_TOLERANCE. Returns (w, R, residual, steps)."""
     w = np.asarray(w, float)
     if len(w) == 1:
         return w, _rate(*_expand(u, w, has_center), channels), 0.0, 0
     phi = [kernels[0] for kernels in _group_kernels(u, has_center, channels)]
     val, g, hess = _derivatives(u, w, has_center, channels, phi)
-    for steps in range(max_steps + 1):
+    for steps in range(_NEWTON_STEPS + 1):
         pg = project_simplex(w + g) - w
         residual = float(np.max(np.abs(pg)))
-        if residual <= tol or steps == max_steps:
+        if residual <= _INNER_TOLERANCE or steps == _NEWTON_STEPS:
             break
         free = w > 0.0
         n = int(free.sum())
@@ -255,7 +249,7 @@ def _optimize_weights(u, w, has_center, channels, tol,
                         [np.ones((1, n)), np.zeros((1, 1))]])
         d = np.zeros(len(w))
         d[free] = np.linalg.lstsq(kkt, np.append(-g[free], 0.0))[0][:n]
-        if np.ptp(g[free]) <= tol or (g - g.mean()) @ d <= 0.0:
+        if np.ptp(g[free]) <= _INNER_TOLERANCE or (g - g.mean()) @ d <= 0.0:
             d = pg  # the face is flat, or Newton does not ascend on it
         # cap the step where a weight reaches 0, exactly 0
         ratio = np.divide(w, -d, out=np.full(len(w), np.inf), where=d < 0.0)
@@ -270,17 +264,16 @@ def _optimize_weights(u, w, has_center, channels, tol,
     return w, val, residual, steps
 
 
-def _optimize_locations(u, w, has_center, amplitude, channels, xatol,
-                        max_steps=_NEWTON_STEPS):
+def _optimize_locations(u, w, has_center, amplitude, channels):
     """Projected Newton ascent of R over the pair locations in [1e-9 A, A],
-    the Hessian's eigenvalues flipped negative and kept off 0; a location at
-    a bound is held while the gradient pushes past it. Stops once a step
-    would move no location by xatol. Returns (u, w, steps), by location."""
-    lo = 1e-9 * amplitude
+    the Hessian's eigenvalues flipped negative and kept off 0, a location at
+    a bound held while the gradient pushes past it, until no location moves
+    by 1e-10 max(A, 1). Returns (u, w, steps), sorted by location."""
+    lo, xatol = 1e-9 * amplitude, 1e-10 * max(amplitude, 1.0)
     u, w = np.asarray(u, float), np.asarray(w, float)
     val, g, hess = _derivatives(u, w, has_center, channels)
     steps = 0
-    while steps < max_steps:
+    while steps < _NEWTON_STEPS:
         free = ~(((u >= amplitude) & (g > 0.0)) | ((u <= lo) & (g < 0.0)))
         lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
         lam = np.maximum(abs(lam), 1e-12 * abs(lam).max(initial=1e-300))
@@ -298,12 +291,14 @@ def _optimize_locations(u, w, has_center, amplitude, channels, xatol,
     return u[order], w[w_order], steps
 
 
+def _merge_gap(amplitude, channels):
+    return 1e-2 * min(min(sigma for sigma, *_ in channels), amplitude)
+
+
 def _merge_groups(u, w, has_center, amplitude, channels):
-    """Drop zero-weight groups, then merge mass points closer than
-    1e-2 * min(sigma_min, A) (pair-pair, or pair into center); sigma_min is
-    the smallest noise std of the stack.
-    """
-    gap = 1e-2 * min(min(sigma for sigma, *_ in channels), amplitude)
+    """Drop zero-weight groups, then merge mass points closer than the
+    merge gap (pair-pair, or pair into center)."""
+    gap = _merge_gap(amplitude, channels)
     w = np.asarray(w, float)
     wc, pairs = (float(w[0]), w[1:]) if has_center else (0.0, w)
     u, wp = list(np.asarray(u, float)[pairs > 0.0]), list(pairs[pairs > 0.0])
@@ -326,60 +321,41 @@ def _merge_groups(u, w, has_center, amplitude, channels):
     return np.asarray(u), np.asarray(w_out), has_center
 
 
-def _initial_state(num_points, amplitude, rng=None):
-    pts = np.linspace(-amplitude, amplitude, num_points)
-    has_center = num_points % 2 == 1
-    u = pts[pts > 1e-12 * amplitude]
-    m = len(u)
-    w = np.full(m, 2.0 / num_points)
-    if has_center:
-        w = np.concatenate([[1.0 / num_points], w])
-    if rng is not None:
-        u = np.sort(np.clip(u * np.exp(0.25 * rng.standard_normal(m)),
-                            1e-6 * amplitude, amplitude))
-        w = rng.dirichlet(np.full(len(w), 2.0))
-    return u, w, has_center
+def _grow(u, w, has_center, grid, s_grid, amplitude, channels):
+    """The law with a point of weight _GROWTH_WEIGHT added where the even
+    profile s_grid on grid is largest, the other weights scaled to make
+    room: the center if that is within the merge gap of 0 and the law has
+    none, else a pair."""
+    x = abs(float(grid[np.argmax(s_grid)]))
+    w = np.asarray(w, float) * (1.0 - _GROWTH_WEIGHT)
+    if x < _merge_gap(amplitude, channels) and not has_center:
+        return u, np.insert(w, 0, _GROWTH_WEIGHT), True
+    i = int(np.searchsorted(u, x))
+    return (np.insert(u, i, x),
+            np.insert(w, int(has_center) + i, _GROWTH_WEIGHT), has_center)
 
 
-def _alternate(u, w, has_center, amplitude, channels, coarse=False):
-    """Alternate weight and location solves; returns the state, its rate and
-    (weight steps, location steps, whether a solve stopped at its cap)."""
-    xatol, w_tol, val_tol, rounds, cap = (
-        (1e-6, 1e-6, 1e-7, 15, _COARSE_NEWTON_STEPS) if coarse else
-        (1e-10, _INNER_TOLERANCE, _INNER_TOLERANCE, 60, _NEWTON_STEPS))
-    xatol *= max(amplitude, 1.0)
+def _alternate(u, w, has_center, amplitude, channels):
+    """Alternate weight and location solves to full tolerance, merging after
+    every location pass; returns the state and (weight steps, location
+    steps, whether a solve stopped at its cap)."""
     val = -np.inf
     w_steps = u_steps = longest = 0
-    for _ in range(rounds):
-        w, _, _, n_w = _optimize_weights(u, w, has_center, channels, w_tol, cap)
-        u, w, n_u = _optimize_locations(
-            u, w, has_center, amplitude, channels, xatol, cap)
+    for _ in range(60):  # the round limit
+        w, _, _, n_w = _optimize_weights(u, w, has_center, channels)
+        u, w, n_u = _optimize_locations(u, w, has_center, amplitude, channels)
         w_steps, u_steps = w_steps + n_w, u_steps + n_u
         longest = max(longest, n_w, n_u)
-        if not coarse:
-            # the screen only ranks starts; its points are not settled yet
-            u, w, has_center = _merge_groups(
-                u, w, has_center, amplitude, channels)
+        u, w, has_center = _merge_groups(u, w, has_center, amplitude, channels)
         val_new = _rate(*_expand(u, w, has_center), channels)
-        if val_new - val < val_tol:
-            val = max(val, val_new)
+        if val_new - val < _INNER_TOLERANCE:
             break
         val = val_new
-    w, val, _, n_w = _optimize_weights(u, w, has_center, channels, w_tol, cap)
-    return u, w, has_center, val, (w_steps + n_w, u_steps,
-                                   max(longest, n_w) == cap)
-
-
-def _solve_fixed_k(num_points, amplitude, channels, cfg, rng):
-    # coarse screening over restarts, then one full-tolerance polish
-    starts = (_initial_state(num_points, amplitude, rng if r > 0 else None)
-              for r in range(cfg.restarts))
-    best = max((_alternate(*start, amplitude, channels, coarse=True)
-                for start in starts), key=lambda state: state[3])
-    u, w, has_center, _, steps = _alternate(*best[:3], amplitude, channels)
-    points, probs = _expand(u, w, has_center)
-    keep = probs > 1e-12
-    return points[keep], probs[keep] / probs[keep].sum(), steps
+    w, _, _, n_w = _optimize_weights(u, w, has_center, channels)
+    # drop what the last weight solve zeroed
+    u, w, has_center = _merge_groups(u, w, has_center, amplitude, channels)
+    return u, w, has_center, (w_steps + n_w, u_steps,
+                              max(longest, n_w) == _NEWTON_STEPS)
 
 
 def _kkt_profile(points, probs, channels, amplitude):
@@ -398,31 +374,34 @@ def _kkt_profile(points, probs, channels, amplitude):
 
 
 def _capacity(amplitude, channels, cfg, rate_of):
-    """Escalate K on the channel stack until the KKT certificate holds; the
-    reported rate is rate_of applied to the certified law's DiscreteScheme.
-    channels holds (sigma, sign) pairs; their nodes are laid out once here."""
+    """Grow the law from +-A until the KKT certificate holds (at most max_K
+    points, max_K - 1 profiles); the reported rate is rate_of applied to the
+    certified law's DiscreteScheme. channels holds (sigma, sign) pairs; their
+    nodes are laid out once here."""
     channels = _channel_stack(amplitude, channels)
-    rng = np.random.default_rng(cfg.seed)
+    u, w, has_center = np.array([amplitude]), np.array([1.0]), False
     trace = []
-    for num_points in range(2, cfg.max_K + 1):
-        points, probs, steps = _solve_fixed_k(
-            num_points, amplitude, channels, cfg, rng)
+    while (len(trace) < cfg.max_K - 1
+           and (num_points := 2 * len(u) + has_center) <= cfg.max_K):
+        u, w, has_center, steps = _alternate(
+            u, w, has_center, amplitude, channels)
+        points, probs = _expand(u, w, has_center)
         grid, s_grid, rate, violation = _kkt_profile(
             points, probs, channels, amplitude)
         trace.append(EscalationStep(num_points, len(points), rate, violation,
                                     *steps))
         if violation <= _KKT_TOLERANCE:
-            break
-    else:
-        best_violation = min(step.kkt_violation for step in trace)
-        raise NoConvergence(
-            f"no KKT certificate up to K={cfg.max_K} "
-            f"(best violation {best_violation:.3e})", tuple(trace))
-    dist = DiscreteDistribution(tuple(points), tuple(probs))
-    rate = rate_of(DiscreteScheme(dist))
-    return SolverReport(
-        dist, rate.nats, rate.quad_error, len(points), violation,
-        tuple(zip(map(float, grid), map(float, s_grid))), tuple(trace))
+            dist = DiscreteDistribution(tuple(points), tuple(probs))
+            rate = rate_of(DiscreteScheme(dist))
+            return SolverReport(
+                dist, rate.nats, rate.quad_error, len(points), violation,
+                tuple(zip(map(float, grid), map(float, s_grid))), tuple(trace))
+        u, w, has_center = _grow(u, w, has_center, grid, s_grid, amplitude,
+                                 channels)
+    best_violation = min(step.kkt_violation for step in trace)
+    raise NoConvergence(
+        f"no KKT certificate up to K={cfg.max_K} "
+        f"(best violation {best_violation:.3e})", tuple(trace))
 
 
 def plain_capacity(

@@ -14,5 +14,5 @@ def fig1_params():
 
 @pytest.fixture
 def fast_cfg():
-    """Solver config with fewer restarts for cheap unit tests."""
-    return SolverConfig(restarts=2)
+    """The solver config the unit tests pass explicitly: the default."""
+    return SolverConfig()

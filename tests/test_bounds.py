@@ -141,7 +141,7 @@ class TestBoundsReport:
 
     def test_with_solver(self):
         p = _params(0.5)
-        lb1 = lower_bound_1(p, SolverConfig(restarts=2))
+        lb1 = lower_bound_1(p, SolverConfig())
         assert lb1 <= upper_bound(p) + 1e-6
 
 
@@ -151,7 +151,7 @@ class TestBoundsBracketCapacity:
     @settings(max_examples=10, deadline=None, derandomize=True)
     def test_random_operating_points(self, a2, var_d, var_e):
         p = _params(a2, var_d, var_e)
-        cfg = SolverConfig(restarts=1)
+        cfg = SolverConfig()
         rep = secret_key_capacity(p, cfg)
         lower = max(lower_bound_1(p, cfg), maximize_lower_bound_2(p)[1],
                     lower_bound_3(p))

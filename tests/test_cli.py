@@ -43,7 +43,8 @@ def test_meta_companion(tmp_path):
           "--restarts", "2", "--seed", "7", "--out", str(out)])
     meta = json.loads((tmp_path / "cap.csv.meta.json").read_text())
     assert meta["seed"] == 7
-    assert meta["solver_config"]["restarts"] == 2
+    # --restarts is accepted and no longer part of the solver config
+    assert meta["solver_config"] == {"max_K": 64}
     assert meta["quadrature"]["abs_tol"] == 1e-10
     assert meta["rows"][0]["status"] == "ok"
 
@@ -123,6 +124,18 @@ def test_deterministic_output(tmp_path):
     # the .meta.json too, kkt_trace included
     assert (tmp_path / "s1.csv.meta.json").read_bytes() == \
         (tmp_path / "s2.csv.meta.json").read_bytes()
+
+
+def test_restarts_and_seed_leave_the_result(tmp_path):
+    # one escalation path: the law grows from +-A with no random start
+    outs = []
+    for restarts, seed in (("1", "0"), ("8", "7")):
+        out = tmp_path / f"r{restarts}.csv"
+        assert _run(["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid",
+                     "2,10", "--restarts", restarts, "--seed", seed,
+                     "--out", str(out)]).exit_code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_no_convergence_exit_code(tmp_path):

@@ -329,7 +329,7 @@ class TestEntropyRuleAgainstQuadpack:
         uniform_scheme_rate(p)
         optimize_truncated_gaussian(p)
         mutual_information(UniformScheme(1.0), 1.0)
-        secret_key_capacity(p, SolverConfig(restarts=1))
+        secret_key_capacity(p, SolverConfig())
 
 
 def _counted(f):

@@ -23,11 +23,11 @@ from keycap.solver import (
     _derivatives,
     _expand,
     _group_kernels,
+    _grow,
     _marginal_density,
     _merge_groups,
     _optimize_weights,
     _rate,
-    _solve_fixed_k,
     project_simplex,
 )
 
@@ -58,7 +58,7 @@ class TestWeightOptimizer:
         channels = _channel_stack(1.0, ((1.0, 1.0),))
         u = np.array([1.0])
         w, _, residual, _ = _optimize_weights(u, np.array([1.0]), False,
-                                              channels, 1e-9)
+                                              channels)
         assert residual <= 1e-9
         assert w[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -67,7 +67,7 @@ class TestWeightOptimizer:
         u = np.array([0.5, 2.0])
         w0 = np.array([0.9, 0.1])
         before = -np.inf
-        w, after, _, _ = _optimize_weights(u, w0, False, channels, 1e-9)
+        w, after, _, _ = _optimize_weights(u, w0, False, channels)
         pts = np.concatenate([-u[::-1], u])
         pr0 = np.concatenate([w0[::-1], w0]) / 2.0
         before = _rate(pts, pr0, channels)
@@ -84,7 +84,7 @@ class TestWeightOptimizer:
         a = math.sqrt(2.0)
         _, _, residual, steps = _optimize_weights(
             np.array([a]), np.array([0.5, 0.5]), True,
-            _channel_stack(a, channels), 1e-9)
+            _channel_stack(a, channels))
         assert residual <= 1e-9 and steps <= 10
 
 
@@ -93,7 +93,7 @@ class TestMergeGroups:
     SECRET_KEY = ((math.sqrt(2.0 / 3.0), 1.0), (math.sqrt(2.0), -1.0))
 
     def test_close_pairs_merge(self):
-        # two pairs 8e-4 apart, as one restart's 9-point polish leaves them
+        # two pairs 8e-4 apart, as a fresh-start 9-point polish left them
         # at A^2 = 20; the gap is 1e-2 sigma_min = 8.2e-3, far above 1e-9 A
         a = math.sqrt(20.0)
         u = np.array([1.0, 2.61317, 2.61397, a])
@@ -144,7 +144,7 @@ class TestMergeGroups:
 
     def test_certified_law_left_alone(self, fig1_params):
         p = fig1_params(2.0)
-        rep = secret_key_capacity(p, SolverConfig(restarts=1))
+        rep = secret_key_capacity(p)
         points, probs = rep.distribution.as_arrays()
         assert len(points) == 3
         u, w = points[2:], np.array([probs[1], 2.0 * probs[2]])
@@ -154,6 +154,77 @@ class TestMergeGroups:
         assert has_center
         np.testing.assert_array_equal(u2, u)
         np.testing.assert_array_equal(w2, w)
+
+
+class TestGrow:
+    """One growth step: a point of weight 1e-3 where s is largest on
+    x >= 0, the other weights scaled by 1 - 1e-3."""
+
+    SECRET_KEY = TestMergeGroups.SECRET_KEY
+
+    @staticmethod
+    def _check(u, w, has_center, grid, s_grid, a, channels):
+        """Grow and check the law against the profile; returns whether the
+        new point is the center."""
+        u, w = np.asarray(u, float), np.asarray(w, float)
+        u2, w2, center2 = _grow(u, w, has_center, grid, s_grid, a, channels)
+        half = grid >= 0.0
+        x = grid[half][np.argmax(s_grid[half])]
+        added_center = center2 and not has_center
+        if added_center:
+            assert x < solver._merge_gap(a, channels)
+            np.testing.assert_array_equal(u2, u)
+            i = 0
+        else:
+            assert center2 == has_center
+            i = int(has_center) + int(np.flatnonzero(u2 == x)[0])
+            np.testing.assert_array_equal(np.delete(u2, i - has_center), u)
+        assert w2[i] == solver._GROWTH_WEIGHT == 1e-3
+        np.testing.assert_array_equal(np.delete(w2, i), w * (1.0 - 1e-3))
+        assert np.all(np.diff(u2) >= 0.0)
+        points, probs = _expand(u2, w2, center2)
+        assert np.array_equal(points, -points[::-1])
+        assert np.array_equal(probs, probs[::-1])
+        assert float(probs.sum()) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        assert len(points) == 2 * len(u) + has_center + (
+            1 if added_center else 2)
+        return added_center
+
+    @pytest.mark.parametrize("has_center,peak,gaps,center", [
+        (False, 2.0, 0.0, False),   # a pair between the two
+        (False, 10.0, 0.0, False),  # a pair at +-A, past the last
+        (False, 0.0, 0.0, True),
+        (False, 0.0, 0.5, True),    # half a merge gap from 0
+        (False, 0.0, 2.0, False),   # two merge gaps from 0
+        (True, 0.0, 0.0, False),    # the law has a center already
+        (True, 2.0, 0.0, False),
+    ])
+    def test_even_profiles(self, has_center, peak, gaps, center):
+        # s = -| |x| - peak |, peak + gaps merge gaps: the x >= 0 argmax is
+        # the grid point nearest it (the grid spacing is 0.55 merge gaps)
+        a = math.sqrt(20.0)
+        channels = _channel_stack(a, self.SECRET_KEY)
+        peak += gaps * solver._merge_gap(a, channels)
+        half = np.linspace(0.0, a, 1001)
+        grid = np.concatenate([-half[:0:-1], half])
+        s_grid = -np.abs(np.abs(grid) - peak)
+        w = [0.2, 0.5, 0.3] if has_center else [0.6, 0.4]
+        assert self._check([1.0, 3.0], w, has_center, grid, s_grid, a,
+                           channels) == center
+
+    @pytest.mark.parametrize("a2,center", [(2.0, True), (20.0, False)])
+    def test_polished_laws(self, a2, center):
+        # the polished 2-point law and its KKT profile: at A^2 = 2 s peaks
+        # at 0, at A^2 = 20 away from it
+        a = math.sqrt(a2)
+        channels = _channel_stack(a, self.SECRET_KEY)
+        u, w, has_center, _ = solver._alternate(
+            np.array([a]), np.array([1.0]), False, a, channels)
+        grid, s_grid, _, violation = solver._kkt_profile(
+            *_expand(u, w, has_center), channels, a)
+        assert violation > 1e-6
+        assert self._check(u, w, has_center, grid, s_grid, a,
+                           channels) == center
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -235,9 +306,10 @@ class TestBlockedExpectation:
 
 
 def _equispaced_law(k, a):
-    """The equally spaced, equiprobable K-point law, built by the solver's
-    own symmetric expansion (exactly mirror-symmetric)."""
-    return solver._expand(*solver._initial_state(k, a))
+    """The equally spaced, equiprobable K-point law, exactly
+    mirror-symmetric (a center at exactly 0)."""
+    points = np.linspace(-a, a, k)
+    return (points - points[::-1]) / 2.0, np.full(k, 1.0 / k)
 
 
 _STACKS = pytest.mark.parametrize("channels", [
@@ -369,7 +441,7 @@ class TestPlainCapacity:
     def test_small_amplitude_two_point(self):
         # below the first escalation threshold the optimum is +-A with
         # equal weights, so the rate has the closed form A^2 - I(A)
-        rep = plain_capacity(0.5, 1.0, SolverConfig(restarts=2))
+        rep = plain_capacity(0.5, 1.0)
         assert rep.kkt_max_violation <= 1e-6
         assert rep.num_points_K == 2
         np.testing.assert_allclose(rep.distribution.points, [-0.5, 0.5],
@@ -380,11 +452,11 @@ class TestPlainCapacity:
         assert rep.rate_nats == pytest.approx(expected, abs=1e-6)
 
     def test_below_awgn_capacity(self):
-        rep = plain_capacity(1.5, 1.0, SolverConfig(restarts=2))
+        rep = plain_capacity(1.5, 1.0)
         assert 0.0 < rep.rate_nats < 0.5 * math.log(1.0 + 1.5**2)
 
     def test_kkt_certificate(self):
-        rep = plain_capacity(1.0, 1.0, SolverConfig(restarts=2))
+        rep = plain_capacity(1.0, 1.0)
         assert rep.kkt_max_violation <= 1e-6
         s_max = max(s for _, s in rep.kkt_grid)
         assert s_max <= rep.rate_nats + 2e-6
@@ -411,18 +483,18 @@ class TestSecretKeyCapacity:
         r_hi = secret_key_capacity(fig1_params(1.0), fast_cfg).rate_nats
         assert r_hi > r_lo
 
-    def test_escalation_sound(self, fig1_params, fast_cfg):
-        # allowing one more mass point can never reduce the optimized rate
-        p = fig1_params(0.5)
+    def test_escalation_sound(self, fig1_params):
+        # one more mass point never lowers the optimized rate: each law is
+        # grown from the last and polished from there, so along the trace
+        # (seven steps at A^2 = 20, three of them merging a grown pair back)
+        # no step's rate falls below the one before it
+        p = fig1_params(20.0)
         eq = equivalent_channel(p)
-        channels = _channel_stack(p.amplitude, (
-            (math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0)))
-        rng = np.random.default_rng(0)
-        r2 = _rate(*_solve_fixed_k(2, p.amplitude, channels, fast_cfg,
-                                   rng)[:2], channels)
-        r3 = _rate(*_solve_fixed_k(3, p.amplitude, channels, fast_cfg,
-                                   rng)[:2], channels)
-        assert r3 >= r2 - 1e-9
+        for rep in (secret_key_capacity(p),
+                    plain_capacity(p.amplitude, math.sqrt(eq.var_eq))):
+            rates = [step.rate_nats for step in rep.trace]
+            assert len(rates) >= 5
+            assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_trace_has_one_step_per_kkt_profile(self, fig1_params,
                                                 monkeypatch):
@@ -434,7 +506,7 @@ class TestSecretKeyCapacity:
             return kkt_profile(*args)
 
         monkeypatch.setattr(solver, "_kkt_profile", counting)
-        rep = secret_key_capacity(fig1_params(2.0), SolverConfig(restarts=1))
+        rep = secret_key_capacity(fig1_params(2.0))
         assert len(rep.trace) == len(profiles)
         assert [step.K_tried for step in rep.trace] == [2, 3]
         # the certified step is the report's, every earlier one failed
@@ -444,9 +516,27 @@ class TestSecretKeyCapacity:
         assert all(step.kkt_violation > 1e-6 for step in rep.trace[:-1])
 
     def test_no_convergence_when_budget_too_small(self, fig1_params):
-        cfg = SolverConfig(max_K=2, restarts=1)
+        cfg = SolverConfig(max_K=2)
         with pytest.raises(NoConvergence):
             secret_key_capacity(fig1_params(2.0), cfg)
+
+    def test_budget_bounds_points_and_profiles(self, fig1_params):
+        # A^2 = 20 needs 7 points: with max_K = 5 no law of more than 5
+        # points is polished and at most 4 KKT profiles are paid for
+        with pytest.raises(NoConvergence) as info:
+            secret_key_capacity(fig1_params(20.0), SolverConfig(max_K=5))
+        trace = info.value.trace
+        assert 0 < len(trace) <= 4
+        assert all(step.K_tried <= 5 for step in trace)
+
+    def test_budget_ends_growth_that_merges_back(self, fig1_params,
+                                                 monkeypatch):
+        # a grown point that always merges back leaves the point count
+        # where it was; the loop still ends after max_K - 1 KKT profiles
+        monkeypatch.setattr(solver, "_grow", lambda u, w, c, *_: (u, w, c))
+        with pytest.raises(NoConvergence) as info:
+            secret_key_capacity(fig1_params(20.0), SolverConfig(max_K=5))
+        assert [step.K_tried for step in info.value.trace] == [2, 2, 2, 2]
 
 
 class TestCapacityWrappers:
@@ -460,7 +550,7 @@ class TestCapacityWrappers:
         # on the same nodes, up to rounding
         p = fig1_params(a2)
         eq = equivalent_channel(p)
-        cfg = SolverConfig(restarts=1)
+        cfg = SolverConfig()
         if secret_key:
             rep = secret_key_capacity(p, cfg)
             channels = ((math.sqrt(eq.var_eq), 1.0),
@@ -481,5 +571,3 @@ class TestSolverConfigContract:
             SolverConfig(max_K=0)
         with pytest.raises(ValueError):
             SolverConfig(max_K=1)  # escalation starts at K=2
-        with pytest.raises(ValueError):
-            SolverConfig(seed=-1)
