@@ -32,7 +32,6 @@ from .numerics import (
     density_trunc_gauss_conv,
     density_uniform_conv,
     mixed_gaussian_entropy_integral,
-    monte_carlo_mi_oracle,
     mutual_information,
     q_function,
 )

@@ -67,20 +67,26 @@ def secret_key_rate(params: ChannelParams, scheme: InputScheme) -> RateResult:
     which equals I(X; X + N_eq) - I(X; X + N_E) for the equivalent wiretap
     pair. Nonnegative for any admissible scheme (up to quadrature slack).
     """
-    if scheme.half_width > params.amplitude * (1.0 + _SUPPORT_SLACK):
+    return secret_key_rates(params, [scheme])[0]
+
+
+def secret_key_rates(params: ChannelParams, schemes) -> list[RateResult]:
+    """secret_key_rate of each scheme of one family, from one batched
+    entropy per noise (a batch of one for secret_key_rate)."""
+    width = max(scheme.half_width for scheme in schemes)
+    if width > params.amplitude * (1.0 + _SUPPORT_SLACK):
         raise UnsupportedScheme(
-            f"scheme support {scheme.half_width} exceeds amplitude {params.amplitude}"
+            f"scheme support {width} exceeds amplitude {params.amplitude}"
         )
     eq = equivalent_channel(params)
     h_eq = differential_entropy(
-        scheme_output_density(scheme, math.sqrt(eq.var_eq)))
+        scheme_output_density(schemes, math.sqrt(eq.var_eq)))
     h_e = differential_entropy(
-        scheme_output_density(scheme, math.sqrt(eq.var_e)))
-    rate = h_eq.nats - h_e.nats + rate_constant(params)
-    return RateResult(
-        nats=rate,
-        quad_error=h_eq.quad_error + h_e.quad_error,
-        entropy_legit=h_eq.nats,
-        entropy_eve=h_e.nats,
-    )
-
+        scheme_output_density(schemes, math.sqrt(eq.var_e)))
+    c = rate_constant(params)
+    return [RateResult(
+        nats=legit.nats - eve.nats + c,
+        quad_error=legit.quad_error + eve.quad_error,
+        entropy_legit=legit.nats,
+        entropy_eve=eve.nats,
+    ) for legit, eve in zip(h_eq, h_e)]

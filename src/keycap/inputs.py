@@ -90,10 +90,12 @@ InputScheme = Union[DiscreteScheme, UniformScheme, TruncatedGaussianScheme]
 
 def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteScheme:
     """Uniform probabilities over num_points equally spaced points spanning
-    [-amplitude, amplitude], endpoints included."""
+    [-amplitude, amplitude], endpoints included, and exactly mirror-symmetric
+    (points == -points[::-1])."""
     if num_points < 2:
         raise ValueError("need at least two mass points")
-    points = np.linspace(-amplitude, amplitude, num_points)
+    x = np.linspace(-amplitude, amplitude, num_points)
+    points = 0.5 * (x - x[::-1])
     probs = np.full(num_points, 1.0 / num_points)
     return DiscreteScheme(DiscreteDistribution(tuple(points), tuple(probs)))
 

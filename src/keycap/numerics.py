@@ -7,6 +7,8 @@ below 1e-16, so all integrals run over finite windows.
 
 Every reported entropy, and so every reported rate, comes from one fixed
 composite Gauss-Legendre rule on the output axis (`differential_entropy`).
+It sums a batch of densities with one sigma (a scheme family) in one pass,
+with one error estimate per member, and an even density on t >= 0 only.
 scipy's adaptive QUADPACK (`_quad`) remains only behind the oracle helpers
 that tests check the rule and the densities against, and is imported only
 when one of them runs.
@@ -19,11 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erfc, log_ndtr, ndtri
+from scipy.special import erfc, log_ndtr
 
 from .errors import DegenerateTruncation, QuadratureFailure
 from .inputs import (
-    DiscreteDistribution,
     DiscreteScheme,
     InputScheme,
     TruncatedGaussianScheme,
@@ -51,8 +52,8 @@ GL_CHECK_NODES = 12
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
 _GL_CHECK_X, _GL_CHECK_W = np.polynomial.legendre.leggauss(GL_CHECK_NODES)
 _GL_ALL_X = np.concatenate([_GL_X, _GL_CHECK_X])
-_GL_MAX_PANELS = 2**16       # larger windows raise QuadratureFailure
-_GL_PANELS_PER_CALL = 1024   # bounds the memory of one density call
+_GL_MAX_PANELS = 2**16    # larger windows raise QuadratureFailure
+_EVAL_BLOCK_TERMS = 2**13  # terms x nodes per density call: 64 kB temporaries
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,16 @@ class RateResult:
 
 @dataclass(frozen=True)
 class OutputDensity:
-    """Probability density of T = X + N, evaluable on numpy arrays.
+    """Probability density of T = X + N, evaluable on numpy arrays, or a
+    batch of such densities with one sigma; eval(t) has a leading axis of
+    members (a batch of one unless batch is set).
 
-    support is the interval outside which the density is below 1e-16;
+    support is the interval outside which every member is below 1e-16;
     sigma is the standard deviation of the noise N, which sets the panel
     width of the entropy rule; critical_points flags locations (e.g.
-    mixture centers) that the QUADPACK oracle integrals subdivide at.
+    mixture centers) that the QUADPACK oracle integrals subdivide at; even
+    marks an even density on a symmetric support; terms counts the kernel
+    terms (mixture points or members) behind one value.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -84,9 +89,14 @@ class OutputDensity:
     kind: str
     sigma: float
     critical_points: tuple[float, ...] = ()
+    even: bool = False
+    terms: int = 1
+    batch: bool = False
 
     def __call__(self, t):
-        return self.eval(np.asarray(t, float))
+        t = np.asarray(t, float)
+        out = self.eval(t)
+        return out if self.batch else float(out[0]) if t.ndim == 0 else out[0]
 
 
 def q_function(x):
@@ -203,28 +213,30 @@ def minimize_bounded(
     return x, fx
 
 
-def density_uniform_conv(amplitude: float, sigma: float) -> OutputDensity:
+def density_uniform_conv(amplitude, sigma: float) -> OutputDensity:
     """Density of U(-A, A) + N(0, sigma^2):
     p(t) = (1/2A) [Q((-A - t)/sigma) - Q((A - t)/sigma)].
 
-    The density is even; it is evaluated at -|t|, where both Q values are
-    upper tails and their difference does not cancel."""
-    if amplitude <= 0.0 or sigma <= 0.0:
+    A sequence of amplitudes gives their batch. The density is even; it is
+    evaluated at -|t|, where both Q values are upper tails and their
+    difference does not cancel."""
+    a = np.atleast_1d(np.asarray(amplitude, float))
+    if (a <= 0.0).any() or sigma <= 0.0:
         raise ValueError("amplitude and sigma must be positive")
-    a, s = float(amplitude), float(sigma)
+    s = float(sigma)
 
     def pdf(t):
-        t = -np.abs(np.asarray(t, float))
-        return (q_function((-a - t) / s) - q_function((a - t) / s)) / (2.0 * a)
+        t, c = -np.abs(t), a.reshape((-1,) + (1,) * t.ndim)
+        return (q_function((-c - t) / s) - q_function((c - t) / s)) / (2.0 * c)
 
-    lo = -a - _TAIL_SIGMAS * s
-    return OutputDensity(pdf, (lo, -lo), "uniform-conv", s)
+    lo = -float(a.max()) - _TAIL_SIGMAS * s
+    return OutputDensity(pdf, (lo, -lo), "uniform-conv", s, (), True, len(a),
+                         np.ndim(amplitude) > 0)
 
 
-def density_trunc_gauss_conv(
-    amplitude: float, sigma_x: float, sigma: float
-) -> OutputDensity:
-    """Density of a truncated Gaussian input plus Gaussian noise.
+def density_trunc_gauss_conv(amplitude, sigma_x, sigma) -> OutputDensity:
+    """Density of a truncated Gaussian input plus Gaussian noise; sequences
+    of amplitudes and/or sigma_x give their (broadcast) batch.
 
     p(t) = g(t) w(t) with g the zero-mean Gaussian density of variance
     sigma^2 + sigma_x^2 and w the truncation weighting built from the
@@ -232,33 +244,38 @@ def density_trunc_gauss_conv(
     The density is even; it is evaluated at |t|, where both log-CDFs are
     lower tails and the log1p of their ratio stays finite.
     """
-    if amplitude <= 0.0 or sigma_x <= 0.0 or sigma <= 0.0:
+    a, sx = np.broadcast_arrays(*np.atleast_1d(np.asarray(amplitude, float),
+                                               np.asarray(sigma_x, float)))
+    if (a <= 0.0).any() or (sx <= 0.0).any() or sigma <= 0.0:
         raise ValueError("all parameters must be positive")
-    a, sx, s = float(amplitude), float(sigma_x), float(sigma)
-    if a / sx < 1e-8:
+    s, ratio = float(sigma), a / sx
+    if ratio.min() < 1e-8:
         raise DegenerateTruncation(
-            f"normalizer underflow at A/sigma_x = {a / sx:.3e}"
+            f"normalizer underflow at A/sigma_x = {ratio.min():.3e}"
         )
     var_sum = s * s + sx * sx
     st2 = 1.0 / (1.0 / (sx * sx) + 1.0 / (s * s))  # sigma_tilde^2
-    st = math.sqrt(st2)
     # log of D = Phi(A/sx) - Phi(-A/sx), via erf for symmetry
-    log_d = math.log(math.erf(a / sx / math.sqrt(2.0)))
+    log_d = [math.log(math.erf(r / math.sqrt(2.0))) for r in ratio]
+    log_norm = [0.5 * math.log(2.0 * math.pi * v) for v in var_sum]
+    members = np.array([a, var_sum, log_norm, st2, np.sqrt(st2), log_d])
 
     def pdf(t):
-        t = np.abs(np.asarray(t, float))
-        log_g = -0.5 * t * t / var_sum - 0.5 * math.log(2.0 * math.pi * var_sum)
-        shift = t * st2 / (s * s)
+        t = np.abs(t)
+        c, vs, lg, st2m, st, ld = members.reshape((6, -1) + (1,) * t.ndim)
+        log_g = -0.5 * t * t / vs - lg
+        shift = t * st2m / (s * s)
         # w in log space: Q((-A - shift)/st) - Q((A - shift)/st), both in (0, 1)
-        hi_cdf = log_ndtr((a - shift) / st)   # P(N <= A - shift)
-        lo_cdf = log_ndtr((-a - shift) / st)  # P(N <= -A - shift)
+        hi_cdf = log_ndtr((c - shift) / st)   # P(N <= A - shift)
+        lo_cdf = log_ndtr((-c - shift) / st)  # P(N <= -A - shift)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_w = hi_cdf + np.log1p(-np.exp(lo_cdf - hi_cdf)) - log_d
+            log_w = hi_cdf + np.log1p(-np.exp(lo_cdf - hi_cdf)) - ld
         return np.exp(log_g + log_w)
 
     # the input is bounded by A, so only the noise tail extends the support
-    half = a + _TAIL_SIGMAS * s
-    return OutputDensity(pdf, (-half, half), "trunc-gauss-conv", s)
+    half = float(a.max()) + _TAIL_SIGMAS * s
+    return OutputDensity(pdf, (-half, half), "trunc-gauss-conv", s, (), True,
+                         len(a), np.ndim(amplitude) + np.ndim(sigma_x) > 0)
 
 
 def _log_mixture(y, points, log_probs, sigma):
@@ -284,31 +301,54 @@ def _log_mixture(y, points, log_probs, sigma):
             - math.log(sigma * _SQRT_2PI))
 
 
-def density_discrete_conv(dist: DiscreteDistribution, sigma: float) -> OutputDensity:
-    """Gaussian mixture induced by a discrete input through N(0, sigma^2)."""
+def density_discrete_conv(dist, sigma: float) -> OutputDensity:
+    """Gaussian mixture sum_k p_k phi((t - x_k) / sigma) / sigma induced by
+    a discrete input through N(0, sigma^2); a list or tuple of laws gives
+    their batch, summed law by law (np.add.reduceat). Terms that underflow
+    fall where the entropy rule zeroes p log p (p < 1e-300) anyway."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    x, p = dist.as_arrays()
+    batch = isinstance(dist, (list, tuple))
+    dists = dist if batch else [dist]
     s = float(sigma)
-    log_p = np.log(p)
+    laws = [q.as_arrays() for q in dists]
+    x = np.concatenate([xq for xq, _ in laws])
+    w = np.concatenate([pq for _, pq in laws]) / (s * _SQRT_2PI)
+    starts = np.cumsum([0] + [len(xq) for xq, _ in laws[:-1]])
 
     def pdf(t):
-        out = np.exp(_log_mixture(t, x, log_p, s))
-        return float(out) if out.ndim == 0 else out
+        shape = (-1,) + (1,) * t.ndim
+        z = (t - x.reshape(shape)) / s
+        return np.add.reduceat(w.reshape(shape) * np.exp(-0.5 * z * z),
+                               starts, axis=0)
 
+    even = all(np.array_equal(xq, -xq[::-1]) and np.array_equal(pq, pq[::-1])
+               for xq, pq in laws)
     lo = float(x.min()) - _TAIL_SIGMAS * s
     hi = float(x.max()) + _TAIL_SIGMAS * s
-    return OutputDensity(pdf, (lo, hi), "gaussian-mixture", s, tuple(x))
+    return OutputDensity(pdf, (lo, hi), "gaussian-mixture", s, tuple(x), even,
+                         len(x), batch)
 
 
-def scheme_output_density(scheme: InputScheme, sigma: float) -> OutputDensity:
-    """Density of scheme + N(0, sigma^2), dispatching on the scheme family."""
-    if isinstance(scheme, DiscreteScheme):
-        return density_discrete_conv(scheme.dist, sigma)
-    if isinstance(scheme, UniformScheme):
-        return density_uniform_conv(scheme.amplitude, sigma)
-    if isinstance(scheme, TruncatedGaussianScheme):
-        return density_trunc_gauss_conv(scheme.amplitude, scheme.sigma_x, sigma)
+def scheme_output_density(scheme, sigma: float) -> OutputDensity:
+    """Density of scheme + N(0, sigma^2), dispatching on the scheme family;
+    a list or tuple of schemes of one family gives their batch."""
+    batch = isinstance(scheme, (list, tuple))
+    one = scheme[0] if batch else scheme
+    if batch and any(type(x) is not type(one) for x in scheme):
+        raise TypeError("a batch mixes scheme families")
+
+    def param(name):  # one value, or one per member of a batch
+        return ([getattr(x, name) for x in scheme] if batch
+                else getattr(one, name))
+
+    if isinstance(one, DiscreteScheme):
+        return density_discrete_conv(param("dist"), sigma)
+    if isinstance(one, UniformScheme):
+        return density_uniform_conv(param("amplitude"), sigma)
+    if isinstance(one, TruncatedGaussianScheme):
+        return density_trunc_gauss_conv(param("amplitude"), param("sigma_x"),
+                                        sigma)
     raise TypeError(f"not an input scheme: {scheme!r}")
 
 
@@ -331,38 +371,53 @@ def _gl_panels(lo: float, hi: float, sigma: float) -> tuple[np.ndarray, float]:
     return lo + half * (2.0 * np.arange(n) + 1.0), half
 
 
-def differential_entropy(d: OutputDensity) -> RateResult:
-    """h = -integral p log p over the support hint, in nats.
+def differential_entropy(d: OutputDensity) -> RateResult | list[RateResult]:
+    """h = -integral p log p over the support hint, in nats: a RateResult,
+    or for a batch density a list of them, one per member.
 
     A composite Gauss-Legendre rule (Davis & Rabinowitz, Methods of
     Numerical Integration, 1984): panels about GL_PANEL_SIGMAS * d.sigma
-    wide, GL_NODES nodes each, evaluated through d.eval in one vectorized
-    call per 1024 panels. The integrand is taken as 0 wherever p < 1e-300
+    wide, GL_NODES nodes each, evaluated through d.eval in calls of at most
+    _EVAL_BLOCK_TERMS kernel terms (d.terms per node). An even density is
+    summed on the panels of t >= 0 with doubled weights, except an odd
+    count's middle one. The integrand is taken as 0 wherever p < 1e-300
     (x log x -> 0).
 
     quad_error sums, over the panels, the gap to the GL_CHECK_NODES rule on
     the same panels, plus a rounding bound eps * panels * integral |p log p|.
-    Raises QuadratureFailure when it exceeds QUAD_ABS_TOL.
+    Raises QuadratureFailure when any member's exceeds QUAD_ABS_TOL.
     """
     lo, hi = d.support
     centers, half = _gl_panels(lo, hi, d.sigma)
+    n = len(centers)
+    scale = np.full(n, half)
+    if d.even:
+        centers, scale = centers[n // 2:], scale[n // 2:]
+        scale[n % 2:] *= 2.0
+    per_call = max(1, _EVAL_BLOCK_TERMS // d.terms)  # nodes
+    block = max(1, per_call // len(_GL_ALL_X))  # panels
     value = gap = magnitude = 0.0
-    for i in range(0, len(centers), _GL_PANELS_PER_CALL):
-        c = centers[i:i + _GL_PANELS_PER_CALL, None]
-        p = d(c + half * _GL_ALL_X)
+    for i in range(0, len(centers), block):
+        t = (centers[i:i + block, None] + half * _GL_ALL_X).ravel()
+        p = np.concatenate([d.eval(t[j:j + per_call])
+                            for j in range(0, t.size, per_call)], axis=-1)
+        p = p.reshape(len(p), -1, len(_GL_ALL_X))
         with np.errstate(divide="ignore", invalid="ignore"):
             f = np.where(p < _DENSITY_FLOOR, 0.0, -p * np.log(p))
-        fine = f[:, :GL_NODES] @ _GL_W
-        coarse = f[:, GL_NODES:] @ _GL_CHECK_W
-        value += half * fine.sum()
-        gap += half * np.abs(fine - coarse).sum()
-        magnitude += half * (np.abs(f[:, :GL_NODES]) @ _GL_W).sum()
-    err = gap + np.finfo(float).eps * len(centers) * magnitude
-    if not err <= QUAD_ABS_TOL:
+        fine = f[..., :GL_NODES] @ _GL_W
+        coarse = f[..., GL_NODES:] @ _GL_CHECK_W
+        w = scale[i:i + block]
+        value += fine @ w
+        gap += np.abs(fine - coarse) @ w
+        magnitude += (np.abs(f[..., :GL_NODES]) @ _GL_W) @ w
+    err = gap + np.finfo(float).eps * n * magnitude
+    if not np.all(err <= QUAD_ABS_TOL):
         raise QuadratureFailure(
             f"entropy on [{lo}, {hi}] did not reach abs_tol={QUAD_ABS_TOL}: "
-            f"error estimate {err:.3e}")
-    return RateResult(nats=float(value), quad_error=float(err))
+            f"error estimate {np.max(err):.3e}")
+    out = [RateResult(nats=float(v), quad_error=float(e))
+           for v, e in zip(value, err)]
+    return out if d.batch else out[0]
 
 
 def _log_cosh(y: np.ndarray) -> np.ndarray:
@@ -399,41 +454,3 @@ def mutual_information(scheme: InputScheme, sigma: float) -> RateResult:
     h = differential_entropy(d)
     mi = h.nats - (GAUSS_ENTROPY_UNIT + math.log(sigma))
     return RateResult(nats=mi, quad_error=h.quad_error, entropy_legit=h.nats)
-
-
-def sample_scheme(scheme: InputScheme, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. inputs from a scheme."""
-    if isinstance(scheme, DiscreteScheme):
-        x, p = scheme.dist.as_arrays()
-        return rng.choice(x, size=n, p=p)
-    if isinstance(scheme, UniformScheme):
-        return rng.uniform(-scheme.amplitude, scheme.amplitude, size=n)
-    if isinstance(scheme, TruncatedGaussianScheme):
-        # inverse-CDF through the untruncated normal
-        a = scheme.amplitude / scheme.sigma_x
-        z = math.erf(a / math.sqrt(2.0))
-        u = rng.uniform(0.5 * (1.0 - z), 0.5 * (1.0 + z), size=n)
-        return scheme.sigma_x * ndtri(u)
-    raise TypeError(f"not an input scheme: {scheme!r}")
-
-
-def monte_carlo_mi_oracle(
-    scheme: InputScheme, sigma: float, n_samples: int, seed: int
-) -> float:
-    """Histogram plug-in estimate of I(X; X + N), independent of the
-    quadrature pipeline. Deterministic for a fixed seed.
-
-    Uses ceil(n^(1/3)) equal-width bins; bias is O(bins / n) plus a
-    discretization term O(width^2).
-    """
-    if n_samples < 10**6:
-        raise ValueError("oracle needs at least 1e6 samples")
-    rng = np.random.default_rng(seed)
-    x = sample_scheme(scheme, n_samples, rng)
-    y = x + sigma * rng.standard_normal(n_samples)
-    bins = math.ceil(n_samples ** (1.0 / 3.0))
-    counts, edges = np.histogram(y, bins=bins)
-    width = edges[1] - edges[0]
-    q = counts[counts > 0] / n_samples
-    h_hat = -float(np.sum(q * np.log(q / width)))
-    return h_hat - (GAUSS_ENTROPY_UNIT + math.log(sigma))

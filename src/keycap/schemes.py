@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelParams, secret_key_rate
+from .channel import ChannelParams, secret_key_rate, secret_key_rates
 from .inputs import TruncatedGaussianScheme, UniformScheme, maxentropic_scheme
 from .numerics import RateResult, minimize_bounded
 
@@ -18,14 +18,14 @@ from .numerics import RateResult, minimize_bounded
 def best_maxentropic(
     params: ChannelParams, k_max: int = 32
 ) -> tuple[int, RateResult]:
-    """Exhaustive search over the point count K = 2..k_max. Rates within
-    their summed quadrature errors of the maximum tie, and ties go to the
-    smaller K."""
+    """Exhaustive search over the point count K = 2..k_max, one batch. Rates
+    within their summed quadrature errors of the maximum tie, and ties go to
+    the smaller K."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     a = params.amplitude
-    rates = [secret_key_rate(params, maxentropic_scheme(a, k))
-             for k in range(2, k_max + 1)]
+    rates = secret_key_rates(
+        params, [maxentropic_scheme(a, k) for k in range(2, k_max + 1)])
     best = max(rates, key=lambda r: r.nats)
     k = next(k for k, r in enumerate(rates, 2)
              if r.nats >= best.nats - (r.quad_error + best.quad_error))
@@ -48,15 +48,16 @@ def optimize_truncated_gaussian(
 ) -> tuple[float, RateResult]:
     """Maximize the truncated-Gaussian rate over sigma_x in [A/100, 100 A].
 
-    Unimodality is not assumed: a 50-point log grid locates the basin, then
-    a bounded Brent search over the two grid cells around the best grid
-    point refines it to 1e-6 * A. A best point at either end of the grid is
-    kept as it is: the grid's rates rise towards that end, which a bounded
-    search never evaluates.
+    Unimodality is not assumed: a 50-point log grid (one batch) locates the
+    basin, then a bounded Brent search over the two grid cells around the
+    best grid point refines it to 1e-6 * A. A best point at either end of
+    the grid is kept as it is: the grid's rates rise towards that end,
+    which a bounded search never evaluates.
     """
     a = params.amplitude
     grid = np.geomspace(a / 100.0, 100.0 * a, 50)
-    vals = [truncated_gaussian_rate(params, s).nats for s in grid]
+    vals = [r.nats for r in secret_key_rates(
+        params, [TruncatedGaussianScheme(a, s) for s in grid])]
     i = int(np.argmax(vals))
     sigma_star = float(grid[i])
     if 0 < i < len(grid) - 1:

@@ -22,7 +22,6 @@ from keycap import (
     equivalent_channel,
     maxentropic_scheme,
     mixed_gaussian_entropy_integral,
-    monte_carlo_mi_oracle,
     mutual_information,
     plain_capacity,
     secret_key_capacity,
@@ -42,6 +41,7 @@ from keycap.schemes import (
     truncated_gaussian_rate,
     uniform_scheme_rate,
 )
+from support import monte_carlo_mi_oracle
 
 H_GAUSS = 0.5 * math.log(2.0 * math.pi * math.e)
 HALF_LN3 = 0.5 * math.log(3.0)

@@ -10,12 +10,11 @@ from keycap import (
     UnsupportedScheme,
     equivalent_channel,
     maxentropic_scheme,
-    monte_carlo_mi_oracle,
     mutual_information,
     secret_key_rate,
 )
 from keycap.channel import rate_constant
-from support import mirrored, point_mass_scheme
+from support import mirrored, monte_carlo_mi_oracle, point_mass_scheme
 
 
 def test_equivalent_channel_symmetric_case():

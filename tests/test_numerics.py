@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from keycap import (
     QuadratureFailure,
     SolverConfig,
     bounds,
+    channel,
     differential_entropy,
     density_discrete_conv,
     density_trunc_gauss_conv,
@@ -19,7 +21,6 @@ from keycap import (
     maxentropic_scheme,
     maximize_lower_bound_2,
     mixed_gaussian_entropy_integral,
-    monte_carlo_mi_oracle,
     mutual_information,
     q_function,
     schemes,
@@ -32,7 +33,9 @@ from keycap.inputs import (
 )
 from keycap.numerics import (
     _DENSITY_FLOOR,
+    _EVAL_BLOCK_TERMS,
     QUAD_ABS_TOL,
+    _gl_panels,
     _log_mixture,
     _quad,
     minimize_bounded,
@@ -44,7 +47,12 @@ from keycap.schemes import (
     optimize_truncated_gaussian,
     uniform_scheme_rate,
 )
-from support import density_variance, mirrored, point_mass_scheme
+from support import (
+    density_variance,
+    mirrored,
+    monte_carlo_mi_oracle,
+    point_mass_scheme,
+)
 
 H_STD_NORMAL = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -330,6 +338,98 @@ class TestEntropyRuleAgainstQuadpack:
         optimize_truncated_gaussian(p)
         mutual_information(UniformScheme(1.0), 1.0)
         secret_key_capacity(p, SolverConfig())
+
+
+def _recording(d):
+    """d with every eval call's nodes appended to the returned list."""
+    calls = []
+
+    def ev(t):
+        calls.append(t)
+        return d.eval(t)
+
+    return dataclasses.replace(d, eval=ev), calls
+
+
+class TestBatchedAndFoldedRule:
+    """Batches share one pass of the rule; even densities are summed on
+    t >= 0 only, asymmetric ones on the whole window."""
+
+    @pytest.mark.parametrize("amplitude, odd", [(1.0, False), (1.5, True)])
+    @pytest.mark.parametrize("family", ["uniform", "trunc-gauss", "discrete"])
+    def test_folded_entropy_against_quadpack(self, amplitude, odd, family):
+        # [-A - 10, A + 10] in unit panels: 22 panels at A = 1, 23 at 1.5
+        scheme = {"uniform": UniformScheme(amplitude),
+                  "trunc-gauss": TruncatedGaussianScheme(amplitude, 0.7),
+                  "discrete": maxentropic_scheme(amplitude, 4)}[family]
+        d, calls = _recording(scheme_output_density(scheme, 1.0))
+        centers, half = _gl_panels(*d.support, d.sigma)
+        assert d.even and len(centers) % 2 == odd
+        h = differential_entropy(d)
+        # only the middle panel of an odd count reaches below t = 0
+        low = min(float(t.min()) for t in calls)
+        assert -half < low < 0.0 if odd else 0.0 <= low < half
+        assert abs(h.nats - _quadpack_entropy(d)) <= 1e-12
+
+    @pytest.mark.parametrize("points, probs", [
+        ((-1.0, 0.2, 1.0), (0.3, 0.3, 0.4)),
+        ((-1.0, 0.2, 1.0), (0.2, 0.6, 0.2)),  # mirrored weights only
+        ((-1.0, 0.0, 1.0), (0.2, 0.3, 0.5)),  # mirrored points only
+    ])
+    def test_asymmetric_law_is_not_folded(self, points, probs):
+        dist = DiscreteDistribution(points, probs)
+        d, calls = _recording(density_discrete_conv(dist, 0.6))
+        assert not d.even
+        h = differential_entropy(d)
+        assert min(float(t.min()) for t in calls) < d.support[0] + 0.3
+        assert abs(h.nats - _quadpack_entropy(d)) <= 1e-12
+
+    def test_batch_members_match_single_entropies(self):
+        laws = [maxentropic_scheme(2.0, k) for k in range(2, 9)]
+        batch = differential_entropy(scheme_output_density(laws, 0.8))
+        assert len(batch) == len(laws)
+        for law, h in zip(laws, batch):
+            single = differential_entropy(scheme_output_density(law, 0.8))
+            assert abs(h.nats - single.nats) <= 1e-14
+            assert abs(h.nats - _quadpack_entropy(
+                scheme_output_density(law, 0.8))) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [math.sqrt(2.0 / 3.0), math.sqrt(2.0)])
+    def test_one_failing_member_fails_the_batch(self, sigma):
+        # the A^2 = 1e-20 uniform law fails alone; a good member cannot
+        # carry it, and the good member alone passes
+        good, bad = UniformScheme(1.0), UniformScheme(1e-10)
+        differential_entropy(scheme_output_density([good], sigma))
+        with pytest.raises(QuadratureFailure, match="abs_tol=1e-10"):
+            differential_entropy(scheme_output_density([good, bad], sigma))
+
+    def test_a_batch_is_one_family(self):
+        with pytest.raises(TypeError, match="families"):
+            scheme_output_density([UniformScheme(1.0),
+                                   TruncatedGaussianScheme(1.0, 1.0)], 1.0)
+
+    def test_wide_window_batches_stay_within_the_block_budget(
+            self, monkeypatch, fig1_params):
+        # A^2 = 1e4: 31 laws of 2..32 points (527 kernel terms per node) and
+        # the 50-point sigma_x grid, each one batch per noise; no density
+        # call may hold more than _EVAL_BLOCK_TERMS terms (peak memory)
+        seen = []
+
+        def recording(scheme, sigma):
+            d, calls = _recording(scheme_output_density(scheme, sigma))
+            seen.append((d, calls))
+            return d
+
+        monkeypatch.setattr(channel, "scheme_output_density", recording)
+        p = fig1_params(1e4)
+        best_maxentropic(p, k_max=32)
+        optimize_truncated_gaussian(p)
+        terms = {}
+        for d, _ in seen:
+            terms[d.kind] = max(terms.get(d.kind, 0), d.terms)
+        assert terms == {"gaussian-mixture": 527, "trunc-gauss-conv": 50}
+        assert max(t.size * d.terms
+                   for d, calls in seen for t in calls) <= _EVAL_BLOCK_TERMS
 
 
 def _counted(f):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from keycap import (
+    TruncatedGaussianScheme,
     maxentropic_scheme,
     secret_key_capacity,
     secret_key_rate,
 )
 from keycap.bounds import high_a_limit
+from keycap.channel import secret_key_rates
 from keycap.schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
@@ -34,6 +36,35 @@ class TestMaxentropicScheme:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             maxentropic_scheme(1.0, 1)
+
+    @pytest.mark.parametrize("amplitude", [1e-10, 1.0, 100.0])
+    def test_exactly_mirror_symmetric(self, amplitude):
+        # what lets the entropy rule fold every maxentropic law onto t >= 0
+        for k in range(2, 33):
+            dist = maxentropic_scheme(amplitude, k).dist
+            assert dist.points == tuple(-x for x in reversed(dist.points)), k
+            assert dist.probs == dist.probs[::-1], k
+            assert (dist.points[0], dist.points[-1]) == (-amplitude, amplitude)
+
+
+@pytest.mark.parametrize("a2", [1e-4, 0.5, 49.0, 1e4])
+def test_batched_rates_equal_single_rates(a2, fig1_params):
+    # the two scheme families, each one batch, against one scheme at a time
+    p = fig1_params(a2)
+    a = p.amplitude
+    families = [
+        [maxentropic_scheme(a, k) for k in range(2, 33)],
+        [TruncatedGaussianScheme(a, s)
+         for s in np.geomspace(a / 100.0, 100.0 * a, 50)],
+    ]
+    for family in families:
+        batch = secret_key_rates(p, family)
+        assert len(batch) == len(family)
+        for scheme, rate in zip(family, batch):
+            single = secret_key_rate(p, scheme)
+            assert abs(rate.nats - single.nats) <= 1e-14, scheme
+            assert abs(rate.quad_error - single.quad_error) <= 1e-14, scheme
+            assert abs(rate.entropy_eve - single.entropy_eve) <= 1e-14
 
 
 class TestBestMaxentropic:
