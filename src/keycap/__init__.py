@@ -31,7 +31,6 @@ from .numerics import (
     density_discrete_conv,
     density_trunc_gauss_conv,
     density_uniform_conv,
-    mixed_gaussian_entropy_integral,
     mutual_information,
     q_function,
 )

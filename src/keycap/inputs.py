@@ -7,6 +7,7 @@ truncated to [-A, A]. All are immutable values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -14,6 +15,13 @@ import numpy as np
 
 _PROB_SUM_TOL = 1e-12
 _MIN_REL_GAP = 1e-9
+
+
+def _check_positive_finite(**params):
+    for name, value in params.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -26,8 +34,10 @@ class DiscreteDistribution:
     def __post_init__(self):
         if len(self.points) != len(self.probs) or not self.points:
             raise ValueError("points and probs must be nonempty and equal-length")
-        if any(p <= 0.0 for p in self.probs):
-            raise ValueError("all probabilities must be positive")
+        if not (all(map(math.isfinite, self.points))
+                and all(math.isfinite(p) and p > 0.0 for p in self.probs)):
+            raise ValueError("mass points must be finite and probabilities "
+                             "positive and finite")
         if abs(sum(self.probs) - 1.0) > _PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         scale = max(abs(x) for x in self.points) or 1.0
@@ -59,8 +69,7 @@ class UniformScheme:
     amplitude: float
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
+        _check_positive_finite(amplitude=self.amplitude)
 
     @property
     def half_width(self) -> float:
@@ -75,10 +84,8 @@ class TruncatedGaussianScheme:
     sigma_x: float
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
-        if self.sigma_x <= 0.0:
-            raise ValueError("sigma_x must be positive")
+        _check_positive_finite(amplitude=self.amplitude,
+                               sigma_x=self.sigma_x)
 
     @property
     def half_width(self) -> float:

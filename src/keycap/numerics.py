@@ -9,9 +9,8 @@ Every reported entropy, and so every reported rate, comes from one fixed
 composite Gauss-Legendre rule on the output axis (`differential_entropy`).
 It sums a batch of densities with one sigma (a scheme family) in one pass,
 with one error estimate per member, and an even density on t >= 0 only.
-scipy's adaptive QUADPACK (`_quad`) remains only behind the oracle helpers
-that tests check the rule and the densities against, and is imported only
-when one of them runs.
+No QUADPACK integral is taken here: the adaptive-quadrature oracles that
+the tests check the rule and the densities against live in tests/support.py.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ _TAIL_SIGMAS = 10.0
 
 # largest error estimate an entropy (or an oracle integral) may carry
 QUAD_ABS_TOL = 1e-10
-# subdivision budget of the QUADPACK oracle integrals
-QUAD_MAX_SUBDIVISIONS = 2**15
 
 # composite Gauss-Legendre entropy rule: panels GL_PANEL_SIGMAS noise
 # standard deviations wide, GL_NODES nodes each for the value and
@@ -79,7 +76,7 @@ class OutputDensity:
     support is the interval outside which every member is below 1e-16;
     sigma is the standard deviation of the noise N, which sets the panel
     width of the entropy rule; critical_points flags locations (e.g.
-    mixture centers) that the QUADPACK oracle integrals subdivide at; even
+    mixture centers) that the tests' QUADPACK oracles subdivide at; even
     marks an even density on a symmetric support; terms counts the kernel
     terms (mixture points or members) behind one value.
     """
@@ -102,38 +99,6 @@ class OutputDensity:
 def q_function(x):
     """Upper-tail probability of the standard normal, Q(x)."""
     return 0.5 * erfc(np.asarray(x, float) / math.sqrt(2.0))
-
-
-def normal_pdf(x):
-    x = np.asarray(x, float)
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-def _quad(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    points: tuple[float, ...] = (),
-) -> tuple[float, float]:
-    """scipy adaptive quadrature with the fixed budget; raises on failure.
-
-    Only the oracle helpers below integrate through it; no reported rate
-    does. QUADPACK is imported on first use, so that importing keycap does
-    not load scipy.integrate."""
-    from scipy import integrate
-
-    pts = [p for p in points if lo < p < hi] or None
-    val, err, info, *rest = integrate.quad(
-        f, lo, hi,
-        epsabs=QUAD_ABS_TOL, epsrel=0.0,
-        limit=QUAD_MAX_SUBDIVISIONS, points=pts,
-        full_output=True,
-    )
-    if rest:
-        raise QuadratureFailure(
-            f"integral on [{lo}, {hi}] did not reach abs_tol={QUAD_ABS_TOL}: {rest[0]}"
-        )
-    return float(val), float(err)
 
 
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -352,13 +317,6 @@ def scheme_output_density(scheme, sigma: float) -> OutputDensity:
     raise TypeError(f"not an input scheme: {scheme!r}")
 
 
-def normalization_error(d: OutputDensity) -> float:
-    """|integral of d - 1| over the support hint extended by 2 units."""
-    lo, hi = d.support
-    val, _ = _quad(lambda t: float(d(t)), lo - 2.0, hi + 2.0, d.critical_points)
-    return abs(val - 1.0)
-
-
 def _gl_panels(lo: float, hi: float, sigma: float) -> tuple[np.ndarray, float]:
     """Centers and common half-width of the entropy rule's panels on [lo, hi],
     each about GL_PANEL_SIGMAS * sigma wide; QuadratureFailure past 2^16."""
@@ -418,34 +376,6 @@ def differential_entropy(d: OutputDensity) -> RateResult | list[RateResult]:
     out = [RateResult(nats=float(v), quad_error=float(e))
            for v, e in zip(value, err)]
     return out if d.batch else out[0]
-
-
-def _log_cosh(y: np.ndarray) -> np.ndarray:
-    y = np.abs(y)
-    return y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0)
-
-
-def mixed_gaussian_entropy_integral(amplitude: float) -> float:
-    """The correction term I in h(Y) = h(N) + A^2 - I for the equal two-point
-    input {-A, +A} through unit-variance noise.
-
-    Stated form: I = 2/(sqrt(2 pi) A) exp(-A^2/2)
-                     * int_0^inf exp(-y^2 / 2A^2) cosh(y) log cosh(y) dy.
-    Substituting y = A t folds the growing cosh into two shifted Gaussian
-    bells, which is what gets integrated here:
-    I = int_0^inf [phi(t - A) + phi(t + A)] log cosh(A t) dt.
-    """
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
-    a = float(amplitude)
-
-    def integrand(t):
-        bells = normal_pdf(t - a) + normal_pdf(t + a)
-        return float(bells * _log_cosh(np.asarray(a * t)))
-
-    hi = a + 12.0 + 12.0 / a  # both bells and the logcosh scale covered
-    val, _ = _quad(integrand, 0.0, hi, (a,))
-    return val
 
 
 def mutual_information(scheme: InputScheme, sigma: float) -> RateResult:

@@ -19,11 +19,14 @@ of [0, A] spaced A / 1000, plus the mass points, and mirrors it. Otherwise
 a point of weight 1e-3 is added where s is largest (Smith 1971; Huang & Meyn
 2005) and the grown law is optimized from there.
 
-After every location pass, zero-weight groups are dropped and mass points
-closer than 1e-2 * min(sigma_min, A) merge (sigma_min the smallest noise std
-of the stack): two pairs into one at their weighted mean, an innermost pair
-into the center point (the A term keeps +-A apart at tiny amplitudes). Only
-locations u >= 0 are optimized, and every law is exactly mirror-symmetric.
+A law is ascending group locations u >= 0 and aligned group weights w: the
+group at exactly u = 0 is the center point, every other group the pair +-u
+with half its weight at each, so every law is exactly mirror-symmetric. The
+location pass moves the pairs in [1e-9 A, A] and holds the center at 0;
+after it, zero-weight groups are dropped and mass points closer than
+1e-2 * min(sigma_min, A) merge (sigma_min the smallest noise std of the
+stack): two pairs into one at their weighted mean, an innermost pair into
+the center (the A term keeps +-A apart at tiny amplitudes).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ _INNER_TOLERANCE = 1e-9   # weight residual and rate gain of a polish
 _RATE_ROUNDING = 1e-13    # how far a Newton step may lower R(F): rounding
 _NEWTON_STEPS = 100       # Newton steps of one weight or location solve
 _GROWTH_WEIGHT = 1e-3     # weight of the mass point each growth step adds
+_PAIR_FLOOR = 1e-9        # lowest pair location, in units of A
 
 
 @dataclass(frozen=True)
@@ -164,22 +168,22 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# symmetric parametrization: pair locations u > 0 plus optional center point
+# symmetric parametrization: group locations u >= 0, the center at u = 0
 
 
-def _expand(u, w, has_center):
-    """Group state -> full (points, probs). Groups are (center?, pairs...)."""
-    u, w, c = np.asarray(u, float), np.asarray(w, float), int(has_center)
-    wp = w[c:] / 2.0
-    return (np.concatenate([-u[::-1], np.zeros(c), u]),
-            np.concatenate([wp[::-1], w[:c], wp]))
+def _expand(u, w):
+    """Group state -> full (points, probs): the group at u = 0 is one point,
+    every other group the pair +-u with half its weight at each."""
+    u, w = np.asarray(u, float), np.asarray(w, float)
+    pair = u > 0.0
+    return (np.concatenate([-u[pair][::-1], u]),
+            np.concatenate([w[pair][::-1] / 2.0, np.where(pair, w / 2.0, w)]))
 
 
-def _group_kernels(u, has_center, channels):
+def _group_kernels(u, channels):
     """Per channel, on its nodes y: the folded kernel phi (groups x nodes),
-    (phi(y - u_i) + phi(y + u_i)) / 2 per group (u = 0 for the center), so
-    that f_c = w @ phi; and its first and second u-derivatives."""
-    u = np.concatenate([[0.0], u]) if has_center else u
+    (phi(y - u_i) + phi(y + u_i)) / 2 per group, so that f_c = w @ phi; and
+    its first and second u-derivatives (the first is 0 at u = 0)."""
     out = []
     for sigma, _, nodes, _ in channels:
         zm, zp = (nodes - u[:, None]) / sigma, (nodes + u[:, None]) / sigma
@@ -190,18 +194,17 @@ def _group_kernels(u, has_center, channels):
     return out
 
 
-def _derivatives(u, w, has_center, channels, phi=None):
+def _derivatives(u, w, channels, phi=None):
     """R(F) and its exact gradient and Hessian on the entropy rule's nodes:
     in the weights given the kernels phi of `_group_kernels` (f_c = w @ phi),
-    else in the pair locations. log f is _log_mixture's: w @ phi underflows."""
+    else in the locations. log f is _log_mixture's: w @ phi underflows."""
     if phi is None:
-        wp = w[int(has_center):, None]
-        kernels = _group_kernels(u, False, channels)
-        jac, curv = [wp * k[1] for k in kernels], [wp * k[2] for k in kernels]
+        kernels = _group_kernels(u, channels)
+        jac, curv = ([w[:, None] * k[i] for k in kernels] for i in (1, 2))
     else:
         jac, curv = phi, [None] * len(channels)
     log_fs = []
-    rate = _rate(*_expand(u, w, has_center), channels, log_fs)
+    rate = _rate(*_expand(u, w), channels, log_fs)
     grad = hess = 0.0
     for (_, sign, _, weights), log_f, j, c in zip(channels, log_fs, jac, curv):
         d_log = weights * (log_f + 1.0)
@@ -229,15 +232,15 @@ def _backtrack(x, d, val, derivatives, project, min_step):
         t *= 0.5
 
 
-def _optimize_weights(u, w, has_center, channels):
+def _optimize_weights(u, w, channels):
     """Newton ascent of R (concave in w) on the simplex's face of nonzero
     weights, a projected-gradient step only to change the face, until
     max|P(w + g) - w| <= _INNER_TOLERANCE. Returns (w, R, residual, steps)."""
     w = np.asarray(w, float)
     if len(w) == 1:
-        return w, _rate(*_expand(u, w, has_center), channels), 0.0, 0
-    phi = [kernels[0] for kernels in _group_kernels(u, has_center, channels)]
-    val, g, hess = _derivatives(u, w, has_center, channels, phi)
+        return w, _rate(*_expand(u, w), channels), 0.0, 0
+    phi = [kernels[0] for kernels in _group_kernels(u, channels)]
+    val, g, hess = _derivatives(u, w, channels, phi)
     for steps in range(_NEWTON_STEPS + 1):
         pg = project_simplex(w + g) - w
         residual = float(np.max(np.abs(pg)))
@@ -256,7 +259,7 @@ def _optimize_weights(u, w, has_center, channels):
         t = min(1.0, float(ratio.min()))
         d = np.where(ratio == t, -w, t * d)
         found = _backtrack(
-            w, d, val, lambda v: _derivatives(u, v, has_center, channels, phi),
+            w, d, val, lambda v: _derivatives(u, v, channels, phi),
             lambda v: np.maximum(v, 0.0) / np.maximum(v, 0.0).sum(), 1e-16)
         if found is None:
             break
@@ -264,98 +267,96 @@ def _optimize_weights(u, w, has_center, channels):
     return w, val, residual, steps
 
 
-def _optimize_locations(u, w, has_center, amplitude, channels):
-    """Projected Newton ascent of R over the pair locations in [1e-9 A, A],
-    the Hessian's eigenvalues flipped negative and kept off 0, a location at
-    a bound held while the gradient pushes past it, until no location moves
-    by 1e-10 max(A, 1). Returns (u, w, steps), sorted by location."""
-    lo, xatol = 1e-9 * amplitude, 1e-10 * max(amplitude, 1.0)
+def _optimize_locations(u, w, amplitude, channels):
+    """Projected Newton ascent of R over the pair locations in
+    [_PAIR_FLOOR A, A], the center held at 0, the Hessian's eigenvalues
+    flipped negative and kept off 0, a location at a bound held while the
+    gradient pushes past it, until no location moves by 1e-10 max(A, 1).
+    Returns (u, w, steps), sorted by location."""
     u, w = np.asarray(u, float), np.asarray(w, float)
-    val, g, hess = _derivatives(u, w, has_center, channels)
+    pair = u > 0.0
+    lo, xatol = _PAIR_FLOOR * amplitude * pair, 1e-10 * max(amplitude, 1.0)
+    val, g, hess = _derivatives(u, w, channels)
     steps = 0
     while steps < _NEWTON_STEPS:
-        free = ~(((u >= amplitude) & (g > 0.0)) | ((u <= lo) & (g < 0.0)))
+        free = pair & ((u < amplitude) | (g <= 0.0)) & ((u > lo) | (g >= 0.0))
         lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
         lam = np.maximum(abs(lam), 1e-12 * abs(lam).max(initial=1e-300))
         d = np.zeros(len(u))
         d[free] = vec @ ((vec.T @ g[free]) / lam)
         found = _backtrack(
-            u, d, val, lambda v: _derivatives(v, w, has_center, channels),
+            u, d, val, lambda v: _derivatives(v, w, channels),
             lambda v: np.clip(v, lo, amplitude), xatol)
         if found is None:
             break
         u, (val, g, hess) = found
         steps += 1
     order = np.argsort(u)
-    w_order = np.concatenate([[0], order + 1]) if has_center else order
-    return u[order], w[w_order], steps
+    return u[order], w[order], steps
 
 
 def _merge_gap(amplitude, channels):
     return 1e-2 * min(min(sigma for sigma, *_ in channels), amplitude)
 
 
-def _merge_groups(u, w, has_center, amplitude, channels):
+def _merge_groups(u, w, amplitude, channels):
     """Drop zero-weight groups, then merge mass points closer than the
-    merge gap (pair-pair, or pair into center)."""
+    merge gap: an innermost pair within it of its mirror image becomes the
+    center, pairs within it of the center fold into it, and two pairs merge
+    at their weighted mean."""
     gap = _merge_gap(amplitude, channels)
     w = np.asarray(w, float)
-    wc, pairs = (float(w[0]), w[1:]) if has_center else (0.0, w)
-    u, wp = list(np.asarray(u, float)[pairs > 0.0]), list(pairs[pairs > 0.0])
-    has_center = wc > 0.0
-    # innermost pair collapsing onto the axis
-    while u and (u[0] if has_center else 2.0 * u[0]) < gap:
-        wc += wp.pop(0)
-        u.pop(0)
-        has_center = True
+    u, w = list(np.asarray(u, float)[w > 0.0]), list(w[w > 0.0])
+    if 2.0 * u[0] < gap:
+        u[0] = 0.0
+    while len(u) > 1 and u[0] == 0.0 and u[1] < gap:
+        w[0] += w.pop(1)
+        del u[1]
     i = 0
     while i + 1 < len(u):
         if u[i + 1] - u[i] < gap:
-            tot = wp[i] + wp[i + 1]
-            u[i] = (wp[i] * u[i] + wp[i + 1] * u[i + 1]) / tot
-            wp[i] = tot
-            del u[i + 1], wp[i + 1]
+            tot = w[i] + w[i + 1]
+            u[i] = (w[i] * u[i] + w[i + 1] * u[i + 1]) / tot
+            w[i] = tot
+            del u[i + 1], w[i + 1]
         else:
             i += 1
-    w_out = [wc, *wp] if has_center else wp
-    return np.asarray(u), np.asarray(w_out), has_center
+    return np.asarray(u), np.asarray(w)
 
 
-def _grow(u, w, has_center, grid, s_grid, amplitude, channels):
+def _grow(u, w, grid, s_grid, amplitude, channels):
     """The law with a point of weight _GROWTH_WEIGHT added where the even
     profile s_grid on grid is largest, the other weights scaled to make
     room: the center if that is within the merge gap of 0 and the law has
-    none, else a pair."""
-    x = abs(float(grid[np.argmax(s_grid)]))
-    w = np.asarray(w, float) * (1.0 - _GROWTH_WEIGHT)
-    if x < _merge_gap(amplitude, channels) and not has_center:
-        return u, np.insert(w, 0, _GROWTH_WEIGHT), True
+    none, else a pair, at _PAIR_FLOOR A or above."""
+    x = max(abs(float(grid[np.argmax(s_grid)])), _PAIR_FLOOR * amplitude)
+    if x < _merge_gap(amplitude, channels) and u[0] > 0.0:
+        x = 0.0
     i = int(np.searchsorted(u, x))
-    return (np.insert(u, i, x),
-            np.insert(w, int(has_center) + i, _GROWTH_WEIGHT), has_center)
+    w = np.asarray(w, float) * (1.0 - _GROWTH_WEIGHT)
+    return np.insert(u, i, x), np.insert(w, i, _GROWTH_WEIGHT)
 
 
-def _alternate(u, w, has_center, amplitude, channels):
+def _alternate(u, w, amplitude, channels):
     """Alternate weight and location solves to full tolerance, merging after
     every location pass; returns the state and (weight steps, location
     steps, whether a solve stopped at its cap)."""
     val = -np.inf
     w_steps = u_steps = longest = 0
     for _ in range(60):  # the round limit
-        w, _, _, n_w = _optimize_weights(u, w, has_center, channels)
-        u, w, n_u = _optimize_locations(u, w, has_center, amplitude, channels)
+        w, _, _, n_w = _optimize_weights(u, w, channels)
+        u, w, n_u = _optimize_locations(u, w, amplitude, channels)
         w_steps, u_steps = w_steps + n_w, u_steps + n_u
         longest = max(longest, n_w, n_u)
-        u, w, has_center = _merge_groups(u, w, has_center, amplitude, channels)
-        val_new = _rate(*_expand(u, w, has_center), channels)
+        u, w = _merge_groups(u, w, amplitude, channels)
+        val_new = _rate(*_expand(u, w), channels)
         if val_new - val < _INNER_TOLERANCE:
             break
         val = val_new
-    w, _, _, n_w = _optimize_weights(u, w, has_center, channels)
+    w, _, _, n_w = _optimize_weights(u, w, channels)
     # drop what the last weight solve zeroed
-    u, w, has_center = _merge_groups(u, w, has_center, amplitude, channels)
-    return u, w, has_center, (w_steps + n_w, u_steps,
-                              max(longest, n_w) == _NEWTON_STEPS)
+    u, w = _merge_groups(u, w, amplitude, channels)
+    return u, w, (w_steps + n_w, u_steps, max(longest, n_w) == _NEWTON_STEPS)
 
 
 def _kkt_profile(points, probs, channels, amplitude):
@@ -379,13 +380,12 @@ def _capacity(amplitude, channels, cfg, rate_of):
     certified law's DiscreteScheme. channels holds (sigma, sign) pairs; their
     nodes are laid out once here."""
     channels = _channel_stack(amplitude, channels)
-    u, w, has_center = np.array([amplitude]), np.array([1.0]), False
+    u, w = np.array([amplitude]), np.array([1.0])
     trace = []
     while (len(trace) < cfg.max_K - 1
-           and (num_points := 2 * len(u) + has_center) <= cfg.max_K):
-        u, w, has_center, steps = _alternate(
-            u, w, has_center, amplitude, channels)
-        points, probs = _expand(u, w, has_center)
+           and (num_points := 2 * len(u) - int(u[0] == 0.0)) <= cfg.max_K):
+        u, w, steps = _alternate(u, w, amplitude, channels)
+        points, probs = _expand(u, w)
         grid, s_grid, rate, violation = _kkt_profile(
             points, probs, channels, amplitude)
         trace.append(EscalationStep(num_points, len(points), rate, violation,
@@ -396,8 +396,7 @@ def _capacity(amplitude, channels, cfg, rate_of):
             return SolverReport(
                 dist, rate.nats, rate.quad_error, len(points), violation,
                 tuple(zip(map(float, grid), map(float, s_grid))), tuple(trace))
-        u, w, has_center = _grow(u, w, has_center, grid, s_grid, amplitude,
-                                 channels)
+        u, w = _grow(u, w, grid, s_grid, amplitude, channels)
     best_violation = min(step.kkt_violation for step in trace)
     raise NoConvergence(
         f"no KKT certificate up to K={cfg.max_K} "

@@ -1,9 +1,16 @@
-"""Fixtures and oracles shared by the tests; nothing in keycap calls them."""
+"""Fixtures and oracles shared by the tests; nothing in keycap calls them.
+
+The oracles integrate with scipy's adaptive QUADPACK (`_quad`), independent
+of the package's fixed Gauss-Legendre entropy rule."""
 
 import math
+from typing import Callable
 
 import numpy as np
+from scipy import integrate
 from scipy.special import ndtri
+
+from keycap.errors import QuadratureFailure
 
 from keycap.inputs import (
     DiscreteDistribution,
@@ -12,7 +19,72 @@ from keycap.inputs import (
     TruncatedGaussianScheme,
     UniformScheme,
 )
-from keycap.numerics import GAUSS_ENTROPY_UNIT, OutputDensity, _quad
+from keycap.numerics import GAUSS_ENTROPY_UNIT, QUAD_ABS_TOL, OutputDensity
+
+# subdivision budget of the QUADPACK oracle integrals
+QUAD_MAX_SUBDIVISIONS = 2**15
+
+
+def _quad(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    points: tuple[float, ...] = (),
+) -> tuple[float, float]:
+    """scipy adaptive quadrature with the fixed budget; raises on failure."""
+    pts = [p for p in points if lo < p < hi] or None
+    val, err, info, *rest = integrate.quad(
+        f, lo, hi,
+        epsabs=QUAD_ABS_TOL, epsrel=0.0,
+        limit=QUAD_MAX_SUBDIVISIONS, points=pts,
+        full_output=True,
+    )
+    if rest:
+        raise QuadratureFailure(
+            f"integral on [{lo}, {hi}] did not reach "
+            f"abs_tol={QUAD_ABS_TOL}: {rest[0]}")
+    return float(val), float(err)
+
+
+def normal_pdf(x):
+    x = np.asarray(x, float)
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def normalization_error(d: OutputDensity) -> float:
+    """|integral of d - 1| over the support hint extended by 2 units."""
+    lo, hi = d.support
+    val, _ = _quad(lambda t: float(d(t)), lo - 2.0, hi + 2.0,
+                   d.critical_points)
+    return abs(val - 1.0)
+
+
+def _log_cosh(y: np.ndarray) -> np.ndarray:
+    y = np.abs(y)
+    return y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0)
+
+
+def mixed_gaussian_entropy_integral(amplitude: float) -> float:
+    """The correction term I in h(Y) = h(N) + A^2 - I for the equal two-point
+    input {-A, +A} through unit-variance noise.
+
+    Stated form: I = 2/(sqrt(2 pi) A) exp(-A^2/2)
+                     * int_0^inf exp(-y^2 / 2A^2) cosh(y) log cosh(y) dy.
+    Substituting y = A t folds the growing cosh into two shifted Gaussian
+    bells, which is what gets integrated here:
+    I = int_0^inf [phi(t - A) + phi(t + A)] log cosh(A t) dt.
+    """
+    if amplitude <= 0.0:
+        raise ValueError("amplitude must be positive")
+    a = float(amplitude)
+
+    def integrand(t):
+        bells = normal_pdf(t - a) + normal_pdf(t + a)
+        return float(bells * _log_cosh(np.asarray(a * t)))
+
+    hi = a + 12.0 + 12.0 / a  # both bells and the logcosh scale covered
+    val, _ = _quad(integrand, 0.0, hi, (a,))
+    return val
 
 
 def mirrored(dist: DiscreteDistribution) -> DiscreteDistribution:

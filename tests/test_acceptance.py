@@ -21,7 +21,6 @@ from keycap import (
     differential_entropy,
     equivalent_channel,
     maxentropic_scheme,
-    mixed_gaussian_entropy_integral,
     mutual_information,
     plain_capacity,
     secret_key_capacity,
@@ -34,14 +33,18 @@ from keycap.bounds import (
     upper_bound,
 )
 from keycap.cli import main as cli_main
-from keycap.numerics import normalization_error, scheme_output_density
+from keycap.numerics import scheme_output_density
 from keycap.schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
     truncated_gaussian_rate,
     uniform_scheme_rate,
 )
-from support import monte_carlo_mi_oracle
+from support import (
+    mixed_gaussian_entropy_integral,
+    monte_carlo_mi_oracle,
+    normalization_error,
+)
 
 H_GAUSS = 0.5 * math.log(2.0 * math.pi * math.e)
 HALF_LN3 = 0.5 * math.log(3.0)

@@ -20,7 +20,6 @@ from keycap import (
     density_uniform_conv,
     maxentropic_scheme,
     maximize_lower_bound_2,
-    mixed_gaussian_entropy_integral,
     mutual_information,
     q_function,
     schemes,
@@ -37,9 +36,7 @@ from keycap.numerics import (
     QUAD_ABS_TOL,
     _gl_panels,
     _log_mixture,
-    _quad,
     minimize_bounded,
-    normalization_error,
     scheme_output_density,
 )
 from keycap.schemes import (
@@ -48,9 +45,12 @@ from keycap.schemes import (
     uniform_scheme_rate,
 )
 from support import (
+    _quad,
     density_variance,
     mirrored,
+    mixed_gaussian_entropy_integral,
     monte_carlo_mi_oracle,
+    normalization_error,
     point_mass_scheme,
 )
 
@@ -551,6 +551,20 @@ class TestDiscreteDistributionContract:
             DiscreteDistribution((0.0, 1.0), (0.7, 0.2))
         with pytest.raises(ValueError):
             DiscreteDistribution((0.0, 1.0), (1.1, -0.1))
+
+    @pytest.mark.parametrize("make", [
+        lambda: DiscreteDistribution((0.0,), (math.nan,)),
+        lambda: DiscreteDistribution((math.nan, 1.0), (0.5, 0.5)),
+        lambda: UniformScheme(math.nan),
+        lambda: UniformScheme(math.inf),
+        lambda: TruncatedGaussianScheme(1.0, math.nan),
+        lambda: TruncatedGaussianScheme(math.inf, 1.0),
+    ], ids=["nan-prob", "nan-point", "uniform-nan", "uniform-inf",
+            "tg-nan-sigma", "tg-inf-amplitude"])
+    def test_rejects_non_finite_parameters(self, make):
+        # at construction, not later as a quadrature failure
+        with pytest.raises(ValueError, match="positive and finite"):
+            make()
 
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,11 @@ from keycap import (
     SolverConfig,
     equivalent_channel,
     maxentropic_scheme,
-    mixed_gaussian_entropy_integral,
     plain_capacity,
     secret_key_capacity,
     secret_key_rate,
 )
 from keycap import solver
-from keycap.numerics import _quad
 from keycap.solver import (
     _channel_stack,
     _derivatives,
@@ -26,10 +24,12 @@ from keycap.solver import (
     _grow,
     _marginal_density,
     _merge_groups,
+    _optimize_locations,
     _optimize_weights,
     _rate,
     project_simplex,
 )
+from support import _quad, mixed_gaussian_entropy_integral
 
 
 class TestProjectSimplex:
@@ -57,8 +57,7 @@ class TestWeightOptimizer:
     def test_stationarity_residual(self):
         channels = _channel_stack(1.0, ((1.0, 1.0),))
         u = np.array([1.0])
-        w, _, residual, _ = _optimize_weights(u, np.array([1.0]), False,
-                                              channels)
+        w, _, residual, _ = _optimize_weights(u, np.array([1.0]), channels)
         assert residual <= 1e-9
         assert w[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -67,7 +66,7 @@ class TestWeightOptimizer:
         u = np.array([0.5, 2.0])
         w0 = np.array([0.9, 0.1])
         before = -np.inf
-        w, after, _, _ = _optimize_weights(u, w0, False, channels)
+        w, after, _, _ = _optimize_weights(u, w0, channels)
         pts = np.concatenate([-u[::-1], u])
         pr0 = np.concatenate([w0[::-1], w0]) / 2.0
         before = _rate(pts, pr0, channels)
@@ -83,7 +82,7 @@ class TestWeightOptimizer:
         # its step cap
         a = math.sqrt(2.0)
         _, _, residual, steps = _optimize_weights(
-            np.array([a]), np.array([0.5, 0.5]), True,
+            np.array([0.0, a]), np.array([0.5, 0.5]),
             _channel_stack(a, channels))
         assert residual <= 1e-9 and steps <= 10
 
@@ -96,49 +95,45 @@ class TestMergeGroups:
         # two pairs 8e-4 apart, as a fresh-start 9-point polish left them
         # at A^2 = 20; the gap is 1e-2 sigma_min = 8.2e-3, far above 1e-9 A
         a = math.sqrt(20.0)
-        u = np.array([1.0, 2.61317, 2.61397, a])
+        u = np.array([0.0, 1.0, 2.61317, 2.61397, a])
         w = np.array([0.2, 0.2, 0.1, 0.3, 0.2])
-        u2, w2, has_center = _merge_groups(
-            u, w, True, a, _channel_stack(a, self.SECRET_KEY))
-        assert has_center
+        u2, w2 = _merge_groups(u, w, a, _channel_stack(a, self.SECRET_KEY))
         np.testing.assert_allclose(
-            u2, [1.0, (0.1 * 2.61317 + 0.3 * 2.61397) / 0.4, a], rtol=1e-15)
+            u2, [0.0, 1.0, (0.1 * 2.61317 + 0.3 * 2.61397) / 0.4, a],
+            rtol=1e-15)
         np.testing.assert_allclose(w2, [0.2, 0.2, 0.4, 0.2], rtol=1e-15)
 
     def test_tiny_amplitude_pair_kept(self):
         # the gap is 1e-2 A here, so +-A, 2A apart, stay two points
         a = 1e-10
-        u2, w2, has_center = _merge_groups(
-            np.array([a]), np.array([1.0]), False, a,
-            _channel_stack(a, self.SECRET_KEY))
-        assert not has_center
+        u2, w2 = _merge_groups(np.array([a]), np.array([1.0]), a,
+                               _channel_stack(a, self.SECRET_KEY))
         assert list(u2) == [a] and list(w2) == [1.0]
 
-    @pytest.mark.parametrize("has_center", [True, False])
-    def test_innermost_pair_collapses_into_center(self, has_center):
-        # 1e-3 from the center (2e-3 across the pair) is inside the gap
-        # 1e-2 at sigma = A = 1
-        u = np.array([1e-3, 1.0])
-        w = np.array([0.3, 0.2, 0.5]) if has_center else np.array([0.4, 0.6])
-        u2, w2, center = _merge_groups(u, w, has_center, 1.0,
-                                       _channel_stack(1.0, ((1.0, 1.0),)))
-        assert center
-        np.testing.assert_array_equal(u2, [1.0])
-        np.testing.assert_allclose(
-            w2, [0.5, 0.5] if has_center else [0.4, 0.6], rtol=1e-15)
+    @pytest.mark.parametrize("u,w,want_w", [
+        ([0.0, 1e-3, 1.0], [0.3, 0.2, 0.5], [0.5, 0.5]),
+        ([1e-3, 1.0], [0.4, 0.6], [0.4, 0.6]),
+        ([1e-3, 6e-3, 1.0], [0.2, 0.2, 0.6], [0.4, 0.6]),
+    ], ids=["True", "False", "False-then-fold"])
+    def test_innermost_pair_collapses_into_center(self, u, w, want_w):
+        # (ids: whether the law has a center) 1e-3 from the center (2e-3
+        # across the pair) is inside the gap 1e-2 at sigma = A = 1, and so
+        # is 6e-3 once the innermost pair became the center, at exactly 0
+        u2, w2 = _merge_groups(np.array(u), np.array(w), 1.0,
+                               _channel_stack(1.0, ((1.0, 1.0),)))
+        np.testing.assert_array_equal(u2, [0.0, 1.0])
+        np.testing.assert_allclose(w2, want_w, rtol=1e-15)
 
-    @pytest.mark.parametrize("has_center", [True, False])
-    def test_zero_weight_groups_dropped(self, has_center):
+    @pytest.mark.parametrize("center", [True, False])
+    def test_zero_weight_groups_dropped(self, center):
         # a pair driven to weight exactly 0, 0.11 from its neighbour (no
         # merge), as at A^2 = 20; and a weightless center
         a = math.sqrt(20.0)
         u = np.array([1.0, 2.57, 2.68011, a])
         w = np.array([0.4, 0.3, 0.0, 0.3])
-        if has_center:
-            w = np.concatenate([[0.0], w])
-        u2, w2, center = _merge_groups(
-            u, w, has_center, a, _channel_stack(a, self.SECRET_KEY))
-        assert not center
+        if center:
+            u, w = np.concatenate([[0.0], u]), np.concatenate([[0.0], w])
+        u2, w2 = _merge_groups(u, w, a, _channel_stack(a, self.SECRET_KEY))
         np.testing.assert_array_equal(u2, [1.0, 2.57, a])
         np.testing.assert_array_equal(w2, [0.4, 0.3, 0.3])
 
@@ -147,11 +142,10 @@ class TestMergeGroups:
         rep = secret_key_capacity(p)
         points, probs = rep.distribution.as_arrays()
         assert len(points) == 3
-        u, w = points[2:], np.array([probs[1], 2.0 * probs[2]])
-        u2, w2, has_center = _merge_groups(
-            u, w, True, p.amplitude,
-            _channel_stack(p.amplitude, self.SECRET_KEY))
-        assert has_center
+        u, w = points[1:], np.array([probs[1], 2.0 * probs[2]])
+        assert u[0] == 0.0
+        u2, w2 = _merge_groups(u, w, p.amplitude,
+                               _channel_stack(p.amplitude, self.SECRET_KEY))
         np.testing.assert_array_equal(u2, u)
         np.testing.assert_array_equal(w2, w)
 
@@ -163,34 +157,32 @@ class TestGrow:
     SECRET_KEY = TestMergeGroups.SECRET_KEY
 
     @staticmethod
-    def _check(u, w, has_center, grid, s_grid, a, channels):
+    def _check(u, w, grid, s_grid, a, channels):
         """Grow and check the law against the profile; returns whether the
-        new point is the center."""
+        new point is the center, and the new group's location."""
         u, w = np.asarray(u, float), np.asarray(w, float)
-        u2, w2, center2 = _grow(u, w, has_center, grid, s_grid, a, channels)
+        u2, w2 = _grow(u, w, grid, s_grid, a, channels)
         half = grid >= 0.0
         x = grid[half][np.argmax(s_grid[half])]
-        added_center = center2 and not has_center
+        added_center = u[0] > 0.0 and u2[0] == 0.0
         if added_center:
             assert x < solver._merge_gap(a, channels)
-            np.testing.assert_array_equal(u2, u)
-            i = 0
-        else:
-            assert center2 == has_center
-            i = int(has_center) + int(np.flatnonzero(u2 == x)[0])
-            np.testing.assert_array_equal(np.delete(u2, i - has_center), u)
+        (i,) = np.flatnonzero(~np.isin(u2, u))
+        assert u2[i] == (0.0 if added_center else max(x, 1e-9 * a))
+        np.testing.assert_array_equal(np.delete(u2, i), u)
         assert w2[i] == solver._GROWTH_WEIGHT == 1e-3
         np.testing.assert_array_equal(np.delete(w2, i), w * (1.0 - 1e-3))
-        assert np.all(np.diff(u2) >= 0.0)
-        points, probs = _expand(u2, w2, center2)
+        # strictly ascending: one center at most
+        assert np.all(np.diff(u2) > 0.0)
+        points, probs = _expand(u2, w2)
         assert np.array_equal(points, -points[::-1])
         assert np.array_equal(probs, probs[::-1])
         assert float(probs.sum()) == pytest.approx(1.0, rel=0.0, abs=1e-15)
-        assert len(points) == 2 * len(u) + has_center + (
+        assert len(points) == len(_expand(u, w)[0]) + (
             1 if added_center else 2)
-        return added_center
+        return added_center, u2[i]
 
-    @pytest.mark.parametrize("has_center,peak,gaps,center", [
+    @pytest.mark.parametrize("centered,peak,gaps,center", [
         (False, 2.0, 0.0, False),   # a pair between the two
         (False, 10.0, 0.0, False),  # a pair at +-A, past the last
         (False, 0.0, 0.0, True),
@@ -199,7 +191,7 @@ class TestGrow:
         (True, 0.0, 0.0, False),    # the law has a center already
         (True, 2.0, 0.0, False),
     ])
-    def test_even_profiles(self, has_center, peak, gaps, center):
+    def test_even_profiles(self, centered, peak, gaps, center):
         # s = -| |x| - peak |, peak + gaps merge gaps: the x >= 0 argmax is
         # the grid point nearest it (the grid spacing is 0.55 merge gaps)
         a = math.sqrt(20.0)
@@ -208,9 +200,13 @@ class TestGrow:
         half = np.linspace(0.0, a, 1001)
         grid = np.concatenate([-half[:0:-1], half])
         s_grid = -np.abs(np.abs(grid) - peak)
-        w = [0.2, 0.5, 0.3] if has_center else [0.6, 0.4]
-        assert self._check([1.0, 3.0], w, has_center, grid, s_grid, a,
-                           channels) == center
+        u, w = ([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]) if centered else (
+            [1.0, 3.0], [0.6, 0.4])
+        added_center, x = self._check(u, w, grid, s_grid, a, channels)
+        assert added_center == center
+        if centered and peak == 0.0:
+            # a pair, not a second center: at the location pass's floor
+            assert x == 1e-9 * a
 
     @pytest.mark.parametrize("a2,center", [(2.0, True), (20.0, False)])
     def test_polished_laws(self, a2, center):
@@ -218,13 +214,42 @@ class TestGrow:
         # at 0, at A^2 = 20 away from it
         a = math.sqrt(a2)
         channels = _channel_stack(a, self.SECRET_KEY)
-        u, w, has_center, _ = solver._alternate(
-            np.array([a]), np.array([1.0]), False, a, channels)
+        u, w, _ = solver._alternate(
+            np.array([a]), np.array([1.0]), a, channels)
         grid, s_grid, _, violation = solver._kkt_profile(
-            *_expand(u, w, has_center), channels, a)
+            *_expand(u, w), channels, a)
         assert violation > 1e-6
-        assert self._check(u, w, has_center, grid, s_grid, a,
-                           channels) == center
+        assert self._check(u, w, grid, s_grid, a, channels)[0] == center
+
+
+class TestExpand:
+    @pytest.mark.parametrize("u,w,points,probs", [
+        ([1.0, 2.0], [0.4, 0.6], [-2.0, -1.0, 1.0, 2.0], [0.3, 0.2, 0.2, 0.3]),
+        ([0.0, 2.0], [0.4, 0.6], [-2.0, 0.0, 2.0], [0.3, 0.4, 0.3]),
+    ], ids=["pairs", "center"])
+    def test_groups(self, u, w, points, probs):
+        # a group at u = 0 is one point with the group's full weight
+        got_points, got_probs = _expand(np.array(u), np.array(w))
+        np.testing.assert_array_equal(got_points, points)
+        np.testing.assert_array_equal(got_probs, probs)
+
+
+class TestOptimizeLocations:
+    @pytest.mark.parametrize("shift", [1.0, 0.9])
+    def test_center_held_at_zero(self, fig1_params, shift):
+        # the polished 3-point law at A^2 = 2, its pair as certified and
+        # moved in by 10%: the pass moves the pair, never the center
+        p = fig1_params(2.0)
+        points, probs = secret_key_capacity(p).distribution.as_arrays()
+        assert len(points) == 3
+        u = np.array([0.0, shift * points[2]])
+        w = np.array([probs[1], 2.0 * probs[2]])
+        u2, w2, _ = _optimize_locations(
+            u, w, p.amplitude,
+            _channel_stack(p.amplitude, TestMergeGroups.SECRET_KEY))
+        assert u2[0] == 0.0 and u2[1] > 0.0
+        assert u2[1] == pytest.approx(points[2], rel=0.0, abs=1e-6)
+        np.testing.assert_array_equal(w2, w)
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -370,7 +395,7 @@ def _central_differences(f, x, idx, h):
 
 
 # (pairs, center, one group weightless): K = 2, 3, 6 and 7
-_GROUPS = pytest.mark.parametrize("m,has_center,zero", [
+_GROUPS = pytest.mark.parametrize("m,center,zero", [
     (1, False, False), (1, True, False), (3, False, False), (3, True, False),
     (3, True, True), (3, False, True),
 ], ids=["K2", "K3", "K6", "K7", "K7-zero", "K6-zero"])
@@ -383,25 +408,26 @@ class TestSecondOrderSteps:
 
     A = math.sqrt(5.0)
 
-    def _state(self, m, has_center, zero):
-        rng = np.random.default_rng(10 * m + has_center)
+    def _state(self, m, center, zero):
+        rng = np.random.default_rng(10 * m + center)
         u = np.sort(rng.uniform(0.15, 1.0, m)) * self.A
-        w = rng.dirichlet(np.full(m + has_center, 4.0))
+        u = np.concatenate([[0.0], u]) if center else u
+        w = rng.dirichlet(np.full(len(u), 4.0))
         if zero:
-            w[has_center + 1] = 0.0  # the second pair
+            w[-2] = 0.0  # the second of three pairs
             w /= w.sum()
         return u, w
 
     @_STACKS
     @_GROUPS
-    def test_weight_derivatives(self, channels, m, has_center, zero):
+    def test_weight_derivatives(self, channels, m, center, zero):
         channels = _channel_stack(self.A, channels)
-        u, w = self._state(m, has_center, zero)
-        phi = [k[0] for k in _group_kernels(u, has_center, channels)]
-        val, g, hess = _derivatives(u, w, has_center, channels, phi)
+        u, w = self._state(m, center, zero)
+        phi = [k[0] for k in _group_kernels(u, channels)]
+        val, g, hess = _derivatives(u, w, channels, phi)
 
         def rate(wv):
-            return _rate(*_expand(u, wv, has_center), channels)
+            return _rate(*_expand(u, wv), channels)
 
         assert val == rate(w)
         # a weight below 0 drops out of _rate: difference on the others
@@ -419,22 +445,30 @@ class TestSecondOrderSteps:
 
     @_STACKS
     @_GROUPS
-    def test_location_derivatives(self, channels, m, has_center, zero):
+    def test_location_derivatives(self, channels, m, center, zero):
         channels = _channel_stack(self.A, channels)
-        u, w = self._state(m, has_center, zero)
-        val, g, hess = _derivatives(u, w, has_center, channels)
+        u, w = self._state(m, center, zero)
+        val, g, hess = _derivatives(u, w, channels)
 
         def rate(uv):
-            return _rate(*_expand(uv, w, has_center), channels)
+            return _rate(*_expand(uv, w), channels)
 
         assert val == rate(u)
-        want_g = _central_differences(rate, u, np.arange(m), 1e-5)[0]
-        np.testing.assert_allclose(g, want_g, rtol=0.0, atol=1e-9)
-        want_h = _central_differences(rate, u, np.arange(m), 1e-4)[1]
-        np.testing.assert_allclose(hess, want_h, rtol=0.0, atol=1e-6)
+        # differences on the pairs: moving the center would split it
+        pairs = np.flatnonzero(u > 0.0)
+        want_g = _central_differences(rate, u, pairs, 1e-5)[0]
+        np.testing.assert_allclose(g[pairs], want_g, rtol=0.0, atol=1e-9)
+        want_h = _central_differences(rate, u, pairs, 1e-4)[1]
+        np.testing.assert_allclose(hess[np.ix_(pairs, pairs)], want_h,
+                                   rtol=0.0, atol=1e-6)
+        if center:
+            # the center's gradient is 0 and it couples to no pair
+            off = np.delete(hess[0], 0)
+            assert g[0] == 0.0 and not off.any()
         if zero:
             # R does not depend on a weightless pair's location
-            assert g[1] == 0.0 and not hess[1].any() and not hess[:, 1].any()
+            assert g[-2] == 0.0 and not hess[-2].any()
+            assert not hess[:, -2].any()
 
 
 class TestPlainCapacity:
@@ -533,7 +567,7 @@ class TestSecretKeyCapacity:
                                                  monkeypatch):
         # a grown point that always merges back leaves the point count
         # where it was; the loop still ends after max_K - 1 KKT profiles
-        monkeypatch.setattr(solver, "_grow", lambda u, w, c, *_: (u, w, c))
+        monkeypatch.setattr(solver, "_grow", lambda u, w, *_: (u, w))
         with pytest.raises(NoConvergence) as info:
             secret_key_capacity(fig1_params(20.0), SolverConfig(max_K=5))
         assert [step.K_tried for step in info.value.trace] == [2, 2, 2, 2]
