@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelParams, equivalent_channel
 from .errors import InvalidBeta
-from .numerics import minimize_bounded, q_function
+from .numerics import minimize_bounded
 from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -42,9 +42,10 @@ def lower_bound_2(params: ChannelParams, beta: float) -> float:
     sigma_e = math.sqrt(eq.var_e)
     ratio = beta + a / sigma_e
     term1 = 0.5 * math.log1p(2.0 * a * a / (eq.var_eq * math.pi * math.e))
-    term2 = (1.0 - 2.0 * float(q_function(ratio))) * math.log(
-        2.0 * ratio / (_SQRT_2PI * (1.0 - 2.0 * float(q_function(beta)))))
-    term3 = float(q_function(beta))
+    # Q(x) = erfc(x / sqrt 2) / 2 on floats: numerics.q_function takes arrays
+    term3 = 0.5 * math.erfc(beta / math.sqrt(2.0))
+    term2 = (1.0 - math.erfc(ratio / math.sqrt(2.0))) * math.log(
+        2.0 * ratio / (_SQRT_2PI * (1.0 - 2.0 * term3)))
     term4 = beta * math.exp(-0.5 * beta * beta) / _SQRT_2PI
     return term1 - term2 - term3 - term4 + 0.5
 

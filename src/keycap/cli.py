@@ -38,7 +38,7 @@ from .schemes import (
     truncated_gaussian_rate,
     uniform_scheme_rate,
 )
-from .solver import SolverConfig, secret_key_capacity
+from .solver import SolverConfig, secret_key_capacity, secret_key_profile
 
 LN2 = math.log(2.0)
 
@@ -301,7 +301,8 @@ def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k, restarts):
         rep = secret_key_capacity(params, cfg)
     except KeycapError as exc:
         raise click.ClickException(str(exc))
-    rows = [{"x": x, "s": s} for x, s in rep.kkt_grid]
+    rows = [{"x": x, "s": s}
+            for x, s in zip(*secret_key_profile(params, rep.distribution))]
     _write_output(rows, ["x", "s"], [{
         "A_squared": a2, "status": "ok", "K": rep.num_points_K,
         "kkt_violation": rep.kkt_max_violation,

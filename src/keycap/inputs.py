@@ -19,7 +19,9 @@ _MIN_REL_GAP = 1e-9
 
 def _check_positive_finite(**params):
     for name, value in params.items():
-        if not (math.isfinite(value) and value > 0.0):
+        lo, hi = ((value.min(), value.max())
+                  if isinstance(value, np.ndarray) else (value, value))
+        if not (0.0 < lo and hi < math.inf):  # a NaN fails both
             raise ValueError(f"{name} must be positive and finite, "
                              f"got {value}")
 
@@ -34,15 +36,15 @@ class DiscreteDistribution:
     def __post_init__(self):
         if len(self.points) != len(self.probs) or not self.points:
             raise ValueError("points and probs must be nonempty and equal-length")
-        if not (all(map(math.isfinite, self.points))
-                and all(math.isfinite(p) and p > 0.0 for p in self.probs)):
+        points, probs = self.as_arrays()
+        if not (np.isfinite(points).all()
+                and 0.0 < probs.min() and probs.max() < math.inf):
             raise ValueError("mass points must be finite and probabilities "
                              "positive and finite")
-        if abs(sum(self.probs) - 1.0) > _PROB_SUM_TOL:
+        if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        scale = max(abs(x) for x in self.points) or 1.0
-        gaps = np.diff(self.points)
-        if len(gaps) and np.min(gaps) <= _MIN_REL_GAP * scale:
+        scale = np.abs(points).max() or 1.0
+        if len(points) > 1 and np.diff(points).min() <= _MIN_REL_GAP * scale:
             raise ValueError("mass points must be strictly increasing and separated")
 
     @property

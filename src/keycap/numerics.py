@@ -28,6 +28,7 @@ from .inputs import (
     InputScheme,
     TruncatedGaussianScheme,
     UniformScheme,
+    _check_positive_finite,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -186,8 +187,7 @@ def density_uniform_conv(amplitude, sigma: float) -> OutputDensity:
     evaluated at -|t|, where both Q values are upper tails and their
     difference does not cancel."""
     a = np.atleast_1d(np.asarray(amplitude, float))
-    if (a <= 0.0).any() or sigma <= 0.0:
-        raise ValueError("amplitude and sigma must be positive")
+    _check_positive_finite(amplitude=a, sigma=sigma)
     s = float(sigma)
 
     def pdf(t):
@@ -211,8 +211,7 @@ def density_trunc_gauss_conv(amplitude, sigma_x, sigma) -> OutputDensity:
     """
     a, sx = np.broadcast_arrays(*np.atleast_1d(np.asarray(amplitude, float),
                                                np.asarray(sigma_x, float)))
-    if (a <= 0.0).any() or (sx <= 0.0).any() or sigma <= 0.0:
-        raise ValueError("all parameters must be positive")
+    _check_positive_finite(amplitude=a, sigma_x=sx, sigma=sigma)
     s, ratio = float(sigma), a / sx
     if ratio.min() < 1e-8:
         raise DegenerateTruncation(
@@ -271,8 +270,7 @@ def density_discrete_conv(dist, sigma: float) -> OutputDensity:
     a discrete input through N(0, sigma^2); a list or tuple of laws gives
     their batch, summed law by law (np.add.reduceat). Terms that underflow
     fall where the entropy rule zeroes p log p (p < 1e-300) anyway."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_positive_finite(sigma=sigma)
     batch = isinstance(dist, (list, tuple))
     dists = dist if batch else [dist]
     s = float(sigma)

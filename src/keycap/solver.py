@@ -14,19 +14,20 @@ the marginal density
 
 is below the achieved rate everywhere on [-A, A] (equality at mass points),
 which certifies optimality for these concave objectives; the average of s
-over F is the rate. s is even: the certificate evaluates it on 1001 points
-of [0, A] spaced A / 1000, plus the mass points, and mirrors it. Otherwise
-a point of weight 1e-3 is added where s is largest (Smith 1971; Huang & Meyn
-2005) and the grown law is optimized from there.
+over F is the rate. s is even: the certificate takes it on [0, A] at a
+lattice spaced sigma_min / 4 or less (sigma_min the smallest noise std of
+the stack), the mass points and each maximum in between (Newton steps on
+s'), and mirrors it. Otherwise a point of weight 1e-3 is added where s is
+largest (Smith 1971; Huang & Meyn 2005); the grown law is optimized next.
 
 A law is ascending group locations u >= 0 and aligned group weights w: the
 group at exactly u = 0 is the center point, every other group the pair +-u
 with half its weight at each, so every law is exactly mirror-symmetric. The
 location pass moves the pairs in [1e-9 A, A] and holds the center at 0;
 after it, zero-weight groups are dropped and mass points closer than
-1e-2 * min(sigma_min, A) merge (sigma_min the smallest noise std of the
-stack): two pairs into one at their weighted mean, an innermost pair into
-the center (the A term keeps +-A apart at tiny amplitudes).
+1e-2 * min(sigma_min, A) merge: two pairs into one at their weighted mean,
+an innermost pair into the center (the A term keeps +-A apart at tiny
+amplitudes).
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import numpy as np
 
 from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
-from .inputs import DiscreteDistribution, DiscreteScheme
+from .inputs import (DiscreteDistribution, DiscreteScheme,
+                     _check_positive_finite)
 from .numerics import (_GL_W, _GL_X, _SQRT_2PI, _TAIL_SIGMAS, _gl_panels,
                        _log_mixture, mutual_information)
 
@@ -47,7 +49,7 @@ _KERNEL_BLOCK_TERMS = 2**14  # x values x nodes per block: 128 kB temporaries
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _KKT_TOLERANCE = 1e-6     # largest s(x; F) - rate a certificate accepts
-_KKT_GRID_SIZE = 2001     # points of [-A, A] the certificate checks
+_KKT_GRID_SIZE = 2001     # points of [-A, A] in `keycap kkt-profile`
 _INNER_TOLERANCE = 1e-9   # weight residual and rate gain of a polish
 _RATE_ROUNDING = 1e-13    # how far a Newton step may lower R(F): rounding
 _NEWTON_STEPS = 100       # Newton steps of one weight or location solve
@@ -117,28 +119,21 @@ def _log_weights(probs):
     return np.log(probs, out=np.full(len(probs), -np.inf), where=probs > 0.0)
 
 
-def _marginal_density(x, points, probs, channels):
-    """s(x; F): signed sum of per-channel relative entropies D(p(.|x)||f).
-
-    E log f(x + sigma Z) = sum_j w_j phi_sigma(y_j - x) log f(y_j) on the
-    channel's nodes y_j, with log f evaluated once per call; x is taken in
-    cache-sized blocks, and each row's sum is the same in any block."""
-    x = np.atleast_1d(np.asarray(x, float))
-    log_probs = _log_weights(probs)
-    out = np.zeros(len(x))
-    for sigma, sign, nodes, weights in channels:
-        h_noise = _LOG_SQRT_2PI + math.log(sigma) + 0.5
-        w_log_f = (weights / (sigma * math.sqrt(2.0 * math.pi))
-                   * _log_mixture(nodes, points, log_probs, sigma))
-        scale = math.sqrt(0.5) / sigma
-        xs, ys = x * scale, nodes * scale
-        rows = max(1, _KERNEL_BLOCK_TERMS // len(nodes))
-        for i in range(0, len(x), rows):
-            z2 = xs[i:i + rows, None] - ys
-            z2 *= z2
-            kernel = np.exp(np.negative(z2, out=z2), out=z2)
-            out[i:i + rows] -= sign * (
-                h_noise + np.einsum("ij,j->i", kernel, w_log_f))
+def _marginal_density(x, channels, log_fs):
+    """s(x; F) = sum_c sign_c D(p_c(.|x) || f_c), s' and s'' at a 1-d array
+    x, rows of a (3, len(x)) array, from each channel's log f on its nodes
+    (as `_rate` appends them): the folded kernel of `_group_kernels` at x
+    against w_j log f(y_j), f being even. x is taken in cache-sized blocks;
+    each row's sums are the same in any block."""
+    out = np.zeros((3, len(x)))
+    out[0] -= sum(sign * (_LOG_SQRT_2PI + math.log(sigma) + 0.5)
+                  for sigma, sign, *_ in channels)
+    rows = max(1, _KERNEL_BLOCK_TERMS // max(len(c[2]) for c in channels))
+    for i in range(0, len(x), rows):
+        for (_, sign, _, weights), log_f, kernels in zip(
+                channels, log_fs, _group_kernels(x[i:i + rows], channels)):
+            out[:, i:i + rows] -= sign * np.array(
+                [np.einsum("ij,j->i", k, weights * log_f) for k in kernels])
     return out
 
 
@@ -359,18 +354,36 @@ def _alternate(u, w, amplitude, channels):
     return u, w, (w_steps + n_w, u_steps, max(longest, n_w) == _NEWTON_STEPS)
 
 
-def _kkt_profile(points, probs, channels, amplitude):
+def _kkt_profile(points, probs, channels, amplitude, cells=None):
+    """An even law's certificate: s at cells + 1 points of [0, A] (by default
+    spaced sigma_min / 4 or less), at |mass points| and at the maximum in
+    each cell s' falls through 0 in (safeguarded Newton from the secant root).
+    Returns them and s mirrored, R(F), max(s - R, |s - R| at mass points)."""
+    log_fs = []
+    rate_ref = _rate(points, probs, channels, log_fs)
+    cells = cells or math.ceil(4.0 * amplitude / min(c[0] for c in channels))
     half = np.unique(np.concatenate(
-        [np.linspace(0.0, amplitude, (_KKT_GRID_SIZE + 1) // 2),
-         np.abs(points)]))
-    s_half = _marginal_density(half, points, probs, channels)
+        [np.linspace(0.0, amplitude, cells + 1), np.abs(points)]))
+    s_half, ds, _ = _marginal_density(half, channels, log_fs)
+    up = np.flatnonzero((ds[:-1] > 0.0) & (ds[1:] <= 0.0))
+    lo, hi = half[up], half[up + 1]
+    x = lo + (hi - lo) * ds[up] / (ds[up] - ds[up + 1])
+    s_x, ds_x, d2s_x = _marginal_density(x, channels, log_fs)
+    for _ in range(_NEWTON_STEPS):
+        # until Newton's predicted gain s'^2 / 2|s''| is below 5e-16
+        if np.all(ds_x**2 <= 1e-15 * np.abs(d2s_x)):
+            break
+        lo, hi = np.where(ds_x > 0.0, x, lo), np.where(ds_x > 0.0, hi, x)
+        x = x + ds_x / (np.abs(d2s_x) + 1e-300)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        s_x, ds_x, d2s_x = _marginal_density(x, channels, log_fs)
+    half, idx = np.unique(np.append(half, x), return_index=True)
+    s_half = np.append(s_half, s_x)[idx]
     # s is even: mirror x >= 0, keeping half[0] = 0.0 once
     grid = np.concatenate([-half[:0:-1], half])
     s_grid = np.concatenate([s_half[:0:-1], s_half])
-    s_pts = _marginal_density(points, points, probs, channels)
-    rate_ref = _rate(points, probs, channels)
-    violation = max(float(np.max(s_grid) - rate_ref),
-                    float(np.max(np.abs(s_pts - rate_ref))))
+    violation = max(float(np.max(s_grid) - rate_ref), float(np.max(
+        np.abs(s_grid[np.isin(grid, points)] - rate_ref))))
     return grid, s_grid, rate_ref, violation
 
 
@@ -395,7 +408,7 @@ def _capacity(amplitude, channels, cfg, rate_of):
             rate = rate_of(DiscreteScheme(dist))
             return SolverReport(
                 dist, rate.nats, rate.quad_error, len(points), violation,
-                tuple(zip(map(float, grid), map(float, s_grid))), tuple(trace))
+                tuple(zip(grid.tolist(), s_grid.tolist())), tuple(trace))
         u, w = _grow(u, w, grid, s_grid, amplitude, channels)
     best_violation = min(step.kkt_violation for step in trace)
     raise NoConvergence(
@@ -408,10 +421,14 @@ def plain_capacity(
 ) -> SolverReport:
     """Capacity of the amplitude-constrained scalar Gaussian channel,
     I(X; X + N) maximized over discrete inputs on [-A, A]."""
-    if amplitude <= 0.0 or sigma <= 0.0:
-        raise ValueError("amplitude and sigma must be positive")
+    _check_positive_finite(amplitude=amplitude, sigma=sigma)
     return _capacity(float(amplitude), ((float(sigma), 1.0),), cfg,
                      lambda s: mutual_information(s, sigma))
+
+
+def _secret_key_channels(params):
+    eq = equivalent_channel(params)
+    return ((math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0))
 
 
 def secret_key_capacity(
@@ -419,7 +436,13 @@ def secret_key_capacity(
 ) -> SolverReport:
     """Secret-key capacity of the amplitude-constrained setting, maximizing
     the degraded-wiretap rate over discrete inputs on [-A, A]."""
-    eq = equivalent_channel(params)
-    channels = ((math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0))
-    return _capacity(params.amplitude, channels, cfg,
+    return _capacity(params.amplitude, _secret_key_channels(params), cfg,
                      lambda s: secret_key_rate(params, s))
+
+
+def secret_key_profile(params: ChannelParams, dist: DiscreteDistribution):
+    """(x, s) of an even law on the secret-key stack: its certificate's
+    profile, on a lattice of _KKT_GRID_SIZE points of [-A, A]."""
+    a = params.amplitude
+    stack = _channel_stack(a, _secret_key_channels(params))
+    return _kkt_profile(*dist.as_arrays(), stack, a, _KKT_GRID_SIZE // 2)[:2]

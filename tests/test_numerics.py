@@ -566,6 +566,26 @@ class TestDiscreteDistributionContract:
         with pytest.raises(ValueError, match="positive and finite"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: density_uniform_conv(math.nan, 1.0),
+        lambda: density_uniform_conv([1.0, math.inf], 1.0),
+        lambda: density_uniform_conv(1.0, math.inf),
+        lambda: density_trunc_gauss_conv(1.0, 1.0, math.nan),
+        lambda: density_trunc_gauss_conv(1.0, math.inf, 1.0),
+        lambda: density_trunc_gauss_conv([1.0, math.nan], 1.0, 1.0),
+        lambda: density_discrete_conv(maxentropic_scheme(1.0, 2).dist,
+                                      math.nan),
+        lambda: mutual_information(UniformScheme(1.0), math.nan),
+        lambda: mutual_information(maxentropic_scheme(1.0, 3), math.inf),
+    ], ids=["uniform-nan-amplitude", "uniform-inf-member", "uniform-inf-sigma",
+            "tg-nan-sigma", "tg-inf-sigma-x", "tg-nan-member",
+            "discrete-nan-sigma", "mi-nan-sigma", "mi-inf-sigma"])
+    def test_densities_reject_non_finite_parameters(self, make):
+        # a usage error up front, not a panel count that cannot be an
+        # integer or a silently NaN density
+        with pytest.raises(ValueError, match="positive and finite"):
+            make()
+
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):
             DiscreteDistribution((1.0, 0.0), (0.5, 0.5))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from keycap import (
+    ChannelParams,
     NoConvergence,
     SolverConfig,
     equivalent_channel,
@@ -30,6 +31,13 @@ from keycap.solver import (
     project_simplex,
 )
 from support import _quad, mixed_gaussian_entropy_integral
+
+
+def _profile(x, points, probs, channels):
+    """s(x; F), s' and s'' of a law, with each channel's log f from _rate."""
+    log_fs = []
+    _rate(points, probs, channels, log_fs)
+    return _marginal_density(x, channels, log_fs)
 
 
 class TestProjectSimplex:
@@ -298,7 +306,7 @@ class TestMarginalDensityAgainstQuadpack:
         a = math.sqrt(a2)
         points, probs = maxentropic_scheme(a, k).dist.as_arrays()
         xs = np.unique(np.concatenate([[-a, 0.0, a], points]))
-        got = _marginal_density(xs, points, probs, _channel_stack(a, channels))
+        got = _profile(xs, points, probs, _channel_stack(a, channels))[0]
         want = [_quadpack_marginal_density(float(x), points, probs, channels)
                 for x in xs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
@@ -322,10 +330,10 @@ class TestBlockedExpectation:
         assert rows > 1
         for n in (1, rows - 1, rows, rows + 1, 2001):
             x = rng.uniform(-4.0, 4.0, n)
-            got = _marginal_density(x, points, probs, channels)
+            got = _profile(x, points, probs, channels)
             with monkeypatch.context() as m:
                 m.setattr(solver, "_KERNEL_BLOCK_TERMS", 2001 * len(channel[2]))
-                want = _marginal_density(x, points, probs, channels)
+                want = _profile(x, points, probs, channels)
             assert np.isfinite(got).all()
             assert np.array_equal(got, want), n
 
@@ -343,13 +351,67 @@ _STACKS = pytest.mark.parametrize("channels", [
 ], ids=["plain", "secret_key"])
 
 
+class TestMarginalDensityDerivatives:
+    """s' and s'' from the kernel's own derivatives against central
+    differences of s."""
+
+    @_STACKS
+    @pytest.mark.parametrize("k,a2", [(2, 0.5), (3, 2.0), (7, 20.0)])
+    def test_central_differences(self, channels, k, a2):
+        a = math.sqrt(a2)
+        channels = _channel_stack(a, channels)
+        points, probs = _equispaced_law(k, a)
+        x, h = np.linspace(-a, a, 15), 1e-4
+        s, ds, d2s = _profile(x, points, probs, channels)
+        s_up, s_down = (_profile(x + sh, points, probs, channels)[0]
+                        for sh in (h, -h))
+        np.testing.assert_allclose(ds, (s_up - s_down) / (2.0 * h),
+                                   rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(d2s, (s_up - 2.0 * s + s_down) / (h * h),
+                                   rtol=0.0, atol=1e-6)
+
+
+def _direct_s(x, points, probs, channels):
+    """s(x; F) alone, summed with the plain kernel phi_sigma(y_j - x) on the
+    entropy rule's nodes in blocks of 256 points: a second implementation of
+    the profile's value, and a cheaper one on dense lattices."""
+    log_fs = []
+    _rate(points, probs, channels, log_fs)
+    s = np.zeros(len(x))
+    for (sigma, sign, nodes, weights), log_f in zip(channels, log_fs):
+        h_noise = 0.5 * math.log(2.0 * math.pi * math.e * sigma * sigma)
+        w_log_f = weights * log_f / (sigma * math.sqrt(2.0 * math.pi))
+        for i in range(0, len(x), 256):
+            z = (nodes - x[i:i + 256, None]) / sigma
+            s[i:i + 256] -= sign * (h_noise + np.exp(-0.5 * z * z) @ w_log_f)
+    return s
+
+
+def _violation_on(x, points, probs, channels):
+    """max(max s - R over x, max |s - R| over the mass points): the KKT
+    violation of the law on the points x."""
+    s_grid = _direct_s(x, points, probs, channels)
+    s_pts = _direct_s(points, points, probs, channels)
+    rate = _rate(points, probs, channels)
+    return max(float(np.max(s_grid) - rate),
+               float(np.max(np.abs(s_pts - rate))))
+
+
+def _dense_violation(points, probs, channels, a):
+    """The violation on the 200 001-point lattice of [-A, A], spaced
+    A / 100000: on its x >= 0 half, since s is even."""
+    return _violation_on(np.linspace(0.0, a, 100_001), points, probs,
+                         channels)
+
+
 class TestKKTProfile:
-    """The certificate's profile, evaluated on x >= 0 and mirrored."""
+    """The certificate's profile: a lattice of [0, A] spaced at most
+    sigma_min / 4, the mass points and the refined maxima, mirrored."""
 
     @_STACKS
     def test_grid_is_mirrored(self, channels):
         a = math.sqrt(2.0)
-        # +-0.7123 lie off the A/1000 lattice, 0 on it
+        # +-0.7123 lie off the lattice, 0 on it
         points = np.array([-0.7123, 0.0, 0.7123])
         probs = np.array([0.3, 0.4, 0.3])
         grid, s_grid, _, _ = solver._kkt_profile(
@@ -358,29 +420,45 @@ class TestKKTProfile:
         assert np.array_equal(s_grid, s_grid[::-1])
         assert (grid[0], grid[-1]) == (-a, a)
         assert np.isin(points, grid).all()
-        assert len(grid) == solver._KKT_GRID_SIZE + 2
-        lattice = grid[~np.isin(grid, points[points != 0.0])]
-        np.testing.assert_allclose(np.diff(lattice), a / 1000, rtol=1e-12)
+        sigma_min = min(sigma for sigma, _ in channels)
+        assert 0.0 < np.diff(grid).max() <= sigma_min / 4.0
 
     @_STACKS
-    @pytest.mark.parametrize("k,a2", [(2, 0.5), (3, 2.0), (7, 20.0)])
+    @pytest.mark.parametrize("k,a2", [(2, 0.5), (3, 2.0), (7, 20.0),
+                                      (17, 100.0)])
     def test_matches_full_grid(self, k, a2, channels):
-        # the profile before the fold: s on the whole of [-A, A]
+        # equispaced laws: the certificate is at least the violation on
+        # the 2001-point lattice of [-A, A] (the profile before the fold)
+        # and on the 200 001-point one, up to rounding
         a = math.sqrt(a2)
         channels = _channel_stack(a, channels)
         points, probs = _equispaced_law(k, a)
-        grid = np.unique(np.concatenate(
-            [np.linspace(-a, a, solver._KKT_GRID_SIZE), points]))
-        s_grid = _marginal_density(grid, points, probs, channels)
-        s_pts = _marginal_density(points, points, probs, channels)
+        s_pts = _profile(points, points, probs, channels)[0]
         rate = _rate(points, probs, channels)
         # on shared nodes the profile's own sum is R(F) up to rounding
         assert float(probs @ s_pts) == pytest.approx(rate, rel=0.0, abs=1e-14)
-        want = max(float(np.max(s_grid) - rate),
-                   float(np.max(np.abs(s_pts - rate))))
         _, _, got_rate, got = solver._kkt_profile(points, probs, channels, a)
         assert got_rate == rate
-        assert got == pytest.approx(want, rel=0.0, abs=1e-14)
+        coarse = _violation_on(np.linspace(-a, a, solver._KKT_GRID_SIZE),
+                               points, probs, channels)
+        assert got >= coarse - 1e-14
+        assert got >= _dense_violation(points, probs, channels, a) - 1e-13
+
+    @_STACKS
+    @pytest.mark.parametrize("a2", [0.5, 2.0, 20.0, 100.0])
+    def test_certified_laws_above_dense_lattice(self, a2, channels):
+        # the solver's certified laws, whose s peaks between mass points
+        # just under R: the refined maxima are not below the dense lattice
+        a = math.sqrt(a2)
+        if len(channels) == 1:
+            rep = plain_capacity(a, channels[0][0])
+        else:
+            rep = secret_key_capacity(ChannelParams(a, 1.0, 2.0))
+        stack = _channel_stack(a, channels)
+        points, probs = rep.distribution.as_arrays()
+        _, _, _, got = solver._kkt_profile(points, probs, stack, a)
+        assert got == rep.kkt_max_violation <= 1e-6
+        assert got >= _dense_violation(points, probs, stack, a) - 1e-13
 
 
 def _central_differences(f, x, idx, h):
@@ -488,6 +566,13 @@ class TestPlainCapacity:
     def test_below_awgn_capacity(self):
         rep = plain_capacity(1.5, 1.0)
         assert 0.0 < rep.rate_nats < 0.5 * math.log(1.0 + 1.5**2)
+
+    @pytest.mark.parametrize("amplitude,sigma", [
+        (1.0, math.nan), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+    ])
+    def test_rejects_non_finite_parameters(self, amplitude, sigma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            plain_capacity(amplitude, sigma)
 
     def test_kkt_certificate(self):
         rep = plain_capacity(1.0, 1.0)
