@@ -5,10 +5,10 @@ first and second derivatives are sums over the nodes of the entropy rule
 (`differential_entropy`) on [-A - 10 sigma, A + 10 sigma], laid out once per
 solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
 
-The search starts from the 2-point law +-A. Each law is optimized by
-alternating Newton ascent over the weights (on the active face of the
-simplex) with projected Newton ascent over the locations, and accepted once
-the marginal density
+The search starts from the equispaced law of min(max_K, ceil(1.6 A))
+points, 2 at least. Each law is polished (a weight solve, one Newton ascent
+over weights and pair locations together, a merge, a weight solve) and
+accepted once the marginal density
 
     s(x; F) = sum_c sign_c * D( p_c(.|x) || f_{F,c} )
 
@@ -18,13 +18,13 @@ over F is the rate. s is even: the certificate takes it on [0, A] at a
 lattice spaced sigma_min / 4 or less (sigma_min the smallest noise std of
 the stack), the mass points and each maximum in between (Newton steps on
 s'), and mirrors it. Otherwise a point of weight 1e-3 is added where s is
-largest (Smith 1971; Huang & Meyn 2005); the grown law is optimized next.
+largest (Smith 1971; Huang & Meyn 2005); the grown law is polished next.
 
 A law is ascending group locations u >= 0 and aligned group weights w: the
 group at exactly u = 0 is the center point, every other group the pair +-u
 with half its weight at each, so every law is exactly mirror-symmetric. The
-location pass moves the pairs in [1e-9 A, A] and holds the center at 0;
-after it, zero-weight groups are dropped and mass points closer than
+joint step moves the pairs in [1e-9 A, A] and holds the center at 0; after
+it, zero-weight groups are dropped and mass points closer than
 1e-2 * min(sigma_min, A) merge: two pairs into one at their weighted mean,
 an innermost pair into the center (the A term keeps +-A apart at tiny
 amplitudes).
@@ -33,6 +33,7 @@ amplitudes).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +42,7 @@ import numpy as np
 from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
 from .inputs import (DiscreteDistribution, DiscreteScheme,
-                     _check_positive_finite)
+                     _check_positive_finite, maxentropic_scheme)
 from .numerics import (_GL_W, _GL_X, _SQRT_2PI, _TAIL_SIGMAS, _gl_panels,
                        _log_mixture, mutual_information)
 
@@ -50,9 +51,9 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _KKT_TOLERANCE = 1e-6     # largest s(x; F) - rate a certificate accepts
 _KKT_GRID_SIZE = 2001     # points of [-A, A] in `keycap kkt-profile`
-_INNER_TOLERANCE = 1e-9   # weight residual and rate gain of a polish
+_INNER_TOLERANCE = 1e-9   # weight residual and joint reduced gradient
 _RATE_ROUNDING = 1e-13    # how far a Newton step may lower R(F): rounding
-_NEWTON_STEPS = 100       # Newton steps of one weight or location solve
+_NEWTON_STEPS = 100       # Newton steps of one weight or joint loop
 _GROWTH_WEIGHT = 1e-3     # weight of the mass point each growth step adds
 _PAIR_FLOOR = 1e-9        # lowest pair location, in units of A
 
@@ -62,19 +63,19 @@ class SolverConfig:
     max_K: int = 64
 
     def __post_init__(self):
-        if self.max_K < 2:
-            # escalation starts at K=2
-            raise ValueError(f"max_K must be at least 2, got {self.max_K}")
+        if not isinstance(self.max_K, numbers.Integral) or self.max_K < 2:
+            raise ValueError(
+                f"max_K must be an integer of at least 2, got {self.max_K!r}")
 
 
 DEFAULT_SOLVER = SolverConfig()
 
 
 class EscalationStep(NamedTuple):
-    """One polished law: the point count of its grown start law, the K of
-    the law the polish returned, that law's R(F) and KKT violation (C_k is
-    in [R(F), R(F) + violation]), the polish's Newton steps over weights and
-    over locations, and whether one of its inner solves stopped at its cap."""
+    """One polished law: the point count of its start law, the K of the law
+    the polish returned, that law's R(F) and KKT violation (C_k is in
+    [R(F), R(F) + violation]), the Newton steps of the polish's two weight
+    solves and of its joint (w, u) loop, and whether one loop was capped."""
 
     K_tried: int
     K: int
@@ -189,37 +190,36 @@ def _group_kernels(u, channels):
     return out
 
 
-def _derivatives(u, w, channels, phi=None):
-    """R(F) and its exact gradient and Hessian on the entropy rule's nodes:
-    in the weights given the kernels phi of `_group_kernels` (f_c = w @ phi),
-    else in the locations. log f is _log_mixture's: w @ phi underflows."""
-    if phi is None:
-        kernels = _group_kernels(u, channels)
-        jac, curv = ([w[:, None] * k[i] for k in kernels] for i in (1, 2))
-    else:
-        jac, curv = phi, [None] * len(channels)
+def _derivatives(u, w, channels, kernels=None):
+    """R(F) and its exact gradient and Hessian in (w, u), weights first, on
+    the entropy rule's nodes, from `_group_kernels` at u: f_c = w @ phi,
+    J = [phi; w phi'], f's second derivatives phi' at (w_i, u_i) and w phi''
+    at (u_i, u_i). log f is _log_mixture's: w @ phi underflows."""
+    kernels, n = kernels or _group_kernels(u, channels), len(w)
     log_fs = []
     rate = _rate(*_expand(u, w), channels, log_fs)
     grad = hess = 0.0
-    for (_, sign, _, weights), log_f, j, c in zip(channels, log_fs, jac, curv):
+    for (_, sign, _, weights), log_f, (phi, dphi, d2phi) in zip(
+            channels, log_fs, kernels):
         d_log = weights * (log_f + 1.0)
+        j = np.vstack([phi, w[:, None] * dphi])
         # weights / f, kept finite where f underflows (there j does too)
         h = (j * (weights * np.exp(-np.maximum(log_f, -700.0)))) @ j.T
-        if c is not None:
-            h[np.diag_indices_from(h)] += c @ d_log
+        h[n:, n:] += np.diag(w * (d2phi @ d_log))
+        h += np.diag(dphi @ d_log, n) + np.diag(dphi @ d_log, -n)
         grad = grad - sign * (j @ d_log)
         hess = hess - sign * h
     return rate, grad, hess
 
 
-def _backtrack(x, d, val, derivatives, project, min_step):
+def _backtrack(x, d, val, derivatives, project):
     """The first of project(x + t d), t = 1, 1/2, ..., whose R(F) is not
     below val by more than rounding, with its `derivatives`; None once the
-    step moves no coordinate by min_step."""
+    step moves no coordinate by 1e-16."""
     t = 1.0
     while True:
         cand = project(x + t * d)
-        if float(np.max(np.abs(cand - x), initial=0.0)) < min_step:
+        if float(np.max(np.abs(cand - x), initial=0.0)) < 1e-16:
             return None
         found = derivatives(cand)
         if found[0] >= val - _RATE_ROUNDING:
@@ -227,67 +227,85 @@ def _backtrack(x, d, val, derivatives, project, min_step):
         t *= 0.5
 
 
+def _cut_at_zero(w, d):
+    """The step d, weights w first, cut where a weight reaches exactly 0."""
+    n = len(w)
+    ratio = np.divide(w, -d[:n], out=np.full(n, np.inf), where=d[:n] < 0.0)
+    t = min(1.0, float(ratio.min()))
+    return np.concatenate([np.where(ratio == t, -w, t * d[:n]), t * d[n:]])
+
+
+def _simplex(v):
+    return np.maximum(v, 0.0) / np.maximum(v, 0.0).sum()
+
+
+def _newton_step(g, hess, free_w, free_u):
+    """The Newton step of the joint g and hess on an orthonormal basis of
+    the free weights' zero-sum moves and the free locations, the eigenvalues
+    flipped negative and kept off 0; and the largest gradient entry there."""
+    m, k = int(free_w.sum()), int(free_u.sum())
+    basis = np.zeros((len(g), m - 1 + k))
+    basis[np.flatnonzero(free_w), :m - 1] = np.linalg.eigh(
+        np.eye(m) - 1.0 / m)[1][:, 1:]
+    basis[len(free_w) + np.flatnonzero(free_u), m - 1:] = np.eye(k)
+    g_r = basis.T @ g
+    lam, vec = np.linalg.eigh(basis.T @ hess @ basis)
+    lam = np.maximum(abs(lam), 1e-12 * abs(lam).max(initial=1e-300))
+    return (basis @ (vec @ ((vec.T @ g_r) / lam)),
+            float(np.max(np.abs(g_r), initial=0.0)))
+
+
 def _optimize_weights(u, w, channels):
     """Newton ascent of R (concave in w) on the simplex's face of nonzero
     weights, a projected-gradient step only to change the face, until
     max|P(w + g) - w| <= _INNER_TOLERANCE. Returns (w, R, residual, steps)."""
-    w = np.asarray(w, float)
-    if len(w) == 1:
-        return w, _rate(*_expand(u, w), channels), 0.0, 0
-    phi = [kernels[0] for kernels in _group_kernels(u, channels)]
-    val, g, hess = _derivatives(u, w, channels, phi)
+    w, n = np.asarray(w, float), len(w)
+    kernels = _group_kernels(u, channels)
+    val, g, hess = _derivatives(u, w, channels, kernels)
     for steps in range(_NEWTON_STEPS + 1):
-        pg = project_simplex(w + g) - w
+        pg = project_simplex(w + g[:n]) - w
         residual = float(np.max(np.abs(pg)))
         if residual <= _INNER_TOLERANCE or steps == _NEWTON_STEPS:
             break
-        free = w > 0.0
-        n = int(free.sum())
-        kkt = np.block([[hess[np.ix_(free, free)], np.ones((n, 1))],
-                        [np.ones((1, n)), np.zeros((1, 1))]])
-        d = np.zeros(len(w))
-        d[free] = np.linalg.lstsq(kkt, np.append(-g[free], 0.0))[0][:n]
-        if np.ptp(g[free]) <= _INNER_TOLERANCE or (g - g.mean()) @ d <= 0.0:
-            d = pg  # the face is flat, or Newton does not ascend on it
-        # cap the step where a weight reaches 0, exactly 0
-        ratio = np.divide(w, -d, out=np.full(len(w), np.inf), where=d < 0.0)
-        t = min(1.0, float(ratio.min()))
-        d = np.where(ratio == t, -w, t * d)
+        d, flat = _newton_step(g, hess, w > 0.0, np.zeros(n, bool))
         found = _backtrack(
-            w, d, val, lambda v: _derivatives(u, v, channels, phi),
-            lambda v: np.maximum(v, 0.0) / np.maximum(v, 0.0).sum(), 1e-16)
+            w, _cut_at_zero(w, pg if flat <= _INNER_TOLERANCE else d[:n]),
+            val, lambda v: _derivatives(u, v, channels, kernels), _simplex)
         if found is None:
             break
         w, (val, g, hess) = found
     return w, val, residual, steps
 
 
-def _optimize_locations(u, w, amplitude, channels):
-    """Projected Newton ascent of R over the pair locations in
-    [_PAIR_FLOOR A, A], the center held at 0, the Hessian's eigenvalues
-    flipped negative and kept off 0, a location at a bound held while the
-    gradient pushes past it, until no location moves by 1e-10 max(A, 1).
-    Returns (u, w, steps), sorted by location."""
-    u, w = np.asarray(u, float), np.asarray(w, float)
-    pair = u > 0.0
-    lo, xatol = _PAIR_FLOOR * amplitude * pair, 1e-10 * max(amplitude, 1.0)
+def _polish(u, w, amplitude, channels):
+    """A weight solve; Newton ascent over the nonzero weights and the pair
+    locations together (`_newton_step`), the pairs projected on [_PAIR_FLOOR
+    A, A] and held at a bound the gradient pushes past, until the reduced
+    gradient is below _INNER_TOLERANCE; a merge; a closing weight solve.
+    Returns the state and (weight steps, joint steps, whether one capped)."""
+    w, _, _, first = _optimize_weights(u, w, channels)
+    n, pair = len(u), u > 0.0
+    lo = _PAIR_FLOOR * amplitude * pair
     val, g, hess = _derivatives(u, w, channels)
-    steps = 0
-    while steps < _NEWTON_STEPS:
-        free = pair & ((u < amplitude) | (g <= 0.0)) & ((u > lo) | (g >= 0.0))
-        lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
-        lam = np.maximum(abs(lam), 1e-12 * abs(lam).max(initial=1e-300))
-        d = np.zeros(len(u))
-        d[free] = vec @ ((vec.T @ g[free]) / lam)
+    for steps in range(_NEWTON_STEPS + 1):
+        d, residual = _newton_step(g, hess, w > 0.0, pair & (w > 0.0) & (
+            (u < amplitude) | (g[n:] <= 0.0)) & ((u > lo) | (g[n:] >= 0.0)))
+        if residual <= _INNER_TOLERANCE or steps == _NEWTON_STEPS:
+            break
         found = _backtrack(
-            u, d, val, lambda v: _derivatives(v, w, channels),
-            lambda v: np.clip(v, lo, amplitude), xatol)
+            np.concatenate([w, u]), _cut_at_zero(w, d), val,
+            lambda x: _derivatives(x[n:], x[:n], channels),
+            lambda x: np.concatenate([_simplex(x[:n]),
+                                      np.clip(x[n:], lo, amplitude)]))
         if found is None:
             break
-        u, (val, g, hess) = found
-        steps += 1
+        (w, u), (val, g, hess) = np.split(found[0], 2), found[1]
     order = np.argsort(u)
-    return u[order], w[order], steps
+    u, w = _merge_groups(u[order], w[order], amplitude, channels)
+    w, _, _, last = _optimize_weights(u, w, channels)
+    # drop what the closing weight solve zeroed
+    return u[w > 0.0], w[w > 0.0], (
+        first + last, steps, _NEWTON_STEPS in (first, steps, last))
 
 
 def _merge_gap(amplitude, channels):
@@ -332,28 +350,6 @@ def _grow(u, w, grid, s_grid, amplitude, channels):
     return np.insert(u, i, x), np.insert(w, i, _GROWTH_WEIGHT)
 
 
-def _alternate(u, w, amplitude, channels):
-    """Alternate weight and location solves to full tolerance, merging after
-    every location pass; returns the state and (weight steps, location
-    steps, whether a solve stopped at its cap)."""
-    val = -np.inf
-    w_steps = u_steps = longest = 0
-    for _ in range(60):  # the round limit
-        w, _, _, n_w = _optimize_weights(u, w, channels)
-        u, w, n_u = _optimize_locations(u, w, amplitude, channels)
-        w_steps, u_steps = w_steps + n_w, u_steps + n_u
-        longest = max(longest, n_w, n_u)
-        u, w = _merge_groups(u, w, amplitude, channels)
-        val_new = _rate(*_expand(u, w), channels)
-        if val_new - val < _INNER_TOLERANCE:
-            break
-        val = val_new
-    w, _, _, n_w = _optimize_weights(u, w, channels)
-    # drop what the last weight solve zeroed
-    u, w = _merge_groups(u, w, amplitude, channels)
-    return u, w, (w_steps + n_w, u_steps, max(longest, n_w) == _NEWTON_STEPS)
-
-
 def _kkt_profile(points, probs, channels, amplitude, cells=None):
     """An even law's certificate: s at cells + 1 points of [0, A] (by default
     spaced sigma_min / 4 or less), at |mass points| and at the maximum in
@@ -388,16 +384,20 @@ def _kkt_profile(points, probs, channels, amplitude, cells=None):
 
 
 def _capacity(amplitude, channels, cfg, rate_of):
-    """Grow the law from +-A until the KKT certificate holds (at most max_K
+    """Grow the law from the equispaced one of min(max_K, ceil(1.6 A))
+    points, 2 at least, until the KKT certificate holds (at most max_K
     points, max_K - 1 profiles); the reported rate is rate_of applied to the
     certified law's DiscreteScheme. channels holds (sigma, sign) pairs; their
     nodes are laid out once here."""
     channels = _channel_stack(amplitude, channels)
-    u, w = np.array([amplitude]), np.array([1.0])
+    points = maxentropic_scheme(amplitude, min(cfg.max_K, max(
+        2, math.ceil(1.6 * amplitude)))).dist.as_arrays()[0]
+    u = points[points >= 0.0]
+    w = np.where(u > 0.0, 2.0, 1.0) / len(points)
     trace = []
     while (len(trace) < cfg.max_K - 1
            and (num_points := 2 * len(u) - int(u[0] == 0.0)) <= cfg.max_K):
-        u, w, steps = _alternate(u, w, amplitude, channels)
+        u, w, steps = _polish(u, w, amplitude, channels)
         points, probs = _expand(u, w)
         grid, s_grid, rate, violation = _kkt_profile(
             points, probs, channels, amplitude)

@@ -65,13 +65,14 @@ def test_meta_records_the_entropy_rule(tmp_path):
 def test_meta_records_the_kkt_trace(tmp_path):
     out = tmp_path / "s.json"
     assert _run(["sweep", "--var-d", "1", "--var-e", "2", "--a2-grid",
-                 "0.5,2", "--restarts", "1", "--outputs", "capacity",
+                 "0.5,2,50", "--restarts", "1", "--outputs", "capacity",
                  "--format", "json", "--out", str(out)]).exit_code == 0
     rows = json.loads((tmp_path / "s.json.meta.json").read_text())["rows"]
     data = json.loads(out.read_text())
-    # one KKT profile at A^2 = 0.5, two at A^2 = 2; no timings
+    # one KKT profile at A^2 = 0.5 and 2, from the equispaced start laws
+    # of 2 and 3 points; two at A^2 = 50, from 12 points; no timings
     assert [[s["K_tried"] for s in r["kkt_trace"]] for r in rows] == \
-        [[2], [2, 3]]
+        [[2], [3], [12, 11]]
     for row, cols in zip(rows, data):
         last = row["kkt_trace"][-1]
         # both ends of the step's interval [R(F), R(F) + violation]
@@ -83,10 +84,10 @@ def test_meta_records_the_kkt_trace(tmp_path):
         # reported C_k: one sum on the same nodes, up to rounding
         assert last["rate_nats"] == pytest.approx(cols["C_k_nats"], rel=0.0,
                                                   abs=1e-14)
-    assert rows[1]["kkt_trace"][0]["kkt_violation"] > 1e-6
-    # K = 2 is one weight group: no weight step, and no inner solve capped
+    assert rows[2]["kkt_trace"][0]["kkt_violation"] > 1e-6
+    # K = 2 is one weight group: no weight step, and no loop capped
     steps = [s for r in rows for s in r["kkt_trace"]]
-    assert [s["weight_steps"] for s in steps if s["K_tried"] == 2] == [0, 0]
+    assert [s["weight_steps"] for s in steps if s["K_tried"] == 2] == [0]
     assert not any(s["capped"] for s in steps)
 
 
@@ -127,7 +128,8 @@ def test_deterministic_output(tmp_path):
 
 
 def test_restarts_and_seed_leave_the_result(tmp_path):
-    # one escalation path: the law grows from +-A with no random start
+    # one escalation path: the law grows from the equispaced start law
+    # with no random start
     outs = []
     for restarts, seed in (("1", "0"), ("8", "7")):
         out = tmp_path / f"r{restarts}.csv"

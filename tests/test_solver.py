@@ -21,12 +21,11 @@ from keycap.solver import (
     _channel_stack,
     _derivatives,
     _expand,
-    _group_kernels,
     _grow,
     _marginal_density,
     _merge_groups,
-    _optimize_locations,
     _optimize_weights,
+    _polish,
     _rate,
     project_simplex,
 )
@@ -213,7 +212,7 @@ class TestGrow:
         added_center, x = self._check(u, w, grid, s_grid, a, channels)
         assert added_center == center
         if centered and peak == 0.0:
-            # a pair, not a second center: at the location pass's floor
+            # a pair, not a second center: at the pair floor 1e-9 A
             assert x == 1e-9 * a
 
     @pytest.mark.parametrize("a2,center", [(2.0, True), (20.0, False)])
@@ -222,8 +221,7 @@ class TestGrow:
         # at 0, at A^2 = 20 away from it
         a = math.sqrt(a2)
         channels = _channel_stack(a, self.SECRET_KEY)
-        u, w, _ = solver._alternate(
-            np.array([a]), np.array([1.0]), a, channels)
+        u, w, _ = _polish(np.array([a]), np.array([1.0]), a, channels)
         grid, s_grid, _, violation = solver._kkt_profile(
             *_expand(u, w), channels, a)
         assert violation > 1e-6
@@ -242,22 +240,23 @@ class TestExpand:
         np.testing.assert_array_equal(got_probs, probs)
 
 
-class TestOptimizeLocations:
+class TestPolish:
     @pytest.mark.parametrize("shift", [1.0, 0.9])
     def test_center_held_at_zero(self, fig1_params, shift):
         # the polished 3-point law at A^2 = 2, its pair as certified and
-        # moved in by 10%: the pass moves the pair, never the center
+        # moved in by 10%: the polish moves the pair back, never the center,
+        # and returns the certified weights
         p = fig1_params(2.0)
         points, probs = secret_key_capacity(p).distribution.as_arrays()
         assert len(points) == 3
         u = np.array([0.0, shift * points[2]])
         w = np.array([probs[1], 2.0 * probs[2]])
-        u2, w2, _ = _optimize_locations(
+        u2, w2, _ = _polish(
             u, w, p.amplitude,
             _channel_stack(p.amplitude, TestMergeGroups.SECRET_KEY))
         assert u2[0] == 0.0 and u2[1] > 0.0
         assert u2[1] == pytest.approx(points[2], rel=0.0, abs=1e-6)
-        np.testing.assert_array_equal(w2, w)
+        np.testing.assert_allclose(w2, w, rtol=0.0, atol=1e-6)
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -480,9 +479,9 @@ _GROUPS = pytest.mark.parametrize("m,center,zero", [
 
 
 class TestSecondOrderSteps:
-    """R's exact weight and location derivatives against central
-    differences of _rate (the Newton weight solve's step count is checked
-    in TestWeightOptimizer::test_reaches_tolerance)."""
+    """R's exact joint (w, u) derivatives against central differences of
+    _rate (the Newton weight solve's step count is checked in
+    TestWeightOptimizer::test_reaches_tolerance)."""
 
     A = math.sqrt(5.0)
 
@@ -498,55 +497,54 @@ class TestSecondOrderSteps:
 
     @_STACKS
     @_GROUPS
-    def test_weight_derivatives(self, channels, m, center, zero):
+    def test_joint_derivatives(self, channels, m, center, zero):
         channels = _channel_stack(self.A, channels)
         u, w = self._state(m, center, zero)
-        phi = [k[0] for k in _group_kernels(u, channels)]
-        val, g, hess = _derivatives(u, w, channels, phi)
+        n = len(u)
+        val, g, hess = _derivatives(u, w, channels)
+        assert g.shape == (2 * n,) and hess.shape == (2 * n, 2 * n)
 
-        def rate(wv):
-            return _rate(*_expand(u, wv), channels)
+        def rate(x):
+            return _rate(*_expand(x[n:], x[:n]), channels)
 
-        assert val == rate(w)
-        # a weight below 0 drops out of _rate: difference on the others
-        pos = np.flatnonzero(w > 0.0)
-        want_g = _central_differences(rate, w, pos, 1e-5)[0]
-        np.testing.assert_allclose(g[pos], want_g, rtol=0.0, atol=1e-9)
-        want_h = _central_differences(rate, w, pos, 1e-4)[1]
-        np.testing.assert_allclose(hess[np.ix_(pos, pos)], want_h,
+        x = np.concatenate([w, u])
+        assert val == rate(x)
+        # a weight below 0 drops out of _rate, and moving the center would
+        # split it: central differences on the positive weights and the
+        # pair locations, cross block included
+        idx = np.concatenate([np.flatnonzero(w > 0.0),
+                              n + np.flatnonzero(u > 0.0)])
+        want_g = _central_differences(rate, x, idx, 1e-5)[0]
+        np.testing.assert_allclose(g[idx], want_g, rtol=0.0, atol=1e-9)
+        want_h = _central_differences(rate, x, idx, 1e-4)[1]
+        np.testing.assert_allclose(hess[np.ix_(idx, idx)], want_h,
                                    rtol=0.0, atol=1e-6)
         for i in np.flatnonzero(w == 0.0):
             # one-sided, second order: (-3 R(w) + 4 R(w + h) - R(w + 2h))/2h
-            e = np.eye(len(w))[i] * 1e-5
-            want = (-3.0 * val + 4.0 * rate(w + e) - rate(w + 2.0 * e)) / 2e-5
+            e = np.eye(2 * n)[i] * 1e-5
+            want = (-3.0 * val + 4.0 * rate(x + e) - rate(x + 2.0 * e)) / 2e-5
             assert g[i] == pytest.approx(want, rel=0.0, abs=1e-9)
-
-    @_STACKS
-    @_GROUPS
-    def test_location_derivatives(self, channels, m, center, zero):
-        channels = _channel_stack(self.A, channels)
-        u, w = self._state(m, center, zero)
-        val, g, hess = _derivatives(u, w, channels)
-
-        def rate(uv):
-            return _rate(*_expand(uv, w), channels)
-
-        assert val == rate(u)
-        # differences on the pairs: moving the center would split it
-        pairs = np.flatnonzero(u > 0.0)
-        want_g = _central_differences(rate, u, pairs, 1e-5)[0]
-        np.testing.assert_allclose(g[pairs], want_g, rtol=0.0, atol=1e-9)
-        want_h = _central_differences(rate, u, pairs, 1e-4)[1]
-        np.testing.assert_allclose(hess[np.ix_(pairs, pairs)], want_h,
-                                   rtol=0.0, atol=1e-6)
         if center:
-            # the center's gradient is 0 and it couples to no pair
-            off = np.delete(hess[0], 0)
-            assert g[0] == 0.0 and not off.any()
+            # the center's gradient is 0 and it couples to nothing else
+            assert g[n] == 0.0 and not np.delete(hess[n], n).any()
+            assert not np.delete(hess[:, n], n).any()
         if zero:
-            # R does not depend on a weightless pair's location
-            assert g[-2] == 0.0 and not hess[-2].any()
-            assert not hess[:, -2].any()
+            # R does not depend on a weightless pair's location; that
+            # location couples only to the pair's own weight
+            i = n + len(u) - 2
+            assert g[i] == 0.0 and not np.delete(hess[i], [i - n]).any()
+            assert not np.delete(hess[:, i], [i - n]).any()
+            # that entry: the one-sided weight derivative's central
+            # difference in the location
+            e_w, e_u = np.eye(2 * n)[i - n] * 1e-5, np.eye(2 * n)[i] * 1e-4
+
+            def weight_slope(y):
+                return (-3.0 * rate(y) + 4.0 * rate(y + e_w)
+                        - rate(y + 2.0 * e_w)) / 2e-5
+
+            want = (weight_slope(x + e_u) - weight_slope(x - e_u)) / 2e-4
+            assert hess[i, i - n] != 0.0
+            assert hess[i, i - n] == pytest.approx(want, rel=0.0, abs=1e-6)
 
 
 class TestPlainCapacity:
@@ -602,17 +600,19 @@ class TestSecretKeyCapacity:
         r_hi = secret_key_capacity(fig1_params(1.0), fast_cfg).rate_nats
         assert r_hi > r_lo
 
-    def test_escalation_sound(self, fig1_params):
+    def test_escalation_sound(self, fig1_params, monkeypatch):
         # one more mass point never lowers the optimized rate: each law is
         # grown from the last and polished from there, so along the trace
-        # (seven steps at A^2 = 20, three of them merging a grown pair back)
-        # no step's rate falls below the one before it
+        # (four steps at A^2 = 20 from the 2-point start law +-A) no step's
+        # rate falls below the one before it
+        monkeypatch.setattr(solver, "maxentropic_scheme",
+                            lambda a, k: maxentropic_scheme(a, 2))
         p = fig1_params(20.0)
         eq = equivalent_channel(p)
         for rep in (secret_key_capacity(p),
                     plain_capacity(p.amplitude, math.sqrt(eq.var_eq))):
             rates = [step.rate_nats for step in rep.trace]
-            assert len(rates) >= 5
+            assert rep.trace[0].K_tried == 2 and len(rates) >= 4
             assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_trace_has_one_step_per_kkt_profile(self, fig1_params,
@@ -625,12 +625,14 @@ class TestSecretKeyCapacity:
             return kkt_profile(*args)
 
         monkeypatch.setattr(solver, "_kkt_profile", counting)
-        rep = secret_key_capacity(fig1_params(2.0))
+        rep = secret_key_capacity(fig1_params(50.0))
         assert len(rep.trace) == len(profiles)
-        assert [step.K_tried for step in rep.trace] == [2, 3]
+        # the equispaced start law of ceil(1.6 A) = 12 points polishes to
+        # 10 and fails; one growth step certifies 11
+        assert [step.K_tried for step in rep.trace] == [12, 11]
         # the certified step is the report's, every earlier one failed
         last = rep.trace[-1]
-        assert last.K == rep.num_points_K == 3
+        assert last.K == rep.num_points_K == 11
         assert last.kkt_violation == rep.kkt_max_violation <= 1e-6
         assert all(step.kkt_violation > 1e-6 for step in rep.trace[:-1])
 
@@ -655,7 +657,23 @@ class TestSecretKeyCapacity:
         monkeypatch.setattr(solver, "_grow", lambda u, w, *_: (u, w))
         with pytest.raises(NoConvergence) as info:
             secret_key_capacity(fig1_params(20.0), SolverConfig(max_K=5))
-        assert [step.K_tried for step in info.value.trace] == [2, 2, 2, 2]
+        # max_K = 5 also sizes the start law: 5 points, not ceil(1.6 A) = 8
+        assert [step.K_tried for step in info.value.trace] == [5, 5, 5, 5]
+
+    @pytest.mark.parametrize("a2,floor", [
+        (20.0, 0.449046613531), (50.0, 0.492032844077),
+        (100.0, 0.514025244828),
+    ])
+    def test_certifies_within_two_profiles(self, fig1_params, a2, floor):
+        # the joint (w, u) polish from the equispaced start law certifies
+        # each row within two KKT profiles, no loop at its step cap, and at
+        # a C_k no lower than an alternating weight/location polish grown
+        # from +-A reached in 7, 7 and 21 profiles
+        rep = secret_key_capacity(fig1_params(a2))
+        assert len(rep.trace) <= 2
+        assert not any(step.capped for step in rep.trace)
+        assert rep.kkt_max_violation <= 1e-6
+        assert rep.rate_nats >= floor
 
 
 class TestCapacityWrappers:
@@ -690,3 +708,13 @@ class TestSolverConfigContract:
             SolverConfig(max_K=0)
         with pytest.raises(ValueError):
             SolverConfig(max_K=1)  # escalation starts at K=2
+
+    @pytest.mark.parametrize("max_k", [math.nan, math.inf, 2.5, 4.0, "8",
+                                       None])
+    def test_rejects_non_integers(self, max_k):
+        # max_K sizes the start law: an integer of at least 2 or nothing
+        with pytest.raises(ValueError, match="integer of at least 2"):
+            SolverConfig(max_K=max_k)
+
+    def test_accepts_numpy_integers(self):
+        assert SolverConfig(max_K=np.int64(5)).max_K == 5
