@@ -460,13 +460,15 @@ class TestKKTProfile:
         assert got >= _dense_violation(points, probs, stack, a) - 1e-13
 
 
-def _central_differences(f, x, idx, h):
-    """Gradient and Hessian of f over the coordinates idx of x from central
-    differences of step h (the Hessian from second differences of f)."""
+def _central_differences(f, x, idx, h, cols=None):
+    """Gradient of f over the coordinates idx of x, and its Hessian's rows
+    idx and columns cols (idx by default), from central differences of step
+    h (the Hessian from second differences of f)."""
     e = np.eye(len(x))[idx] * h
+    c = e if cols is None else np.eye(len(x))[cols] * h
     grad = np.array([(f(x + ei) - f(x - ei)) / (2.0 * h) for ei in e])
     hess = np.array([[(f(x + ei + ek) - f(x + ei - ek) - f(x - ei + ek)
-                       + f(x - ei - ek)) / (4.0 * h * h) for ek in e]
+                       + f(x - ei - ek)) / (4.0 * h * h) for ek in c]
                      for ei in e])
     return grad, hess
 
@@ -495,9 +497,12 @@ class TestSecondOrderSteps:
             w /= w.sum()
         return u, w
 
-    @_STACKS
-    @_GROUPS
-    def test_joint_derivatives(self, channels, m, center, zero):
+    def _derivatives(self, channels, m, center, zero):
+        """The state, _derivatives' value, gradient and Hessian there, _rate
+        as a function of x = (w, u), and the coordinates central
+        differences may move: a weight below 0 drops out of _rate, and
+        moving the center would split it, so the positive weights and the
+        pair locations."""
         channels = _channel_stack(self.A, channels)
         u, w = self._state(m, center, zero)
         n = len(u)
@@ -509,21 +514,35 @@ class TestSecondOrderSteps:
 
         x = np.concatenate([w, u])
         assert val == rate(x)
-        # a weight below 0 drops out of _rate, and moving the center would
-        # split it: central differences on the positive weights and the
-        # pair locations, cross block included
-        idx = np.concatenate([np.flatnonzero(w > 0.0),
-                              n + np.flatnonzero(u > 0.0)])
-        want_g = _central_differences(rate, x, idx, 1e-5)[0]
-        np.testing.assert_allclose(g[idx], want_g, rtol=0.0, atol=1e-9)
-        want_h = _central_differences(rate, x, idx, 1e-4)[1]
-        np.testing.assert_allclose(hess[np.ix_(idx, idx)], want_h,
+        return (x, n, val, g, hess, rate, np.flatnonzero(w > 0.0),
+                n + np.flatnonzero(u > 0.0))
+
+    @_STACKS
+    @_GROUPS
+    def test_weight_derivatives(self, channels, m, center, zero):
+        x, n, val, g, hess, rate, iw, _ = self._derivatives(
+            channels, m, center, zero)
+        want_g = _central_differences(rate, x, iw, 1e-5)[0]
+        np.testing.assert_allclose(g[iw], want_g, rtol=0.0, atol=1e-9)
+        want_h = _central_differences(rate, x, iw, 1e-4)[1]
+        np.testing.assert_allclose(hess[np.ix_(iw, iw)], want_h,
                                    rtol=0.0, atol=1e-6)
-        for i in np.flatnonzero(w == 0.0):
+        for i in np.flatnonzero(x[:n] == 0.0):
             # one-sided, second order: (-3 R(w) + 4 R(w + h) - R(w + 2h))/2h
             e = np.eye(2 * n)[i] * 1e-5
             want = (-3.0 * val + 4.0 * rate(x + e) - rate(x + 2.0 * e)) / 2e-5
             assert g[i] == pytest.approx(want, rel=0.0, abs=1e-9)
+
+    @_STACKS
+    @_GROUPS
+    def test_location_derivatives(self, channels, m, center, zero):
+        x, n, _, g, hess, rate, _, iu = self._derivatives(
+            channels, m, center, zero)
+        want_g = _central_differences(rate, x, iu, 1e-5)[0]
+        np.testing.assert_allclose(g[iu], want_g, rtol=0.0, atol=1e-9)
+        want_h = _central_differences(rate, x, iu, 1e-4)[1]
+        np.testing.assert_allclose(hess[np.ix_(iu, iu)], want_h,
+                                   rtol=0.0, atol=1e-6)
         if center:
             # the center's gradient is 0 and it couples to nothing else
             assert g[n] == 0.0 and not np.delete(hess[n], n).any()
@@ -531,11 +550,25 @@ class TestSecondOrderSteps:
         if zero:
             # R does not depend on a weightless pair's location; that
             # location couples only to the pair's own weight
-            i = n + len(u) - 2
+            i = 2 * n - 2
             assert g[i] == 0.0 and not np.delete(hess[i], [i - n]).any()
             assert not np.delete(hess[:, i], [i - n]).any()
-            # that entry: the one-sided weight derivative's central
-            # difference in the location
+
+    @_STACKS
+    @_GROUPS
+    def test_joint_derivatives(self, channels, m, center, zero):
+        # the (w, u) cross block; the diagonal blocks are checked above
+        x, n, _, _, hess, rate, iw, iu = self._derivatives(
+            channels, m, center, zero)
+        want_h = _central_differences(rate, x, iw, 1e-4, iu)[1]
+        np.testing.assert_allclose(hess[np.ix_(iw, iu)], want_h,
+                                   rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(hess[np.ix_(iu, iw)], want_h.T,
+                                   rtol=0.0, atol=1e-6)
+        if zero:
+            # a weightless pair's one nonzero Hessian entry: the one-sided
+            # weight derivative's central difference in the location
+            i = 2 * n - 2
             e_w, e_u = np.eye(2 * n)[i - n] * 1e-5, np.eye(2 * n)[i] * 1e-4
 
             def weight_slope(y):
