@@ -5,20 +5,21 @@ first and second derivatives are sums over the nodes of the entropy rule
 (`differential_entropy`) on [-A - 10 sigma, A + 10 sigma], laid out once per
 solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
 
-The search starts from the equispaced law of min(max_K, ceil(1.6 A))
-points, 2 at least. Each law is polished (a weight solve, one Newton ascent
-over weights and pair locations together, a merge, a weight solve) and
-accepted once the marginal density
+The search starts from the equispaced law of min(max_K, ceil(1.3 A /
+sigma_min)) points, 2 at least, sigma_min the smallest noise std of the
+stack: like the capacity, the start depends on A / sigma alone. Each law is
+polished (a weight solve, one Newton ascent over weights and pair locations
+together, a merge, a weight solve) and accepted once the marginal density
 
     s(x; F) = sum_c sign_c * D( p_c(.|x) || f_{F,c} )
 
 is below the achieved rate everywhere on [-A, A] (equality at mass points),
 which certifies optimality for these concave objectives; the average of s
 over F is the rate. s is even: the certificate takes it on [0, A] at a
-lattice spaced sigma_min / 4 or less (sigma_min the smallest noise std of
-the stack), the mass points and each maximum in between (Newton steps on
-s'), and mirrors it. Otherwise a point of weight 1e-3 is added where s is
-largest (Smith 1971; Huang & Meyn 2005); the grown law is polished next.
+lattice spaced sigma_min / 4 or less, the mass points and each maximum in
+between (Newton steps on s'), and mirrors it. Otherwise a point of weight
+1e-3 is added where s is largest (Smith 1971; Huang & Meyn 2005); the grown
+law is polished next.
 
 A law is ascending group locations u >= 0 and aligned group weights w: the
 group at exactly u = 0 is the center point, every other group the pair +-u
@@ -384,14 +385,13 @@ def _kkt_profile(points, probs, channels, amplitude, cells=None):
 
 
 def _capacity(amplitude, channels, cfg, rate_of):
-    """Grow the law from the equispaced one of min(max_K, ceil(1.6 A))
-    points, 2 at least, until the KKT certificate holds (at most max_K
-    points, max_K - 1 profiles); the reported rate is rate_of applied to the
-    certified law's DiscreteScheme. channels holds (sigma, sign) pairs; their
-    nodes are laid out once here."""
+    """Grow the law from the equispaced start law until the KKT certificate
+    holds (at most max_K points, max_K - 1 profiles); the reported rate is
+    rate_of applied to the certified law's DiscreteScheme. channels holds
+    (sigma, sign) pairs; their nodes are laid out once here."""
     channels = _channel_stack(amplitude, channels)
-    points = maxentropic_scheme(amplitude, min(cfg.max_K, max(
-        2, math.ceil(1.6 * amplitude)))).dist.as_arrays()[0]
+    points = maxentropic_scheme(amplitude, min(cfg.max_K, max(2, math.ceil(
+        1.3 * amplitude / min(c[0] for c in channels))))).dist.as_arrays()[0]
     u = points[points >= 0.0]
     w = np.where(u > 0.0, 2.0, 1.0) / len(points)
     trace = []

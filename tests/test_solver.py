@@ -660,8 +660,8 @@ class TestSecretKeyCapacity:
         monkeypatch.setattr(solver, "_kkt_profile", counting)
         rep = secret_key_capacity(fig1_params(50.0))
         assert len(rep.trace) == len(profiles)
-        # the equispaced start law of ceil(1.6 A) = 12 points polishes to
-        # 10 and fails; one growth step certifies 11
+        # the equispaced start law of ceil(1.3 A / sigma_eq) = 12 points
+        # polishes to 10 and fails; one growth step certifies 11
         assert [step.K_tried for step in rep.trace] == [12, 11]
         # the certified step is the report's, every earlier one failed
         last = rep.trace[-1]
@@ -690,7 +690,8 @@ class TestSecretKeyCapacity:
         monkeypatch.setattr(solver, "_grow", lambda u, w, *_: (u, w))
         with pytest.raises(NoConvergence) as info:
             secret_key_capacity(fig1_params(20.0), SolverConfig(max_K=5))
-        # max_K = 5 also sizes the start law: 5 points, not ceil(1.6 A) = 8
+        # max_K = 5 also sizes the start law: 5 points, not
+        # ceil(1.3 A / sigma_eq) = 8
         assert [step.K_tried for step in info.value.trace] == [5, 5, 5, 5]
 
     @pytest.mark.parametrize("a2,floor", [
@@ -707,6 +708,17 @@ class TestSecretKeyCapacity:
         assert not any(step.capped for step in rep.trace)
         assert rep.kkt_max_violation <= 1e-6
         assert rep.rate_nats >= floor
+
+    @pytest.mark.parametrize("a2,scale", [(500.0, 0.01), (20.0, 100.0)])
+    def test_depends_on_amplitude_over_sigma_alone(self, a2, scale):
+        # (cA, c^2 var_d, c^2 var_e) has the capacity of (A, var_d, var_e);
+        # the start law is sized in noise units, so the solve finds the same
+        # K and C_k at either scale (A^2 = 5 at var_d 0.01 is A^2 = 500 at 1)
+        reps = [secret_key_capacity(ChannelParams(
+            math.sqrt(a2 * c), c, 2.0 * c)) for c in (1.0, scale)]
+        assert reps[0].num_points_K == reps[1].num_points_K
+        assert reps[1].rate_nats == pytest.approx(reps[0].rate_nats,
+                                                  abs=1e-9)
 
 
 class TestCapacityWrappers:
