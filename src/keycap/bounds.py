@@ -34,9 +34,9 @@ def lower_bound_1(
 
 
 def lower_bound_2(params: ChannelParams, beta: float) -> float:
-    """Closed-form lower bound with free parameter beta > 0."""
-    if beta <= 0.0:
-        raise InvalidBeta(f"beta must be positive, got {beta}")
+    """Closed-form lower bound with free parameter 0 < beta < inf."""
+    if not 0.0 < beta < math.inf:
+        raise InvalidBeta(f"beta must be positive and finite, got {beta}")
     eq = equivalent_channel(params)
     a = params.amplitude
     sigma_e = math.sqrt(eq.var_e)

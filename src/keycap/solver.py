@@ -5,19 +5,22 @@ first and second derivatives are sums over the nodes of the entropy rule
 (`differential_entropy`) on [-A - 10 sigma, A + 10 sigma], laid out once per
 solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
 
-The search starts from the equispaced law of min(max_K, ceil(1.3 A /
-sigma_min)) points, 2 at least, sigma_min the smallest noise std of the
-stack: like the capacity, the start depends on A / sigma alone. Each law is
-polished (a weight solve, one Newton ascent over weights and pair locations
-together, a merge, a weight solve) and accepted once the marginal density
+The solve runs in noise units: A and every noise std of the stack are
+divided by the smallest, sigma_min, so that, like the capacity, it depends
+on A / sigma alone; the certified points are scaled back. Below, lengths
+are in these units. The search starts from the equispaced law of
+min(max_K, ceil(1.3 A)) points, 2 at least. Each law is polished by one
+projected Newton ascent (`_ascend`), run over the weights, then over the
+weights and pair locations together, then after a merge over the weights
+again, and accepted once the marginal density
 
     s(x; F) = sum_c sign_c * D( p_c(.|x) || f_{F,c} )
 
 is below the achieved rate everywhere on [-A, A] (equality at mass points),
 which certifies optimality for these concave objectives; the average of s
 over F is the rate. s is even: the certificate takes it on [0, A] at a
-lattice spaced sigma_min / 4 or less, the mass points and each maximum in
-between (Newton steps on s'), and mirrors it. Otherwise a point of weight
+lattice spaced 1/4 or less, the mass points and each maximum in between
+(Newton steps on s'), and mirrors it. Otherwise a point of weight
 1e-3 is added where s is largest (Smith 1971; Huang & Meyn 2005); the grown
 law is polished next.
 
@@ -26,7 +29,7 @@ group at exactly u = 0 is the center point, every other group the pair +-u
 with half its weight at each, so every law is exactly mirror-symmetric. The
 joint step moves the pairs in [1e-9 A, A] and holds the center at 0; after
 it, zero-weight groups are dropped and mass points closer than
-1e-2 * min(sigma_min, A) merge: two pairs into one at their weighted mean,
+1e-2 * min(1, A) merge: two pairs into one at their weighted mean,
 an innermost pair into the center (the A term keeps +-A apart at tiny
 amplitudes).
 """
@@ -76,7 +79,7 @@ class EscalationStep(NamedTuple):
     """One polished law: the point count of its start law, the K of the law
     the polish returned, that law's R(F) and KKT violation (C_k is in
     [R(F), R(F) + violation]), the Newton steps of the polish's two weight
-    solves and of its joint (w, u) loop, and whether one loop was capped."""
+    ascents and of its joint (w, u) ascent, and whether one was capped."""
 
     K_tried: int
     K: int
@@ -94,7 +97,6 @@ class SolverReport:
     quad_error: float
     num_points_K: int
     kkt_max_violation: float
-    kkt_grid: tuple[tuple[float, float], ...]
     # one step per KKT profile paid for, the certified one last
     trace: tuple[EscalationStep, ...]
 
@@ -256,69 +258,62 @@ def _newton_step(g, hess, free_w, free_u):
             float(np.max(np.abs(g_r), initial=0.0)))
 
 
-def _optimize_weights(u, w, channels):
-    """Newton ascent of R (concave in w) on the simplex's face of nonzero
-    weights, a projected-gradient step only to change the face, until
-    max|P(w + g) - w| <= _INNER_TOLERANCE. Returns (w, R, residual, steps)."""
-    w, n = np.asarray(w, float), len(w)
-    kernels = _group_kernels(u, channels)
+def _ascend(u, w, amplitude, channels, move):
+    """Projected Newton ascent of R over the nonzero weights and, if move,
+    the pair locations, projected on [_PAIR_FLOOR A, A] and held at a bound
+    the gradient pushes past (the center stays at 0), until max(|P(w + g) -
+    w|, |dR/du| of the free pairs) <= _INNER_TOLERANCE; a projected-gradient
+    step in w only to change the face. Returns (u, w, steps)."""
+    n, pair = len(u), u > 0.0
+    lo = _PAIR_FLOOR * amplitude * pair
+    kernels = None if move else _group_kernels(u, channels)
     val, g, hess = _derivatives(u, w, channels, kernels)
     for steps in range(_NEWTON_STEPS + 1):
         pg = project_simplex(w + g[:n]) - w
-        residual = float(np.max(np.abs(pg)))
+        free_u = move & pair & (w > 0.0) & (
+            (u < amplitude) | (g[n:] <= 0.0)) & ((u > lo) | (g[n:] >= 0.0))
+        residual = max(float(np.max(np.abs(pg))),
+                       float(np.max(np.abs(g[n:][free_u]), initial=0.0)))
         if residual <= _INNER_TOLERANCE or steps == _NEWTON_STEPS:
             break
-        d, flat = _newton_step(g, hess, w > 0.0, np.zeros(n, bool))
-        found = _backtrack(
-            w, _cut_at_zero(w, pg if flat <= _INNER_TOLERANCE else d[:n]),
-            val, lambda v: _derivatives(u, v, channels, kernels), _simplex)
-        if found is None:
-            break
-        w, (val, g, hess) = found
-    return w, val, residual, steps
-
-
-def _polish(u, w, amplitude, channels):
-    """A weight solve; Newton ascent over the nonzero weights and the pair
-    locations together (`_newton_step`), the pairs projected on [_PAIR_FLOOR
-    A, A] and held at a bound the gradient pushes past, until the reduced
-    gradient is below _INNER_TOLERANCE; a merge; a closing weight solve.
-    Returns the state and (weight steps, joint steps, whether one capped)."""
-    w, _, _, first = _optimize_weights(u, w, channels)
-    n, pair = len(u), u > 0.0
-    lo = _PAIR_FLOOR * amplitude * pair
-    val, g, hess = _derivatives(u, w, channels)
-    for steps in range(_NEWTON_STEPS + 1):
-        d, residual = _newton_step(g, hess, w > 0.0, pair & (w > 0.0) & (
-            (u < amplitude) | (g[n:] <= 0.0)) & ((u > lo) | (g[n:] >= 0.0)))
-        if residual <= _INNER_TOLERANCE or steps == _NEWTON_STEPS:
-            break
+        d, flat = _newton_step(g, hess, w > 0.0, free_u)
+        if flat <= _INNER_TOLERANCE:
+            d = np.concatenate([pg, np.zeros(n)])
         found = _backtrack(
             np.concatenate([w, u]), _cut_at_zero(w, d), val,
-            lambda x: _derivatives(x[n:], x[:n], channels),
+            lambda x: _derivatives(x[n:], x[:n], channels, kernels),
             lambda x: np.concatenate([_simplex(x[:n]),
                                       np.clip(x[n:], lo, amplitude)]))
         if found is None:
             break
         (w, u), (val, g, hess) = np.split(found[0], 2), found[1]
+    return u, w, steps
+
+
+def _polish(u, w, amplitude, channels):
+    """`_ascend` in the weights, jointly, and after a merge in the weights
+    again. Returns the state and (weight steps, joint steps, whether one
+    ascent capped)."""
+    u, w, first = _ascend(u, w, amplitude, channels, False)
+    u, w, steps = _ascend(u, w, amplitude, channels, True)
     order = np.argsort(u)
-    u, w = _merge_groups(u[order], w[order], amplitude, channels)
-    w, _, _, last = _optimize_weights(u, w, channels)
-    # drop what the closing weight solve zeroed
+    u, w = _merge_groups(u[order], w[order], amplitude)
+    u, w, last = _ascend(u, w, amplitude, channels, False)
+    # drop what the closing weight ascent zeroed
     return u[w > 0.0], w[w > 0.0], (
         first + last, steps, _NEWTON_STEPS in (first, steps, last))
 
 
-def _merge_gap(amplitude, channels):
-    return 1e-2 * min(min(sigma for sigma, *_ in channels), amplitude)
+def _merge_gap(amplitude):
+    return 1e-2 * min(1.0, amplitude)
 
 
-def _merge_groups(u, w, amplitude, channels):
+def _merge_groups(u, w, amplitude):
     """Drop zero-weight groups, then merge mass points closer than the
     merge gap: an innermost pair within it of its mirror image becomes the
     center, pairs within it of the center fold into it, and two pairs merge
     at their weighted mean."""
-    gap = _merge_gap(amplitude, channels)
+    gap = _merge_gap(amplitude)
     w = np.asarray(w, float)
     u, w = list(np.asarray(u, float)[w > 0.0]), list(w[w > 0.0])
     if 2.0 * u[0] < gap:
@@ -338,27 +333,26 @@ def _merge_groups(u, w, amplitude, channels):
     return np.asarray(u), np.asarray(w)
 
 
-def _grow(u, w, grid, s_grid, amplitude, channels):
+def _grow(u, w, grid, s_grid, amplitude):
     """The law with a point of weight _GROWTH_WEIGHT added where the even
     profile s_grid on grid is largest, the other weights scaled to make
     room: the center if that is within the merge gap of 0 and the law has
     none, else a pair, at _PAIR_FLOOR A or above."""
     x = max(abs(float(grid[np.argmax(s_grid)])), _PAIR_FLOOR * amplitude)
-    if x < _merge_gap(amplitude, channels) and u[0] > 0.0:
+    if x < _merge_gap(amplitude) and u[0] > 0.0:
         x = 0.0
     i = int(np.searchsorted(u, x))
     w = np.asarray(w, float) * (1.0 - _GROWTH_WEIGHT)
     return np.insert(u, i, x), np.insert(w, i, _GROWTH_WEIGHT)
 
 
-def _kkt_profile(points, probs, channels, amplitude, cells=None):
-    """An even law's certificate: s at cells + 1 points of [0, A] (by default
-    spaced sigma_min / 4 or less), at |mass points| and at the maximum in
-    each cell s' falls through 0 in (safeguarded Newton from the secant root).
-    Returns them and s mirrored, R(F), max(s - R, |s - R| at mass points)."""
+def _kkt_profile(points, probs, channels, amplitude, cells):
+    """An even law's certificate: s at cells + 1 points of [0, A], at |mass
+    points| and at the maximum in each cell s' falls through 0 in
+    (safeguarded Newton from the secant root). Returns them and s mirrored,
+    R(F), max(s - R, |s - R| at mass points)."""
     log_fs = []
     rate_ref = _rate(points, probs, channels, log_fs)
-    cells = cells or math.ceil(4.0 * amplitude / min(c[0] for c in channels))
     half = np.unique(np.concatenate(
         [np.linspace(0.0, amplitude, cells + 1), np.abs(points)]))
     s_half, ds, _ = _marginal_density(half, channels, log_fs)
@@ -388,28 +382,33 @@ def _capacity(amplitude, channels, cfg, rate_of):
     """Grow the law from the equispaced start law until the KKT certificate
     holds (at most max_K points, max_K - 1 profiles); the reported rate is
     rate_of applied to the certified law's DiscreteScheme. channels holds
-    (sigma, sign) pairs; their nodes are laid out once here."""
-    channels = _channel_stack(amplitude, channels)
-    points = maxentropic_scheme(amplitude, min(cfg.max_K, max(2, math.ceil(
-        1.3 * amplitude / min(c[0] for c in channels))))).dist.as_arrays()[0]
+    (sigma, sign) pairs. The solve runs in noise units: A and every sigma
+    are divided by sigma_min, the stack's nodes laid out once at that scale,
+    and the certified points scaled back."""
+    scale = min(sigma for sigma, _ in channels)
+    a = amplitude / scale
+    channels = _channel_stack(a, [(sigma / scale, sign)
+                                  for sigma, sign in channels])
+    points = maxentropic_scheme(a, min(cfg.max_K, max(2, math.ceil(
+        1.3 * a)))).dist.as_arrays()[0]
     u = points[points >= 0.0]
     w = np.where(u > 0.0, 2.0, 1.0) / len(points)
     trace = []
     while (len(trace) < cfg.max_K - 1
            and (num_points := 2 * len(u) - int(u[0] == 0.0)) <= cfg.max_K):
-        u, w, steps = _polish(u, w, amplitude, channels)
+        u, w, steps = _polish(u, w, a, channels)
         points, probs = _expand(u, w)
         grid, s_grid, rate, violation = _kkt_profile(
-            points, probs, channels, amplitude)
+            points, probs, channels, a, math.ceil(4.0 * a))
         trace.append(EscalationStep(num_points, len(points), rate, violation,
                                     *steps))
         if violation <= _KKT_TOLERANCE:
+            points = np.clip(points * scale, -amplitude, amplitude)
             dist = DiscreteDistribution(tuple(points), tuple(probs))
             rate = rate_of(DiscreteScheme(dist))
-            return SolverReport(
-                dist, rate.nats, rate.quad_error, len(points), violation,
-                tuple(zip(grid.tolist(), s_grid.tolist())), tuple(trace))
-        u, w = _grow(u, w, grid, s_grid, amplitude, channels)
+            return SolverReport(dist, rate.nats, rate.quad_error, len(points),
+                                violation, tuple(trace))
+        u, w = _grow(u, w, grid, s_grid, a)
     best_violation = min(step.kkt_violation for step in trace)
     raise NoConvergence(
         f"no KKT certificate up to K={cfg.max_K} "

@@ -53,6 +53,10 @@ class TestLowerBound2:
             lower_bound_2(_params(1.0), 0.0)
         with pytest.raises(InvalidBeta):
             lower_bound_2(_params(1.0), -1.0)
+        # NaN fails every comparison and inf makes the bound nan: both raise
+        for beta in (math.nan, math.inf):
+            with pytest.raises(InvalidBeta, match="positive and finite"):
+                lower_bound_2(_params(1.0), beta)
 
     def test_negative_at_moderate_amplitude(self):
         # this closed form only becomes useful at large amplitude

@@ -18,13 +18,13 @@ from keycap import (
 )
 from keycap import solver
 from keycap.solver import (
+    _ascend,
     _channel_stack,
     _derivatives,
     _expand,
     _grow,
     _marginal_density,
     _merge_groups,
-    _optimize_weights,
     _polish,
     _rate,
     project_simplex,
@@ -37,6 +37,11 @@ def _profile(x, points, probs, channels):
     log_fs = []
     _rate(points, probs, channels, log_fs)
     return _marginal_density(x, channels, log_fs)
+
+
+def _cells(a, channels):
+    """Lattice cells of [0, A] spaced sigma_min / 4 or less."""
+    return math.ceil(4.0 * a / min(sigma for sigma, *_ in channels))
 
 
 class TestProjectSimplex:
@@ -60,20 +65,30 @@ class TestProjectSimplex:
             project_simplex(np.array([1.0, 0.0])), [1.0, 0.0], atol=1e-15)
 
 
+def _weight_residual(u, w, channels):
+    """max|P(w + g) - w|: the weight ascent's stopping residual."""
+    g = _derivatives(u, w, channels)[1]
+    return float(np.max(np.abs(project_simplex(w + g[:len(w)]) - w)))
+
+
 class TestWeightOptimizer:
+    """`_ascend` over the weights alone: the locations stay where they are."""
+
     def test_stationarity_residual(self):
         channels = _channel_stack(1.0, ((1.0, 1.0),))
         u = np.array([1.0])
-        w, _, residual, _ = _optimize_weights(u, np.array([1.0]), channels)
-        assert residual <= 1e-9
+        u2, w, _ = _ascend(u, np.array([1.0]), 1.0, channels, False)
+        np.testing.assert_array_equal(u2, u)
+        assert _weight_residual(u, w, channels) <= 1e-9
         assert w[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_improves_rate(self):
         channels = _channel_stack(2.0, ((1.0, 1.0),))
         u = np.array([0.5, 2.0])
         w0 = np.array([0.9, 0.1])
-        before = -np.inf
-        w, after, _, _ = _optimize_weights(u, w0, channels)
+        u2, w, _ = _ascend(u, w0, 2.0, channels, False)
+        np.testing.assert_array_equal(u2, u)
+        after = _rate(*_expand(u, w), channels)
         pts = np.concatenate([-u[::-1], u])
         pr0 = np.concatenate([w0[::-1], w0]) / 2.0
         before = _rate(pts, pr0, channels)
@@ -88,10 +103,9 @@ class TestWeightOptimizer:
         # the residual below the fine tolerance in a few steps, not spin to
         # its step cap
         a = math.sqrt(2.0)
-        _, _, residual, steps = _optimize_weights(
-            np.array([0.0, a]), np.array([0.5, 0.5]),
-            _channel_stack(a, channels))
-        assert residual <= 1e-9 and steps <= 10
+        u, channels = np.array([0.0, a]), _channel_stack(a, channels)
+        _, w, steps = _ascend(u, np.array([0.5, 0.5]), a, channels, False)
+        assert _weight_residual(u, w, channels) <= 1e-9 and steps <= 10
 
 
 class TestMergeGroups:
@@ -100,11 +114,11 @@ class TestMergeGroups:
 
     def test_close_pairs_merge(self):
         # two pairs 8e-4 apart, as a fresh-start 9-point polish left them
-        # at A^2 = 20; the gap is 1e-2 sigma_min = 8.2e-3, far above 1e-9 A
+        # at A^2 = 20; the gap is 1e-2 (in noise units), far above 1e-9 A
         a = math.sqrt(20.0)
         u = np.array([0.0, 1.0, 2.61317, 2.61397, a])
         w = np.array([0.2, 0.2, 0.1, 0.3, 0.2])
-        u2, w2 = _merge_groups(u, w, a, _channel_stack(a, self.SECRET_KEY))
+        u2, w2 = _merge_groups(u, w, a)
         np.testing.assert_allclose(
             u2, [0.0, 1.0, (0.1 * 2.61317 + 0.3 * 2.61397) / 0.4, a],
             rtol=1e-15)
@@ -113,8 +127,7 @@ class TestMergeGroups:
     def test_tiny_amplitude_pair_kept(self):
         # the gap is 1e-2 A here, so +-A, 2A apart, stay two points
         a = 1e-10
-        u2, w2 = _merge_groups(np.array([a]), np.array([1.0]), a,
-                               _channel_stack(a, self.SECRET_KEY))
+        u2, w2 = _merge_groups(np.array([a]), np.array([1.0]), a)
         assert list(u2) == [a] and list(w2) == [1.0]
 
     @pytest.mark.parametrize("u,w,want_w", [
@@ -126,8 +139,7 @@ class TestMergeGroups:
         # (ids: whether the law has a center) 1e-3 from the center (2e-3
         # across the pair) is inside the gap 1e-2 at sigma = A = 1, and so
         # is 6e-3 once the innermost pair became the center, at exactly 0
-        u2, w2 = _merge_groups(np.array(u), np.array(w), 1.0,
-                               _channel_stack(1.0, ((1.0, 1.0),)))
+        u2, w2 = _merge_groups(np.array(u), np.array(w), 1.0)
         np.testing.assert_array_equal(u2, [0.0, 1.0])
         np.testing.assert_allclose(w2, want_w, rtol=1e-15)
 
@@ -140,7 +152,7 @@ class TestMergeGroups:
         w = np.array([0.4, 0.3, 0.0, 0.3])
         if center:
             u, w = np.concatenate([[0.0], u]), np.concatenate([[0.0], w])
-        u2, w2 = _merge_groups(u, w, a, _channel_stack(a, self.SECRET_KEY))
+        u2, w2 = _merge_groups(u, w, a)
         np.testing.assert_array_equal(u2, [1.0, 2.57, a])
         np.testing.assert_array_equal(w2, [0.4, 0.3, 0.3])
 
@@ -151,8 +163,7 @@ class TestMergeGroups:
         assert len(points) == 3
         u, w = points[1:], np.array([probs[1], 2.0 * probs[2]])
         assert u[0] == 0.0
-        u2, w2 = _merge_groups(u, w, p.amplitude,
-                               _channel_stack(p.amplitude, self.SECRET_KEY))
+        u2, w2 = _merge_groups(u, w, p.amplitude)
         np.testing.assert_array_equal(u2, u)
         np.testing.assert_array_equal(w2, w)
 
@@ -164,16 +175,16 @@ class TestGrow:
     SECRET_KEY = TestMergeGroups.SECRET_KEY
 
     @staticmethod
-    def _check(u, w, grid, s_grid, a, channels):
+    def _check(u, w, grid, s_grid, a):
         """Grow and check the law against the profile; returns whether the
         new point is the center, and the new group's location."""
         u, w = np.asarray(u, float), np.asarray(w, float)
-        u2, w2 = _grow(u, w, grid, s_grid, a, channels)
+        u2, w2 = _grow(u, w, grid, s_grid, a)
         half = grid >= 0.0
         x = grid[half][np.argmax(s_grid[half])]
         added_center = u[0] > 0.0 and u2[0] == 0.0
         if added_center:
-            assert x < solver._merge_gap(a, channels)
+            assert x < solver._merge_gap(a)
         (i,) = np.flatnonzero(~np.isin(u2, u))
         assert u2[i] == (0.0 if added_center else max(x, 1e-9 * a))
         np.testing.assert_array_equal(np.delete(u2, i), u)
@@ -200,16 +211,15 @@ class TestGrow:
     ])
     def test_even_profiles(self, centered, peak, gaps, center):
         # s = -| |x| - peak |, peak + gaps merge gaps: the x >= 0 argmax is
-        # the grid point nearest it (the grid spacing is 0.55 merge gaps)
+        # the grid point nearest it (the grid spacing is 0.45 merge gaps)
         a = math.sqrt(20.0)
-        channels = _channel_stack(a, self.SECRET_KEY)
-        peak += gaps * solver._merge_gap(a, channels)
+        peak += gaps * solver._merge_gap(a)
         half = np.linspace(0.0, a, 1001)
         grid = np.concatenate([-half[:0:-1], half])
         s_grid = -np.abs(np.abs(grid) - peak)
         u, w = ([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]) if centered else (
             [1.0, 3.0], [0.6, 0.4])
-        added_center, x = self._check(u, w, grid, s_grid, a, channels)
+        added_center, x = self._check(u, w, grid, s_grid, a)
         assert added_center == center
         if centered and peak == 0.0:
             # a pair, not a second center: at the pair floor 1e-9 A
@@ -223,9 +233,9 @@ class TestGrow:
         channels = _channel_stack(a, self.SECRET_KEY)
         u, w, _ = _polish(np.array([a]), np.array([1.0]), a, channels)
         grid, s_grid, _, violation = solver._kkt_profile(
-            *_expand(u, w), channels, a)
+            *_expand(u, w), channels, a, _cells(a, self.SECRET_KEY))
         assert violation > 1e-6
-        assert self._check(u, w, grid, s_grid, a, channels)[0] == center
+        assert self._check(u, w, grid, s_grid, a)[0] == center
 
 
 class TestExpand:
@@ -414,7 +424,7 @@ class TestKKTProfile:
         points = np.array([-0.7123, 0.0, 0.7123])
         probs = np.array([0.3, 0.4, 0.3])
         grid, s_grid, _, _ = solver._kkt_profile(
-            points, probs, _channel_stack(a, channels), a)
+            points, probs, _channel_stack(a, channels), a, _cells(a, channels))
         assert np.array_equal(grid, -grid[::-1])
         assert np.array_equal(s_grid, s_grid[::-1])
         assert (grid[0], grid[-1]) == (-a, a)
@@ -436,26 +446,35 @@ class TestKKTProfile:
         rate = _rate(points, probs, channels)
         # on shared nodes the profile's own sum is R(F) up to rounding
         assert float(probs @ s_pts) == pytest.approx(rate, rel=0.0, abs=1e-14)
-        _, _, got_rate, got = solver._kkt_profile(points, probs, channels, a)
+        _, _, got_rate, got = solver._kkt_profile(
+            points, probs, channels, a, _cells(a, channels))
         assert got_rate == rate
         coarse = _violation_on(np.linspace(-a, a, solver._KKT_GRID_SIZE),
                                points, probs, channels)
         assert got >= coarse - 1e-14
         assert got >= _dense_violation(points, probs, channels, a) - 1e-13
 
-    @_STACKS
+    @pytest.mark.parametrize("channels", [
+        ((1.0, 1.0),), ((1.0, 1.0), (math.sqrt(3.0), -1.0)),
+    ], ids=["plain", "secret_key"])
     @pytest.mark.parametrize("a2", [0.5, 2.0, 20.0, 100.0])
     def test_certified_laws_above_dense_lattice(self, a2, channels):
         # the solver's certified laws, whose s peaks between mass points
-        # just under R: the refined maxima are not below the dense lattice
-        a = math.sqrt(a2)
+        # just under R: the refined maxima are not below the dense lattice.
+        # A^2 at var_d 1, var_e 2 is 1.5 A^2 at var_d 1.5, var_e 3, where
+        # sigma_min = sqrt(var_eq) = 1: the solve's noise units are the
+        # caller's, so the report's violation is this profile's exactly
+        a = math.sqrt(1.5 * a2)
         if len(channels) == 1:
-            rep = plain_capacity(a, channels[0][0])
+            rep = plain_capacity(a, 1.0)
         else:
-            rep = secret_key_capacity(ChannelParams(a, 1.0, 2.0))
+            params = ChannelParams(a, 1.5, 3.0)
+            assert solver._secret_key_channels(params) == channels
+            rep = secret_key_capacity(params)
         stack = _channel_stack(a, channels)
         points, probs = rep.distribution.as_arrays()
-        _, _, _, got = solver._kkt_profile(points, probs, stack, a)
+        _, _, _, got = solver._kkt_profile(points, probs, stack, a,
+                                           math.ceil(4.0 * a))
         assert got == rep.kkt_max_violation <= 1e-6
         assert got >= _dense_violation(points, probs, stack, a) - 1e-13
 
@@ -482,7 +501,7 @@ _GROUPS = pytest.mark.parametrize("m,center,zero", [
 
 class TestSecondOrderSteps:
     """R's exact joint (w, u) derivatives against central differences of
-    _rate (the Newton weight solve's step count is checked in
+    _rate (the weights-only ascent's step count is checked in
     TestWeightOptimizer::test_reaches_tolerance)."""
 
     A = math.sqrt(5.0)
@@ -608,7 +627,10 @@ class TestPlainCapacity:
     def test_kkt_certificate(self):
         rep = plain_capacity(1.0, 1.0)
         assert rep.kkt_max_violation <= 1e-6
-        s_max = max(s for _, s in rep.kkt_grid)
+        s_grid = solver._kkt_profile(
+            *rep.distribution.as_arrays(),
+            _channel_stack(1.0, ((1.0, 1.0),)), 1.0, 4)[1]
+        s_max = float(np.max(s_grid))
         assert s_max <= rep.rate_nats + 2e-6
 
 
@@ -709,16 +731,25 @@ class TestSecretKeyCapacity:
         assert rep.kkt_max_violation <= 1e-6
         assert rep.rate_nats >= floor
 
-    @pytest.mark.parametrize("a2,scale", [(500.0, 0.01), (20.0, 100.0)])
+    @pytest.mark.parametrize("a2,scale", [
+        (500.0, 0.01), (20.0, 100.0), (20.0, 0.01), (100.0, 0.01)])
     def test_depends_on_amplitude_over_sigma_alone(self, a2, scale):
         # (cA, c^2 var_d, c^2 var_e) has the capacity of (A, var_d, var_e);
-        # the start law is sized in noise units, so the solve finds the same
-        # K and C_k at either scale (A^2 = 5 at var_d 0.01 is A^2 = 500 at 1)
+        # the solve runs in noise units, so it takes the same path and finds
+        # the same K and C_k at either scale (A^2 = 5 at var_d 0.01 is
+        # A^2 = 500 at 1), on the secret-key and on the plain channel
         reps = [secret_key_capacity(ChannelParams(
             math.sqrt(a2 * c), c, 2.0 * c)) for c in (1.0, scale)]
         assert reps[0].num_points_K == reps[1].num_points_K
+        assert ([s.K_tried for s in reps[0].trace]
+                == [s.K_tried for s in reps[1].trace])
         assert reps[1].rate_nats == pytest.approx(reps[0].rate_nats,
-                                                  abs=1e-9)
+                                                  abs=1e-12)
+        plain = [plain_capacity(math.sqrt(a2 * c), math.sqrt(c))
+                 for c in (1.0, scale)]
+        assert plain[0].num_points_K == plain[1].num_points_K
+        assert plain[1].rate_nats == pytest.approx(plain[0].rate_nats,
+                                                   abs=1e-12)
 
 
 class TestCapacityWrappers:
