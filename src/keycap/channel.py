@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UnsupportedScheme
-from .inputs import InputScheme
+from .inputs import InputScheme, _check_positive_finite
 from .numerics import RateResult, differential_entropy, scheme_output_density
 
 _SUPPORT_SLACK = 1e-12
@@ -29,13 +29,8 @@ class ChannelParams:
     var_e: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
-            raise ValueError(
-                f"amplitude must be positive and finite, got {self.amplitude}")
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.var_d, self.var_e)):
-            raise ValueError(
-                f"noise variances must be positive and finite, got "
-                f"var_d={self.var_d}, var_e={self.var_e}")
+        _check_positive_finite(amplitude=self.amplitude, var_d=self.var_d,
+                               var_e=self.var_e)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .bounds import (
 )
 from .channel import ChannelParams
 from .errors import KeycapError, NoConvergence
+from .inputs import _check_positive_finite
 from .numerics import GL_NODES, GL_PANEL_SIGMAS, QUAD_ABS_TOL
 from .schemes import (
     best_maxentropic,
@@ -72,10 +73,9 @@ def _parse_grid(text: str) -> list[float]:
 def _validate(grid, var_d, var_e, max_k):
     """Channel parameters per grid point and the solver config, checked
     before any row is solved."""
-    if not all(math.isfinite(a2) and a2 > 0 for a2 in grid):
-        raise click.BadParameter(
-            "squared amplitudes must be positive and finite")
     try:
+        for a2 in grid:
+            _check_positive_finite(squared_amplitude=a2)
         params = [ChannelParams(math.sqrt(a2), var_d, var_e) for a2 in grid]
         cfg = SolverConfig(max_K=max_k)
     except ValueError as exc:

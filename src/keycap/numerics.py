@@ -315,16 +315,22 @@ def scheme_output_density(scheme, sigma: float) -> OutputDensity:
     raise TypeError(f"not an input scheme: {scheme!r}")
 
 
-def _gl_panels(lo: float, hi: float, sigma: float) -> tuple[np.ndarray, float]:
-    """Centers and common half-width of the entropy rule's panels on [lo, hi],
-    each about GL_PANEL_SIGMAS * sigma wide; QuadratureFailure past 2^16."""
+def _gl_panels(lo: float, hi: float, sigma: float, even: bool):
+    """Centers, common half-width and weight scales of the entropy rule's
+    panels on [lo, hi], each about GL_PANEL_SIGMAS * sigma wide; if even
+    (an even integrand, lo = -hi), only those of t >= 0, scales doubled but
+    an odd count's middle one's. QuadratureFailure past 2^16 panels."""
     n = math.ceil((hi - lo) / (GL_PANEL_SIGMAS * sigma))
     if n > _GL_MAX_PANELS:
         raise QuadratureFailure(
             f"entropy on [{lo}, {hi}] needs {n} panels, more than "
             f"{_GL_MAX_PANELS}, to reach abs_tol={QUAD_ABS_TOL}")
     half = 0.5 * (hi - lo) / n
-    return lo + half * (2.0 * np.arange(n) + 1.0), half
+    centers, scale = lo + half * (2.0 * np.arange(n) + 1.0), np.full(n, half)
+    if even:
+        centers, scale = centers[n // 2:], scale[n // 2:]
+        scale[n % 2:] *= 2.0
+    return centers, half, scale
 
 
 def differential_entropy(d: OutputDensity) -> RateResult | list[RateResult]:
@@ -332,24 +338,18 @@ def differential_entropy(d: OutputDensity) -> RateResult | list[RateResult]:
     or for a batch density a list of them, one per member.
 
     A composite Gauss-Legendre rule (Davis & Rabinowitz, Methods of
-    Numerical Integration, 1984): panels about GL_PANEL_SIGMAS * d.sigma
-    wide, GL_NODES nodes each, evaluated through d.eval in calls of at most
-    _EVAL_BLOCK_TERMS kernel terms (d.terms per node). An even density is
-    summed on the panels of t >= 0 with doubled weights, except an odd
-    count's middle one. The integrand is taken as 0 wherever p < 1e-300
-    (x log x -> 0).
+    Numerical Integration, 1984) on `_gl_panels`: panels about
+    GL_PANEL_SIGMAS * d.sigma wide, GL_NODES nodes each, evaluated through
+    d.eval in calls of at most _EVAL_BLOCK_TERMS kernel terms (d.terms per
+    node); an even density on the panels of t >= 0 only. The integrand is
+    taken as 0 wherever p < 1e-300 (x log x -> 0).
 
     quad_error sums, over the panels, the gap to the GL_CHECK_NODES rule on
     the same panels, plus a rounding bound eps * panels * integral |p log p|.
     Raises QuadratureFailure when any member's exceeds QUAD_ABS_TOL.
     """
     lo, hi = d.support
-    centers, half = _gl_panels(lo, hi, d.sigma)
-    n = len(centers)
-    scale = np.full(n, half)
-    if d.even:
-        centers, scale = centers[n // 2:], scale[n // 2:]
-        scale[n % 2:] *= 2.0
+    centers, half, scale = _gl_panels(lo, hi, d.sigma, d.even)
     per_call = max(1, _EVAL_BLOCK_TERMS // d.terms)  # nodes
     block = max(1, per_call // len(_GL_ALL_X))  # panels
     value = gap = magnitude = 0.0
@@ -366,7 +366,8 @@ def differential_entropy(d: OutputDensity) -> RateResult | list[RateResult]:
         value += fine @ w
         gap += np.abs(fine - coarse) @ w
         magnitude += (np.abs(f[..., :GL_NODES]) @ _GL_W) @ w
-    err = gap + np.finfo(float).eps * n * magnitude
+    panels = round(0.5 * (hi - lo) / half)  # the whole window's count
+    err = gap + np.finfo(float).eps * panels * magnitude
     if not np.all(err <= QUAD_ABS_TOL):
         raise QuadratureFailure(
             f"entropy on [{lo}, {hi}] did not reach abs_tol={QUAD_ABS_TOL}: "

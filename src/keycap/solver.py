@@ -1,9 +1,9 @@
 """Capacity-achieving discrete inputs via mass-point escalation.
 
 One quadrature rule gives every number here: s(x; F), R(F) and R's exact
-first and second derivatives are sums over the nodes of the entropy rule
-(`differential_entropy`) on [-A - 10 sigma, A + 10 sigma], laid out once per
-solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
+first and second derivatives are sums over the entropy rule's nodes on the
+t >= 0 half of [-A - 10 sigma, A + 10 sigma] (`_gl_panels`), laid out once
+per solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
 
 The solve runs in noise units: A and every noise std of the stack are
 divided by the smallest, sigma_min, so that, like the capacity, it depends
@@ -106,15 +106,15 @@ class SolverReport:
 
 
 def _channel_stack(amplitude, channels):
-    """(sigma, sign) pairs -> channel stack, (sigma, sign, nodes, weights)
-    per channel: the entropy rule on [-A - 10 sigma, A + 10 sigma], the
-    window `differential_entropy` takes for any law with mass at +-A."""
+    """(sigma, sign) pairs -> (sigma, sign, nodes, weights) per channel: the
+    entropy rule's t >= 0 panels of [-A - 10 sigma, A + 10 sigma], as for an
+    even law with mass at +-A; every law and group kernel here is even."""
     stack = []
     for sigma, sign in channels:
         hi = amplitude + _TAIL_SIGMAS * sigma
-        centers, half = _gl_panels(-hi, hi, sigma)
+        centers, half, scale = _gl_panels(-hi, hi, sigma, True)
         stack.append((sigma, sign, (centers[:, None] + half * _GL_X).ravel(),
-                      np.tile(half * _GL_W, len(centers))))
+                      (scale[:, None] * _GL_W).ravel()))
     return tuple(stack)
 
 

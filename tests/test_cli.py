@@ -205,6 +205,8 @@ def test_commands_load_neither_optimize_nor_integrate(tmp_path):
     ["capacity", "--var-d", "1", "--var-e", "inf", "--a2-grid", "0.5"],
     ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "nan"],
     ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5,inf"],
+    ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0"],
+    ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "-1,0.5"],
     ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
      "--max-k", "0"],
     ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",

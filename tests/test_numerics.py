@@ -363,7 +363,7 @@ class TestBatchedAndFoldedRule:
                   "trunc-gauss": TruncatedGaussianScheme(amplitude, 0.7),
                   "discrete": maxentropic_scheme(amplitude, 4)}[family]
         d, calls = _recording(scheme_output_density(scheme, 1.0))
-        centers, half = _gl_panels(*d.support, d.sigma)
+        centers, half, _ = _gl_panels(*d.support, d.sigma, False)
         assert d.even and len(centers) % 2 == odd
         h = differential_entropy(d)
         # only the middle panel of an odd count reaches below t = 0

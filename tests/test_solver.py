@@ -17,6 +17,7 @@ from keycap import (
     secret_key_rate,
 )
 from keycap import solver
+from keycap.numerics import GL_NODES, _GL_W, _GL_X, _gl_panels, _log_mixture
 from keycap.solver import (
     _ascend,
     _channel_stack,
@@ -360,6 +361,48 @@ _STACKS = pytest.mark.parametrize("channels", [
 ], ids=["plain", "secret_key"])
 
 
+class TestChannelStack:
+    """The solver's sums on the stack's t >= 0 panels, with doubled weights,
+    against the same routines on the whole window [-A - 10 sigma,
+    A + 10 sigma]: each law is even and each group kernel folded, so the
+    two agree up to rounding, on half the nodes."""
+
+    @pytest.mark.parametrize("channels", [
+        ((1.0, 1.0),), ((1.0, 1.0), (math.sqrt(3.0), -1.0)),
+    ], ids=["plain", "secret_key"])
+    @pytest.mark.parametrize("a,panels", [(1.0, 22), (1.5, 23)])
+    @pytest.mark.parametrize("law", ["K2", "K3", "K4", "random"])
+    def test_half_line_equals_whole_window(self, channels, a, panels, law):
+        if law == "random":
+            # a mirror-symmetric state with a center and two pairs
+            rng = np.random.default_rng(7)
+            u = np.concatenate([[0.0], np.sort(rng.uniform(0.1, a, 2))])
+            w = rng.dirichlet(np.full(3, 2.0))
+        else:
+            points, probs = _equispaced_law(int(law[1:]), a)
+            u = points[points >= 0.0]
+            w = np.where(u > 0.0, 2.0, 1.0) * probs[points >= 0.0]
+        points, probs = _expand(u, w)
+        stack = _channel_stack(a, channels)
+        whole = tuple((sigma, sign, *_whole_window(
+            -a - 10.0 * sigma, a + 10.0 * sigma, sigma))
+            for sigma, sign in channels)
+        # an even count of unit panels at A = 1, an odd one at 1.5
+        assert len(whole[0][2]) == panels * GL_NODES
+        for (*_, nodes, _), (*_, full, _) in zip(stack, whole):
+            n = len(full) // GL_NODES
+            assert len(nodes) <= (n // 2 + 1) * GL_NODES
+        assert _rate(points, probs, stack) == pytest.approx(
+            _rate(points, probs, whole), rel=0.0, abs=1e-13)
+        for got, want in zip(_derivatives(u, w, stack),
+                             _derivatives(u, w, whole)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        x = np.linspace(-a, a, 15)
+        np.testing.assert_allclose(_profile(x, points, probs, stack),
+                                   _profile(x, points, probs, whole),
+                                   rtol=0.0, atol=1e-13)
+
+
 class TestMarginalDensityDerivatives:
     """s' and s'' from the kernel's own derivatives against central
     differences of s."""
@@ -380,14 +423,24 @@ class TestMarginalDensityDerivatives:
                                    rtol=0.0, atol=1e-6)
 
 
+def _whole_window(lo, hi, sigma):
+    """Nodes and weights of the entropy rule on all of [lo, hi], unfolded."""
+    centers, half, scale = _gl_panels(lo, hi, sigma, False)
+    return ((centers[:, None] + half * _GL_X).ravel(),
+            (scale[:, None] * _GL_W).ravel())
+
+
 def _direct_s(x, points, probs, channels):
     """s(x; F) alone, summed with the plain kernel phi_sigma(y_j - x) on the
-    entropy rule's nodes in blocks of 256 points: a second implementation of
-    the profile's value, and a cheaper one on dense lattices."""
-    log_fs = []
-    _rate(points, probs, channels, log_fs)
+    entropy rule's whole window [min x_i - 10 sigma, max x_i + 10 sigma],
+    log f from `_log_mixture` there, in blocks of 256 points: a second
+    implementation of the profile's value (neither the stack's half-line
+    panels nor its folded kernel), and a cheaper one on dense lattices."""
     s = np.zeros(len(x))
-    for (sigma, sign, nodes, weights), log_f in zip(channels, log_fs):
+    for sigma, sign, *_ in channels:
+        nodes, weights = _whole_window(points.min() - 10.0 * sigma,
+                                       points.max() + 10.0 * sigma, sigma)
+        log_f = _log_mixture(nodes, points, np.log(probs), sigma)
         h_noise = 0.5 * math.log(2.0 * math.pi * math.e * sigma * sigma)
         w_log_f = weights * log_f / (sigma * math.sqrt(2.0 * math.pi))
         for i in range(0, len(x), 256):
