@@ -200,6 +200,96 @@ def test_commands_load_neither_optimize_nor_integrate(tmp_path):
     assert res.stdout.strip() == "[]"
 
 
+_SCIPY_MODULES_SCRIPT = """
+import json
+import sys
+from keycap.cli import main
+
+for args in sys.argv[1:]:
+    try:
+        main(json.loads(args), standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, (args, exc.code)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # the run time is numpy and click: a fresh interpreter running the
+    # commands imports no scipy module at all
+    common = ["--var-d", "1", "--var-e", "2", "--a2-grid", "0.5"]
+    commands = [
+        ["schemes", *common, "--k-max", "4", "--out", str(tmp_path / "s.csv")],
+        ["sweep", *common, "--restarts", "1", "--outputs",
+         "capacity,bounds,schemes", "--out", str(tmp_path / "w.csv")],
+        ["kkt-profile", "--var-d", "1", "--var-e", "2", "--a2", "0.5",
+         "--restarts", "1", "--out", str(tmp_path / "k.csv")],
+    ]
+    src = str(Path(keycap.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES_SCRIPT,
+         *map(json.dumps, commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+_SCIPY_BLOCKED_SCRIPT = """
+import json
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from keycap.cli import main
+
+for args in sys.argv[1:]:
+    try:
+        main(json.loads(args), standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, (args, exc.code)
+"""
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # the same rows with scipy unimportable as with it importable
+    commands = [
+        ["sweep", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5,2",
+         "--outputs", "capacity,bounds,schemes"],
+        ["schemes", "--var-d", "1", "--var-e", "2", "--a2-grid", "1e4,1e6"],
+    ]
+    blocked, normal = [], []
+    for i, args in enumerate(commands):
+        for tag, outs in (("blocked", blocked), ("normal", normal)):
+            out = tmp_path / f"{tag}{i}.json"
+            outs.append((out, [*args, "--format", "json", "--out", str(out)]))
+    for out, args in normal:
+        assert _run(args).exit_code == 0
+    src = str(Path(keycap.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED_SCRIPT,
+         *(json.dumps(args) for _, args in blocked)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    for (out_b, _), (out_n, _) in zip(blocked, normal):
+        rows_b = json.loads(out_b.read_text())
+        rows_n = json.loads(out_n.read_text())
+        assert [r["status"] for r in rows_b] == ["ok"] * len(rows_n)
+        for row_b, row_n in zip(rows_b, rows_n):
+            assert row_b.keys() == row_n.keys()
+            for key, value in row_n.items():
+                if isinstance(value, float):
+                    assert abs(row_b[key] - value) <= 1e-12, key
+                else:
+                    assert row_b[key] == value, key
+
+
 @pytest.mark.parametrize("args", [
     ["capacity", "--var-d", "nan", "--var-e", "2", "--a2-grid", "0.5"],
     ["capacity", "--var-d", "1", "--var-e", "inf", "--a2-grid", "0.5"],

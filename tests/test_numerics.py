@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+import mpmath
+from scipy.special import erfc, log_ndtr, logsumexp
 
 from keycap import (
+    ChannelParams,
     DegenerateTruncation,
     DiscreteDistribution,
     QuadratureFailure,
@@ -24,6 +26,7 @@ from keycap import (
     q_function,
     schemes,
     secret_key_capacity,
+    secret_key_rate,
 )
 from keycap.inputs import (
     DiscreteScheme,
@@ -34,6 +37,7 @@ from keycap.numerics import (
     _DENSITY_FLOOR,
     _EVAL_BLOCK_TERMS,
     QUAD_ABS_TOL,
+    _erfcx,
     _gl_panels,
     _log_mixture,
     minimize_bounded,
@@ -80,6 +84,156 @@ class TestQFunction:
         # strictly decreasing wherever the tail is resolvable in doubles
         xs = np.linspace(-6, 6, 241)
         assert np.all(np.diff(q_function(xs)) < 0)
+
+
+def _kernel_erfc(x):
+    """erfc from the package's erfcx kernel: exp(-x^2) erfcx(|x|), and 2
+    minus that for x < 0 (the kernel has one piece on z >= 0)."""
+    x = np.asarray(x, float)
+    z = np.abs(x)
+    e = _erfcx(z) * np.exp(-z * z)
+    return np.where(x < 0.0, 2.0 - e, e)
+
+
+def _kernel_log_ndtr(x):
+    """log Phi from the kernel: log(erfcx(-x / sqrt 2) / 2) - x^2 / 2 for
+    x <= 0, and log1p(-Q(x)) for x > 0."""
+    x = np.asarray(x, float)
+    lower = np.log(0.5 * _erfcx(np.abs(x) / math.sqrt(2.0))) - 0.5 * x * x
+    with np.errstate(divide="ignore"):  # log1p(-1) off its branch
+        return np.where(x <= 0.0, lower, np.log1p(-q_function(x)))
+
+
+class TestErfcxKernel:
+    """The numpy erfcx kernel behind q_function and the uniform and
+    truncated-Gaussian densities, against scipy.special and mpmath."""
+
+    # the kernel has no pieces; these are the reflection at 0 and the
+    # centre K = 3.5 of its variable t = (z - K) / (z + K)
+    EDGES = [0.0, 1e-300, 1e-8, 3.5 - 1e-12, 3.5, 3.5 + 1e-12]
+
+    def test_erfc_against_scipy(self):
+        x = np.concatenate([np.linspace(-26.0, 26.0, 200001),
+                            self.EDGES, np.negative(self.EDGES)])
+        np.testing.assert_allclose(_kernel_erfc(x), erfc(x), rtol=1e-13,
+                                   atol=0)
+
+    def test_log_ndtr_against_scipy(self):
+        x = np.concatenate([-np.geomspace(1e-8, 5000.0, 50001),
+                            np.linspace(-40.0, 10.0, 100001),
+                            np.geomspace(1e-8, 10.0, 20001),
+                            np.array(self.EDGES) * math.sqrt(2.0)])
+        np.testing.assert_allclose(_kernel_log_ndtr(x), log_ndtr(x),
+                                   rtol=1e-13, atol=0)
+
+    def test_against_mpmath(self):
+        # an oracle that does not depend on scipy, at 200 points
+        z = np.concatenate([np.linspace(0.0, 30.0, 120),
+                            np.geomspace(30.0, 4000.0, 40)])
+        x = np.concatenate([np.linspace(-5000.0, -40.0, 20),
+                            np.linspace(-40.0, 10.0, 20)])
+        with mpmath.workdps(60):  # log Phi(10) = -7.6e-24 needs 24 more
+            want_z = [mpmath.exp(mpmath.mpf(v) ** 2) * mpmath.erfc(v)
+                      for v in z]
+            want_x = [mpmath.log(mpmath.ncdf(v)) for v in x]
+        np.testing.assert_allclose(_erfcx(z), np.array(want_z, float),
+                                   rtol=4e-15, atol=0)
+        np.testing.assert_allclose(_kernel_log_ndtr(x),
+                                   np.array(want_x, float), rtol=1e-14,
+                                   atol=0)
+
+    def test_edge_cases(self):
+        assert _erfcx(np.array([0.0]))[0] == 1.0
+        assert _erfcx(np.array([np.inf]))[0] == 0.0
+        assert np.isnan(_erfcx(np.array([np.nan]))[0])
+        assert q_function(0.0) == q_function(-0.0) == 0.5
+        assert q_function(np.inf) == 0.0 and q_function(-np.inf) == 1.0
+        assert np.isnan(q_function(np.nan))
+        np.testing.assert_array_equal(_kernel_erfc([0.0, -0.0]), [1.0, 1.0])
+        np.testing.assert_array_equal(_kernel_erfc([np.inf, -np.inf]),
+                                      [0.0, 2.0])
+        assert np.isnan(_kernel_erfc([np.nan])[0])
+        x = np.linspace(0.0, 30.0, 3001)
+        np.testing.assert_array_equal(_kernel_erfc(-x), 2.0 - _kernel_erfc(x))
+        np.testing.assert_array_equal(q_function(-x), 1.0 - q_function(x))
+
+
+def _scipy_uniform_pdf(t, a, sigma):
+    """The uniform density's formula on scipy's erfc, at -|t|."""
+    t = -np.abs(t)
+    c = np.reshape(a, (-1, 1))
+    return (0.5 * erfc((-c - t) / (sigma * math.sqrt(2.0)))
+            - 0.5 * erfc((c - t) / (sigma * math.sqrt(2.0)))) / (2.0 * c)
+
+
+def _scipy_trunc_gauss_pdf(t, a, sigma_x, sigma):
+    """The truncated-Gaussian density's formula on scipy's log_ndtr, with
+    the package's arguments (the posterior shift t st^2 / s^2)."""
+    t = np.abs(t)
+    a, sx = (np.reshape(v, (-1, 1)) for v in np.broadcast_arrays(a, sigma_x))
+    var_sum = sigma * sigma + sx * sx
+    st2 = 1.0 / (1.0 / (sx * sx) + 1.0 / (sigma * sigma))
+    shift = (st2 / (sigma * sigma)) * t
+    hi = log_ndtr((a - shift) / np.sqrt(st2))
+    lo = log_ndtr((-a - shift) / np.sqrt(st2))
+    with np.errstate(divide="ignore"):
+        log_w = hi + np.log1p(-np.exp(lo - hi))
+    log_d = np.log([math.erf(r / math.sqrt(2.0)) for r in (a / sx).ravel()])
+    return np.exp(log_w - 0.5 * t * t / var_sum
+                  - 0.5 * np.log(2.0 * math.pi * var_sum) - log_d[:, None])
+
+
+class TestDensitiesAgainstScipy:
+    """Both densities against scipy-built copies of the same formulas on
+    their whole windows, batches included, to 1e-13 relative. Far in the
+    tails the tails' own conditioning sets the agreement: an argument x
+    that rounds by an ulp moves erfc(x) by 2 x^2 eps, about 2 eps |log p|,
+    in either copy, so where |log p| > 56 (p < 5e-25) the tolerance is
+    8 eps |log p|."""
+
+    @staticmethod
+    def _close(got, want):
+        keep = want >= 1e-300
+        rel = np.abs(got[keep] / want[keep] - 1.0)
+        tol = np.maximum(1e-13, 8.0 * np.finfo(float).eps
+                         * np.abs(np.log(want[keep])))
+        assert np.all(rel <= tol), rel.max()
+        assert np.all(got[~keep] < 1e-290)
+
+    @pytest.mark.parametrize("a2", [0.5, 49.0, 1e6])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    def test_uniform(self, a2, sigma):
+        a = math.sqrt(a2) * np.array([1.0, 0.5, 2.0])
+        d = density_uniform_conv(a, sigma)
+        t = np.linspace(*d.support, 20001)
+        self._close(d(t), _scipy_uniform_pdf(t, a, sigma))
+
+    @pytest.mark.parametrize("a2", [0.5, 49.0, 1e6])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    def test_trunc_gauss(self, a2, sigma):
+        a = math.sqrt(a2)
+        grid = np.geomspace(a / 100.0, 100.0 * a, 50)
+        d = density_trunc_gauss_conv(a, grid, sigma)
+        t = np.linspace(*d.support, 20001)
+        self._close(d(t), _scipy_trunc_gauss_pdf(t, a, grid, sigma))
+
+    # uniform rate, then truncated-Gaussian rates at sigma_x = A/2 and A,
+    # var_d = 1, var_e = 2.25, as computed on scipy's erfc and log_ndtr
+    SCIPY_RATES = {
+        1.0: (0.12706043992882365, 0.08194135304693162, 0.1144728151370441),
+        10.0: (0.398694431936362, 0.3534469018932639, 0.3929476174359906),
+        49.0: (0.5031431608783586, 0.5106684035190504, 0.5110245154114791),
+    }
+
+    @pytest.mark.parametrize("a2", sorted(SCIPY_RATES))
+    def test_scheme_rates_unmoved(self, a2):
+        p = ChannelParams(math.sqrt(a2), 1.0, 2.25)
+        a = p.amplitude
+        got = (secret_key_rate(p, UniformScheme(a)).nats,
+               secret_key_rate(p, TruncatedGaussianScheme(a, 0.5 * a)).nats,
+               secret_key_rate(p, TruncatedGaussianScheme(a, a)).nats)
+        np.testing.assert_allclose(got, self.SCIPY_RATES[a2], rtol=0,
+                                   atol=1e-12)
 
 
 class TestUniformConvDensity:
