@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelParams, equivalent_channel
 from .errors import InvalidBeta
-from .numerics import minimize_bounded
+from .numerics import RateResult, minimize_bounded
 from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -24,13 +24,15 @@ _BETA_HI = 50.0
 
 def lower_bound_1(
     params: ChannelParams, cfg: SolverConfig = DEFAULT_SOLVER
-) -> float:
+) -> RateResult:
     """C_BE - C_E: enhanced-receiver capacity minus eavesdropper capacity,
-    both from the discrete-input solver."""
+    both from the discrete-input solver; quad_error is the sum of the two
+    capacities' entropy-rule errors."""
     eq = equivalent_channel(params)
-    c_be = plain_capacity(params.amplitude, math.sqrt(eq.var_eq), cfg).rate_nats
-    c_e = plain_capacity(params.amplitude, math.sqrt(eq.var_e), cfg).rate_nats
-    return c_be - c_e
+    be, e = (plain_capacity(params.amplitude, math.sqrt(var), cfg)
+             for var in (eq.var_eq, eq.var_e))
+    return RateResult(be.rate_nats - e.rate_nats,
+                      be.quad_error + e.quad_error)
 
 
 def lower_bound_2(params: ChannelParams, beta: float) -> float:

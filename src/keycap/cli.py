@@ -122,7 +122,7 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
         if "bounds" in outputs:
             beta_star, lb2 = maximize_lower_bound_2(params)
             row["C_k_UB"] = upper_bound(params)
-            row["LB1"] = lower_bound_1(params, cfg)
+            row["LB1"] = nats(lower_bound_1(params, cfg))
             row["LB2_star"] = lb2
             row["beta_star"] = beta_star
             row["LB3"] = lower_bound_3(params)

@@ -39,7 +39,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 GAUSS_ENTROPY_UNIT = 0.5 * math.log(2.0 * math.pi * math.e)  # h of N(0,1), nats
 
 _DENSITY_FLOOR = 1e-300
-_FLOAT_MIN = np.finfo(float).min
 _TAIL_SIGMAS = 10.0
 
 # largest error estimate an entropy (or an oracle integral) may carry
@@ -80,17 +79,15 @@ class OutputDensity:
 
     support is the interval outside which every member is below 1e-16;
     sigma is the standard deviation of the noise N, which sets the panel
-    width of the entropy rule; critical_points flags locations (e.g.
-    mixture centers) that the tests' QUADPACK oracles subdivide at; even
-    marks an even density on a symmetric support; terms counts the kernel
-    terms (mixture points or members) behind one value.
+    width of the entropy rule; even marks an even density on a symmetric
+    support; terms counts the kernel terms (mixture points or members)
+    behind one value.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     kind: str
     sigma: float
-    critical_points: tuple[float, ...] = ()
     even: bool = False
     terms: int = 1
     batch: bool = False
@@ -253,7 +250,7 @@ def density_uniform_conv(amplitude, sigma: float) -> OutputDensity:
     s = float(sigma)
     pdf = _erfc_window(1.0, a, math.sqrt(0.5) / s, 0.0, np.log(2.0 * a))
     lo = -float(a.max()) - _TAIL_SIGMAS * s
-    return OutputDensity(pdf, (lo, -lo), "uniform-conv", s, (), True, len(a),
+    return OutputDensity(pdf, (lo, -lo), "uniform-conv", s, True, len(a),
                          np.ndim(amplitude) > 0)
 
 
@@ -283,31 +280,8 @@ def density_trunc_gauss_conv(amplitude, sigma_x, sigma) -> OutputDensity:
                        0.5 / var_sum, np.log(_SQRT_2PI * np.sqrt(var_sum) * d))
     # the input is bounded by A, so only the noise tail extends the support
     half = float(a.max()) + _TAIL_SIGMAS * s
-    return OutputDensity(pdf, (-half, half), "trunc-gauss-conv", s, (), True,
+    return OutputDensity(pdf, (-half, half), "trunc-gauss-conv", s, True,
                          len(a), np.ndim(amplitude) + np.ndim(sigma_x) > 0)
-
-
-def _log_mixture(y, points, log_probs, sigma):
-    """log sum_i p_i phi((y - x_i) / sigma) / sigma for every entry of y.
-
-    The Gaussian-mixture log-density of a discrete input through
-    N(0, sigma^2), as a log-sum-exp shifted by the maximum over the mixture
-    axis. The result has y's shape; y may be a Python float. Zero-weight
-    points (log p = -inf) drop out. A row whose terms are all -inf (no
-    weight at all) gives -inf, with numpy's log(0) warning.
-
-    The mixture axis leads the (K, *y.shape) terms: K is a handful of points
-    against thousands of y values, and reducing over a short trailing axis
-    runs one tiny loop per output, while over a leading axis the max and
-    the sum are K - 1 elementwise passes over contiguous slices.
-    """
-    shape = (-1,) + (1,) * np.ndim(y)
-    z = (y - points.reshape(shape)) / sigma
-    a = log_probs.reshape(shape) - 0.5 * z * z
-    # the floor keeps the shift finite on an all -inf row
-    m = np.maximum(a.max(axis=0), _FLOAT_MIN)
-    return (np.log(np.exp(a - m).sum(axis=0)) + m
-            - math.log(sigma * _SQRT_2PI))
 
 
 def density_discrete_conv(dist, sigma: float) -> OutputDensity:
@@ -334,8 +308,8 @@ def density_discrete_conv(dist, sigma: float) -> OutputDensity:
                for xq, pq in laws)
     lo = float(x.min()) - _TAIL_SIGMAS * s
     hi = float(x.max()) + _TAIL_SIGMAS * s
-    return OutputDensity(pdf, (lo, hi), "gaussian-mixture", s, tuple(x), even,
-                         len(x), batch)
+    return OutputDensity(pdf, (lo, hi), "gaussian-mixture", s, even, len(x),
+                         batch)
 
 
 def scheme_output_density(scheme, sigma: float) -> OutputDensity:

@@ -4,6 +4,9 @@ One quadrature rule gives every number here: s(x; F), R(F) and R's exact
 first and second derivatives are sums over the entropy rule's nodes on the
 t >= 0 half of [-A - 10 sigma, A + 10 sigma] (`_gl_panels`), laid out once
 per solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
+One folded kernel per group of the law (`_group_kernels`), with its
+u-derivatives and its log, gives them all: log f is a log-sum-exp over
+the groups, and the law's points are expanded only to be reported.
 
 The solve runs in noise units: A and every noise std of the stack are
 divided by the smallest, sigma_min, so that, like the capacity, it depends
@@ -48,7 +51,7 @@ from .errors import NoConvergence
 from .inputs import (DiscreteDistribution, DiscreteScheme,
                      _check_positive_finite, maxentropic_scheme)
 from .numerics import (_GL_W, _GL_X, _SQRT_2PI, _TAIL_SIGMAS, _gl_panels,
-                       _log_mixture, mutual_information)
+                       mutual_information)
 
 _KERNEL_BLOCK_TERMS = 2**14  # x values x nodes per block: 128 kB temporaries
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -118,9 +121,28 @@ def _channel_stack(amplitude, channels):
     return tuple(stack)
 
 
-def _log_weights(probs):
-    """log p, -inf at zero weights: those points drop out of _log_mixture."""
-    return np.log(probs, out=np.full(len(probs), -np.inf), where=probs > 0.0)
+def _group_kernels(u, channels):
+    """Per channel, on its nodes y: the folded kernel phi (groups x nodes),
+    (phi(y - u_i) + phi(y + u_i)) / 2 per group, so that f_c = w @ phi; its
+    first and second u-derivatives (the first is 0 at u = 0); and log phi.
+    phi is even in y and in u, phi' odd in u: all are taken at |y| and |u|,
+    where phi(y + u) = phi(y - u) r, r = exp(-2 y u / sigma^2) <= 1, so
+    log phi = log phi(y - u) + log1p(r) - log 2 stays finite everywhere."""
+    a = np.abs(u)[:, None]
+    out = []
+    for sigma, _, nodes, _ in channels:
+        y = np.abs(nodes)
+        zm, zp = (y - a) / sigma, (y + a) / sigma
+        log_em = -0.5 * zm * zm - math.log(2.0 * sigma * _SQRT_2PI)
+        em = np.exp(log_em)
+        r = np.exp(-2.0 / sigma**2 * y * a)
+        ep = em * r
+        dphi = (em * zm - ep * zp) / sigma
+        np.negative(dphi, out=dphi, where=u[:, None] < 0.0)
+        out.append((em + ep, dphi,
+                    (em * (zm * zm - 1.0) + ep * (zp * zp - 1.0)) / sigma**2,
+                    log_em + np.log1p(r)))
+    return out
 
 
 def _marginal_density(x, channels, log_fs):
@@ -134,22 +156,28 @@ def _marginal_density(x, channels, log_fs):
                   for sigma, sign, *_ in channels)
     rows = max(1, _KERNEL_BLOCK_TERMS // max(len(c[2]) for c in channels))
     for i in range(0, len(x), rows):
-        for (_, sign, _, weights), log_f, kernels in zip(
+        for (_, sign, _, weights), log_f, (*kernels, _) in zip(
                 channels, log_fs, _group_kernels(x[i:i + rows], channels)):
             out[:, i:i + rows] -= sign * np.array(
                 [np.einsum("ij,j->i", k, weights * log_f) for k in kernels])
     return out
 
 
-def _rate(points, probs, channels, log_fs=None):
-    """R(F) = sum_c sign_c (h(f_c) - h(N_c)), each h(f_c) = -sum_j w_j f_c
-    log f_c on the channel's nodes: the sum `differential_entropy` takes.
-    Each channel's log f is appended to log_fs when one is given."""
-    log_probs = _log_weights(probs)
+def _rate(u, w, channels, kernels=None, log_fs=None):
+    """R(F) of the group state (u, w) = sum_c sign_c (h(f_c) - h(N_c)), each
+    h(f_c) = -sum_j w_j f_c log f_c on the channel's nodes: the sum
+    `differential_entropy` takes. log f_c is the log-sum-exp of log w_i +
+    log phi_i over the groups, from `_group_kernels` at u (kernels, if
+    given); each channel's is appended to log_fs when one is given."""
+    kernels = kernels or _group_kernels(u, channels)
+    # zero weights give -inf rows, which drop out of the sum
+    log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)[:, None]
     rate = 0.0
-    for sigma, sign, nodes, weights in channels:
+    for (sigma, sign, _, weights), (*_, log_phi) in zip(channels, kernels):
         h_noise = _LOG_SQRT_2PI + math.log(sigma) + 0.5
-        log_f = _log_mixture(nodes, points, log_probs, sigma)
+        terms = log_w + log_phi
+        m = terms.max(axis=0)
+        log_f = np.log(np.exp(terms - m).sum(axis=0)) + m
         rate += sign * (-float(weights @ (np.exp(log_f) * log_f)) - h_noise)
         if log_fs is not None:
             log_fs.append(log_f)
@@ -179,30 +207,28 @@ def _expand(u, w):
             np.concatenate([w[pair][::-1] / 2.0, np.where(pair, w / 2.0, w)]))
 
 
-def _group_kernels(u, channels):
-    """Per channel, on its nodes y: the folded kernel phi (groups x nodes),
-    (phi(y - u_i) + phi(y + u_i)) / 2 per group, so that f_c = w @ phi; and
-    its first and second u-derivatives (the first is 0 at u = 0)."""
-    out = []
-    for sigma, _, nodes, _ in channels:
-        zm, zp = (nodes - u[:, None]) / sigma, (nodes + u[:, None]) / sigma
-        em = np.exp(-0.5 * zm * zm) / (2.0 * sigma * _SQRT_2PI)
-        ep = np.exp(-0.5 * zp * zp) / (2.0 * sigma * _SQRT_2PI)
-        out.append((em + ep, (em * zm - ep * zp) / sigma,
-                    (em * (zm * zm - 1.0) + ep * (zp * zp - 1.0)) / sigma**2))
-    return out
+def _fold(points, probs):
+    """An even law's (points, probs) -> its group state: `_expand` undone."""
+    points, probs = np.asarray(points, float), np.asarray(probs, float)
+    u = points[points >= 0.0]
+    return u, np.where(u > 0.0, 2.0, 1.0) * probs[points >= 0.0]
+
+
+def _num_points(u):
+    """The number of points `_expand` gives the group state."""
+    return 2 * len(u) - int(u[0] == 0.0)
 
 
 def _derivatives(u, w, channels, kernels=None):
     """R(F) and its exact gradient and Hessian in (w, u), weights first, on
     the entropy rule's nodes, from `_group_kernels` at u: f_c = w @ phi,
     J = [phi; w phi'], f's second derivatives phi' at (w_i, u_i) and w phi''
-    at (u_i, u_i). log f is _log_mixture's: w @ phi underflows."""
+    at (u_i, u_i). log f is `_rate`'s: w @ phi underflows."""
     kernels, n = kernels or _group_kernels(u, channels), len(w)
     log_fs = []
-    rate = _rate(*_expand(u, w), channels, log_fs)
+    rate = _rate(u, w, channels, kernels, log_fs)
     grad = hess = 0.0
-    for (_, sign, _, weights), log_f, (phi, dphi, d2phi) in zip(
+    for (_, sign, _, weights), log_f, (phi, dphi, d2phi, _) in zip(
             channels, log_fs, kernels):
         d_log = weights * (log_f + 1.0)
         j = np.vstack([phi, w[:, None] * dphi])
@@ -346,15 +372,15 @@ def _grow(u, w, grid, s_grid, amplitude):
     return np.insert(u, i, x), np.insert(w, i, _GROWTH_WEIGHT)
 
 
-def _kkt_profile(points, probs, channels, amplitude, cells):
-    """An even law's certificate: s at cells + 1 points of [0, A], at |mass
-    points| and at the maximum in each cell s' falls through 0 in
-    (safeguarded Newton from the secant root). Returns them and s mirrored,
-    R(F), max(s - R, |s - R| at mass points)."""
+def _kkt_profile(u, w, channels, amplitude, cells):
+    """The group state's certificate: s at cells + 1 points of [0, A], at
+    the group locations and at the maximum in each cell s' falls through 0
+    in (safeguarded Newton from the secant root). Returns them and s
+    mirrored, R(F), max(s - R, |s - R| at mass points)."""
     log_fs = []
-    rate_ref = _rate(points, probs, channels, log_fs)
+    rate_ref = _rate(u, w, channels, log_fs=log_fs)
     half = np.unique(np.concatenate(
-        [np.linspace(0.0, amplitude, cells + 1), np.abs(points)]))
+        [np.linspace(0.0, amplitude, cells + 1), u]))
     s_half, ds, _ = _marginal_density(half, channels, log_fs)
     up = np.flatnonzero((ds[:-1] > 0.0) & (ds[1:] <= 0.0))
     lo, hi = half[up], half[up + 1]
@@ -370,12 +396,11 @@ def _kkt_profile(points, probs, channels, amplitude, cells):
         s_x, ds_x, d2s_x = _marginal_density(x, channels, log_fs)
     half, idx = np.unique(np.append(half, x), return_index=True)
     s_half = np.append(s_half, s_x)[idx]
+    violation = max(float(np.max(s_half) - rate_ref), float(np.max(
+        np.abs(s_half[np.isin(half, u)] - rate_ref))))
     # s is even: mirror x >= 0, keeping half[0] = 0.0 once
-    grid = np.concatenate([-half[:0:-1], half])
-    s_grid = np.concatenate([s_half[:0:-1], s_half])
-    violation = max(float(np.max(s_grid) - rate_ref), float(np.max(
-        np.abs(s_grid[np.isin(grid, points)] - rate_ref))))
-    return grid, s_grid, rate_ref, violation
+    return (np.concatenate([-half[:0:-1], half]),
+            np.concatenate([s_half[:0:-1], s_half]), rate_ref, violation)
 
 
 def _capacity(amplitude, channels, cfg, rate_of):
@@ -389,20 +414,17 @@ def _capacity(amplitude, channels, cfg, rate_of):
     a = amplitude / scale
     channels = _channel_stack(a, [(sigma / scale, sign)
                                   for sigma, sign in channels])
-    points = maxentropic_scheme(a, min(cfg.max_K, max(2, math.ceil(
-        1.3 * a)))).dist.as_arrays()[0]
-    u = points[points >= 0.0]
-    w = np.where(u > 0.0, 2.0, 1.0) / len(points)
+    u, w = _fold(*maxentropic_scheme(a, min(cfg.max_K, max(2, math.ceil(
+        1.3 * a)))).dist.as_arrays())
     trace = []
-    while (len(trace) < cfg.max_K - 1
-           and (num_points := 2 * len(u) - int(u[0] == 0.0)) <= cfg.max_K):
+    while len(trace) < cfg.max_K - 1 and (k := _num_points(u)) <= cfg.max_K:
         u, w, steps = _polish(u, w, a, channels)
-        points, probs = _expand(u, w)
         grid, s_grid, rate, violation = _kkt_profile(
-            points, probs, channels, a, math.ceil(4.0 * a))
-        trace.append(EscalationStep(num_points, len(points), rate, violation,
+            u, w, channels, a, math.ceil(4.0 * a))
+        trace.append(EscalationStep(k, _num_points(u), rate, violation,
                                     *steps))
         if violation <= _KKT_TOLERANCE:
+            points, probs = _expand(u, w)
             points = np.clip(points * scale, -amplitude, amplitude)
             dist = DiscreteDistribution(tuple(points), tuple(probs))
             rate = rate_of(DiscreteScheme(dist))
@@ -444,4 +466,5 @@ def secret_key_profile(params: ChannelParams, dist: DiscreteDistribution):
     profile, on a lattice of _KKT_GRID_SIZE points of [-A, A]."""
     a = params.amplitude
     stack = _channel_stack(a, _secret_key_channels(params))
-    return _kkt_profile(*dist.as_arrays(), stack, a, _KKT_GRID_SIZE // 2)[:2]
+    return _kkt_profile(*_fold(*dist.as_arrays()), stack, a,
+                        _KKT_GRID_SIZE // 2)[:2]

@@ -51,11 +51,13 @@ def normal_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def normalization_error(d: OutputDensity) -> float:
-    """|integral of d - 1| over the support hint extended by 2 units."""
+def normalization_error(
+    d: OutputDensity, breakpoints: tuple[float, ...] = ()
+) -> float:
+    """|integral of d - 1| over the support hint extended by 2 units;
+    QUADPACK subdivides at the breakpoints (e.g. mixture centers)."""
     lo, hi = d.support
-    val, _ = _quad(lambda t: float(d(t)), lo - 2.0, hi + 2.0,
-                   d.critical_points)
+    val, _ = _quad(lambda t: float(d(t)), lo - 2.0, hi + 2.0, breakpoints)
     return abs(val - 1.0)
 
 
@@ -99,12 +101,15 @@ def point_mass_scheme(location: float = 0.0) -> DiscreteScheme:
     return DiscreteScheme(DiscreteDistribution((location,), (1.0,)))
 
 
-def density_variance(d: OutputDensity) -> float:
-    """Variance of the density by quadrature (mean subtracted)."""
+def density_variance(
+    d: OutputDensity, breakpoints: tuple[float, ...] = ()
+) -> float:
+    """Variance of the density by quadrature (mean subtracted), subdivided
+    at the breakpoints."""
     lo, hi = d.support
-    mean, _ = _quad(lambda t: t * float(d(t)), lo, hi, d.critical_points)
-    m2, _ = _quad(
-        lambda t: (t - mean) ** 2 * float(d(t)), lo, hi, d.critical_points)
+    mean, _ = _quad(lambda t: t * float(d(t)), lo, hi, breakpoints)
+    m2, _ = _quad(lambda t: (t - mean) ** 2 * float(d(t)), lo, hi,
+                  breakpoints)
     return m2
 
 

@@ -146,7 +146,7 @@ def test_criterion_05_secret_key_solver_sanity():
         checks.append((ck <= ub + 1e-6,
                        f"A^2={a2}: C_k {ck:.6f} <= UB {ub:.6f}"))
         if a2 <= 1.0:
-            lb1 = lower_bound_1(p)
+            lb1 = lower_bound_1(p).nats
             checks.append((abs(ck - lb1) < 1e-3,
                            f"A^2={a2}: |C_k - lb1| = {abs(ck - lb1):.2e}"))
     _report(5, "secret-key bound chain", checks)

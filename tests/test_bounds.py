@@ -118,7 +118,7 @@ class TestLowerBound3:
 class TestLowerBound1:
     def test_matches_capacity_at_small_amplitude(self, fast_cfg):
         p = _params(0.5)
-        lb1 = lower_bound_1(p, fast_cfg)
+        lb1 = lower_bound_1(p, fast_cfg).nats
         ck = secret_key_capacity(p, fast_cfg).rate_nats
         assert abs(lb1 - ck) < 1e-3
         assert lb1 <= ck + 1e-6
@@ -128,9 +128,19 @@ class TestLowerBound1:
         # capacity of the legitimate channel
         from keycap.solver import plain_capacity
         p = ChannelParams(1.0, 1.0, 1e8)
-        lb1 = lower_bound_1(p, fast_cfg)
+        lb1 = lower_bound_1(p, fast_cfg).nats
         direct = plain_capacity(1.0, 1.0, fast_cfg).rate_nats
         assert lb1 == pytest.approx(direct, abs=1e-6)
+
+    def test_rate_result(self, fast_cfg):
+        # C_BE - C_E, carrying the sum of the two solves' entropy-rule errors
+        from keycap.solver import plain_capacity
+        p = _params(2.0)
+        lb1 = lower_bound_1(p, fast_cfg)
+        be = plain_capacity(p.amplitude, math.sqrt(2.0 / 3.0), fast_cfg)
+        e = plain_capacity(p.amplitude, math.sqrt(2.0), fast_cfg)
+        assert lb1.nats == be.rate_nats - e.rate_nats
+        assert lb1.quad_error == be.quad_error + e.quad_error > 0.0
 
 
 class TestBoundsReport:
@@ -145,7 +155,7 @@ class TestBoundsReport:
 
     def test_with_solver(self):
         p = _params(0.5)
-        lb1 = lower_bound_1(p, SolverConfig())
+        lb1 = lower_bound_1(p, SolverConfig()).nats
         assert lb1 <= upper_bound(p) + 1e-6
 
 
@@ -157,7 +167,7 @@ class TestBoundsBracketCapacity:
         p = _params(a2, var_d, var_e)
         cfg = SolverConfig()
         rep = secret_key_capacity(p, cfg)
-        lower = max(lower_bound_1(p, cfg), maximize_lower_bound_2(p)[1],
+        lower = max(lower_bound_1(p, cfg).nats, maximize_lower_bound_2(p)[1],
                     lower_bound_3(p))
         assert lower <= rep.rate_nats + 1e-9
         assert rep.rate_nats <= upper_bound(p) + 1e-9

@@ -62,6 +62,18 @@ def test_meta_records_the_entropy_rule(tmp_path):
     assert 0.0 < meta["rows"][0]["quad_error"] <= 1e-10
 
 
+def test_meta_quad_error_covers_lb1(tmp_path):
+    # a bounds row's one entropy-rule rate is LB1, the difference of two
+    # solver capacities: its error is the row's
+    out = tmp_path / "b.csv"
+    assert _run(["bounds", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+                 "--out", str(out)]).exit_code == 0
+    (row,) = json.loads((tmp_path / "b.csv.meta.json").read_text())["rows"]
+    lb1 = keycap.lower_bound_1(keycap.ChannelParams(math.sqrt(0.5), 1.0, 2.0))
+    assert row["quad_error"] == lb1.quad_error
+    assert float(_read_csv(out)[1][0]["LB1_nats"]) == float("%.12g" % lb1.nats)
+
+
 def test_meta_records_the_kkt_trace(tmp_path):
     out = tmp_path / "s.json"
     assert _run(["sweep", "--var-d", "1", "--var-e", "2", "--a2-grid",

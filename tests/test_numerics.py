@@ -37,12 +37,14 @@ from keycap.numerics import (
     _DENSITY_FLOOR,
     _EVAL_BLOCK_TERMS,
     QUAD_ABS_TOL,
+    _GL_W,
+    _GL_X,
     _erfcx,
     _gl_panels,
-    _log_mixture,
     minimize_bounded,
     scheme_output_density,
 )
+from keycap.solver import _channel_stack, _expand, _group_kernels, _rate
 from keycap.schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
@@ -305,9 +307,10 @@ class TestDiscreteConvDensity:
         assert float(d(0.0)) == pytest.approx(phi1, rel=1e-14)
 
     def test_normalized(self):
+        points = (-2.0, 0.3, 1.0)
         d = density_discrete_conv(
-            DiscreteDistribution((-2.0, 0.3, 1.0), (0.2, 0.5, 0.3)), 0.4)
-        assert normalization_error(d) < 1e-9
+            DiscreteDistribution(points, (0.2, 0.5, 0.3)), 0.4)
+        assert normalization_error(d, points) < 1e-9
 
     def test_scalar_in_scalar_out(self):
         d = density_discrete_conv(
@@ -319,86 +322,108 @@ class TestDiscreteConvDensity:
         assert out[2] == d(0.3)
 
 
-def _scipy_log_mixture(y, points, log_probs, sigma):
-    """Oracle for the mixture kernel, built on scipy's logsumexp."""
-    z = (np.asarray(y)[..., None] - points) / sigma
-    return (logsumexp(log_probs - 0.5 * z * z, axis=-1)
+def _scipy_log_mixture(nodes, u, w, sigma):
+    """Oracle for log f: the Gaussian-mixture log-density of the group
+    state's expanded law on nodes, built on scipy's logsumexp over its
+    points (zero-weight points, log p = -inf, drop out)."""
+    points, probs = _expand(u, w)
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(probs)
+    z = (nodes[:, None] - points) / sigma
+    return (logsumexp(log_probs - 0.5 * z * z, axis=1)
             - math.log(sigma * math.sqrt(2.0 * math.pi)))
 
 
 class TestLogMixture:
-    """The shared Gaussian-mixture log-density against scipy's logsumexp."""
+    """The Gaussian-mixture log-density log f that the solver's `_rate`
+    takes as a log-sum-exp over the groups of log w_i + the log folded
+    kernel of `_group_kernels`, against scipy's logsumexp over the expanded
+    law's points."""
 
     @staticmethod
-    def _mixture(rng, k):
-        points = np.sort(rng.uniform(-4.0, 4.0, k))
-        return points, np.log(rng.dirichlet(np.ones(k)))
+    def _check(u, w, channels):
+        """Each channel's log f from _rate against the oracle; returns them."""
+        log_fs = []
+        _rate(np.asarray(u, float), np.asarray(w, float), channels,
+              log_fs=log_fs)
+        for (sigma, _, nodes, _), log_f in zip(channels, log_fs):
+            assert log_f.shape == nodes.shape and np.isfinite(log_f).all()
+            np.testing.assert_allclose(
+                log_f, _scipy_log_mixture(nodes, u, w, sigma),
+                rtol=1e-13, atol=0.0)
+        return log_fs
+
+    @staticmethod
+    def _groups(rng, k, a, center=False):
+        u = np.sort(rng.uniform(0.05, 1.0, k)) * a
+        if center:
+            u[0] = 0.0
+        return u, rng.dirichlet(np.ones(k))
 
     def test_random_rows(self):
+        # half-line stacks of one and two channels, laws with and without a
+        # center group
         rng = np.random.default_rng(0)
         for k in (1, 2, 5, 16, 32):
-            points, log_probs = self._mixture(rng, k)
-            sigma = rng.uniform(0.3, 3.0)
-            y = rng.normal(0.0, 4.0, size=(7, 96))
-            got = _log_mixture(y, points, log_probs, sigma)
-            assert got.shape == (7, 96)
-            np.testing.assert_allclose(
-                got, _scipy_log_mixture(y, points, log_probs, sigma),
-                rtol=1e-14, atol=0.0)
+            a, sigma = rng.uniform(0.5, 8.0), rng.uniform(0.3, 3.0)
+            for channels in (((sigma, 1.0),),
+                             ((sigma, 1.0), (1.7 * sigma, -1.0))):
+                stack = _channel_stack(a, channels)
+                for center in (False, True):
+                    self._check(*self._groups(rng, k, a, center), stack)
+
+    def test_center_group(self):
+        # at u = 0 the fold is one Gaussian: log phi = log 2 + log phi(y) -
+        # log 2, the center's full weight on one point
+        stack = _channel_stack(3.0, ((0.8, 1.0), (1.5, -1.0)))
+        for (sigma, _, nodes, _), (*_, log_phi) in zip(
+                stack, _group_kernels(np.array([0.0, 1.2]), stack)):
+            want = (-0.5 * (nodes / sigma)**2
+                    - math.log(sigma * math.sqrt(2.0 * math.pi)))
+            np.testing.assert_allclose(log_phi[0], want, rtol=1e-15)
+        self._check([0.0], [1.0], stack)
+        self._check([0.0, 1.2, 3.0], [0.5, 0.3, 0.2], stack)
 
     @pytest.mark.parametrize("k", [1, 7, 8, 33])
     def test_result_has_the_shape_of_y(self, k):
-        # K = 8 is where numpy's pairwise summation of a trailing axis
-        # would start to group terms differently from a leading-axis sum
+        # a whole-window stack, whose nodes y run negative, far enough that
+        # exp(-2 y u / sigma^2) overflows at y < 0: every kernel is (groups,
+        # nodes) and log f has the nodes' shape. K = 8 is where numpy's
+        # pairwise summation of a trailing axis would start to group terms
+        # differently from the leading-axis sum over the groups
         rng = np.random.default_rng(k)
-        points, log_probs = self._mixture(rng, k)
-        for y in (0.3, np.asarray(-1.7), rng.normal(0.0, 4.0, size=11),
-                  rng.normal(0.0, 4.0, size=(5, 96))):
-            got = _log_mixture(y, points, log_probs, 0.9)
-            assert np.shape(got) == np.shape(y)
-            np.testing.assert_allclose(
-                got, _scipy_log_mixture(y, points, log_probs, 0.9),
-                rtol=1e-14, atol=0.0)
-        dist = DiscreteDistribution(tuple(points), tuple(np.exp(log_probs)))
-        assert type(density_discrete_conv(dist, 0.9)(0.3)) is float
+        a, sigma = 20.0, 0.9
+        centers, half, scale = _gl_panels(-a - 10.0 * sigma,
+                                          a + 10.0 * sigma, sigma, False)
+        nodes = (centers[:, None] + half * _GL_X).ravel()
+        u, w = self._groups(rng, k, a, center=k > 1)
+        assert -2.0 * nodes.min() * u.max() / sigma**2 > 710.0
+        stack = ((sigma, 1.0, nodes, (scale[:, None] * _GL_W).ravel()),)
+        for kernel in _group_kernels(u, stack)[0]:
+            assert kernel.shape == (k, len(nodes))
+        self._check(u, w, stack)
 
     def test_zero_weight_points(self):
         rng = np.random.default_rng(1)
-        points, log_probs = self._mixture(rng, 8)
-        log_probs[[0, 3, 7]] = -np.inf
-        y = rng.normal(0.0, 3.0, size=50)
-        got = _log_mixture(y, points, log_probs, 0.7)
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(
-            got, _scipy_log_mixture(y, points, log_probs, 0.7),
-            rtol=1e-14, atol=0.0)
+        stack = _channel_stack(4.0, ((0.7, 1.0), (1.2, -1.0)))
+        u, w = self._groups(rng, 8, 4.0, center=True)
+        w[[0, 3, 7]] = 0.0
+        w /= w.sum()
+        self._check(u, w, stack)
 
     def test_far_tail_rows(self):
-        # every term is below -700, where exp() without a shift underflows
+        # the outermost pair at 0.5 A: the window's far nodes sit 30 sigma
+        # and more past it, where every term is below -700 and exp()
+        # without a shift underflows
         rng = np.random.default_rng(2)
-        points, log_probs = self._mixture(rng, 16)
-        y = np.array([45.0, 60.0, -50.0, -80.0])
-        terms = log_probs - 0.5 * (y[:, None] - points) ** 2
-        assert np.all(terms < -700.0)
-        got = _log_mixture(y, points, log_probs, 1.0)
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(
-            got, _scipy_log_mixture(y, points, log_probs, 1.0),
-            rtol=1e-14, atol=0.0)
-
-    def test_all_minus_inf_row(self):
-        points = np.array([-1.0, 0.5, 2.0])
-        log_probs = np.log([0.2, 0.5, 0.3])
-        y = np.array([0.0, np.inf, -1.0])
-        with np.errstate(divide="ignore"):
-            got = _log_mixture(y, points, log_probs, 1.0)
-            empty = _log_mixture(y, points, np.full(3, -np.inf), 1.0)
-        want = _scipy_log_mixture(y, points, log_probs, 1.0)
-        assert got[1] == -np.inf == want[1]
-        np.testing.assert_allclose(got[[0, 2]], want[[0, 2]], rtol=1e-14)
-        assert np.all(empty == -np.inf)
-        assert np.all(_scipy_log_mixture(y, points, np.full(3, -np.inf), 1.0)
-                      == -np.inf)
+        a = 80.0
+        stack = _channel_stack(a, ((1.0, 1.0),))
+        u, w = self._groups(rng, 16, 0.5 * a)
+        nodes = stack[0][2]
+        terms = (np.log(w / 2.0)[:, None]
+                 - 0.5 * (np.abs(nodes) - u[:, None])**2)
+        assert np.any(np.all(terms < -700.0, axis=0))
+        self._check(u, w, stack)
 
 
 class TestDifferentialEntropy:
@@ -422,13 +447,14 @@ class TestDifferentialEntropy:
             assert h == pytest.approx(rhs, abs=1e-7)
 
     def test_max_entropy_bound(self):
-        for d in (
-            density_uniform_conv(2.0, 0.5),
-            density_trunc_gauss_conv(1.0, 0.8, 1.2),
-            density_discrete_conv(
-                DiscreteDistribution((-1.0, 0.2, 1.0), (0.3, 0.3, 0.4)), 0.6),
+        points = (-1.0, 0.2, 1.0)
+        for d, breakpoints in (
+            (density_uniform_conv(2.0, 0.5), ()),
+            (density_trunc_gauss_conv(1.0, 0.8, 1.2), ()),
+            (density_discrete_conv(
+                DiscreteDistribution(points, (0.3, 0.3, 0.4)), 0.6), points),
         ):
-            v = density_variance(d)
+            v = density_variance(d, breakpoints)
             h = differential_entropy(d).nats
             assert h <= 0.5 * math.log(2 * math.pi * math.e * v) + 1e-8
 
@@ -442,15 +468,22 @@ class TestDifferentialEntropy:
             differential_entropy(d)
 
 
-def _quadpack_entropy(d):
-    """Oracle: -integral p log p by QUADPACK, as the rates were computed
-    before the fixed rule (independent of `differential_entropy`)."""
+def _mass_points(scheme):
+    """A discrete scheme's mass points, where the QUADPACK oracles subdivide;
+    none for the continuous families."""
+    return scheme.dist.points if isinstance(scheme, DiscreteScheme) else ()
+
+
+def _quadpack_entropy(d, breakpoints=()):
+    """Oracle: -integral p log p by QUADPACK, subdivided at the breakpoints,
+    as the rates were computed before the fixed rule (independent of
+    `differential_entropy`)."""
     def integrand(t):
         p = float(d(t))
         return 0.0 if p < _DENSITY_FLOOR else -p * math.log(p)
 
     lo, hi = d.support
-    return _quad(integrand, lo, hi, d.critical_points)[0]
+    return _quad(integrand, lo, hi, breakpoints)[0]
 
 
 class TestEntropyRuleAgainstQuadpack:
@@ -467,7 +500,8 @@ class TestEntropyRuleAgainstQuadpack:
             for scheme in schemes:
                 d = scheme_output_density(scheme, sigma)
                 h = differential_entropy(d)
-                assert abs(h.nats - _quadpack_entropy(d)) <= 1e-12, scheme
+                assert abs(h.nats - _quadpack_entropy(
+                    d, _mass_points(scheme))) <= 1e-12, scheme
                 assert h.quad_error <= QUAD_ABS_TOL
 
     @pytest.mark.parametrize("sigma", [math.sqrt(2.0 / 3.0), math.sqrt(2.0)])
@@ -523,7 +557,8 @@ class TestBatchedAndFoldedRule:
         # only the middle panel of an odd count reaches below t = 0
         low = min(float(t.min()) for t in calls)
         assert -half < low < 0.0 if odd else 0.0 <= low < half
-        assert abs(h.nats - _quadpack_entropy(d)) <= 1e-12
+        want = _quadpack_entropy(d, _mass_points(scheme))
+        assert abs(h.nats - want) <= 1e-12
 
     @pytest.mark.parametrize("points, probs", [
         ((-1.0, 0.2, 1.0), (0.3, 0.3, 0.4)),
@@ -536,7 +571,7 @@ class TestBatchedAndFoldedRule:
         assert not d.even
         h = differential_entropy(d)
         assert min(float(t.min()) for t in calls) < d.support[0] + 0.3
-        assert abs(h.nats - _quadpack_entropy(d)) <= 1e-12
+        assert abs(h.nats - _quadpack_entropy(d, points)) <= 1e-12
 
     def test_batch_members_match_single_entropies(self):
         laws = [maxentropic_scheme(2.0, k) for k in range(2, 9)]
@@ -546,7 +581,7 @@ class TestBatchedAndFoldedRule:
             single = differential_entropy(scheme_output_density(law, 0.8))
             assert abs(h.nats - single.nats) <= 1e-14
             assert abs(h.nats - _quadpack_entropy(
-                scheme_output_density(law, 0.8))) <= 1e-12
+                scheme_output_density(law, 0.8), law.dist.points)) <= 1e-12
 
     @pytest.mark.parametrize("sigma", [math.sqrt(2.0 / 3.0), math.sqrt(2.0)])
     def test_one_failing_member_fails_the_batch(self, sigma):

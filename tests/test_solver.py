@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from keycap import (
     ChannelParams,
@@ -17,12 +18,14 @@ from keycap import (
     secret_key_rate,
 )
 from keycap import solver
-from keycap.numerics import GL_NODES, _GL_W, _GL_X, _gl_panels, _log_mixture
+from keycap.numerics import GL_NODES, _GL_W, _GL_X, _gl_panels
 from keycap.solver import (
     _ascend,
     _channel_stack,
     _derivatives,
     _expand,
+    _fold,
+    _group_kernels,
     _grow,
     _marginal_density,
     _merge_groups,
@@ -34,9 +37,10 @@ from support import _quad, mixed_gaussian_entropy_integral
 
 
 def _profile(x, points, probs, channels):
-    """s(x; F), s' and s'' of a law, with each channel's log f from _rate."""
+    """s(x; F), s' and s'' of an even law, with each channel's log f from
+    _rate."""
     log_fs = []
-    _rate(points, probs, channels, log_fs)
+    _rate(*_fold(points, probs), channels, log_fs=log_fs)
     return _marginal_density(x, channels, log_fs)
 
 
@@ -89,11 +93,7 @@ class TestWeightOptimizer:
         w0 = np.array([0.9, 0.1])
         u2, w, _ = _ascend(u, w0, 2.0, channels, False)
         np.testing.assert_array_equal(u2, u)
-        after = _rate(*_expand(u, w), channels)
-        pts = np.concatenate([-u[::-1], u])
-        pr0 = np.concatenate([w0[::-1], w0]) / 2.0
-        before = _rate(pts, pr0, channels)
-        assert after >= before - 1e-12
+        assert _rate(u, w, channels) >= _rate(u, w0, channels) - 1e-12
 
     @pytest.mark.parametrize("channels", [
         ((math.sqrt(2.0 / 3.0), 1.0),),
@@ -234,7 +234,7 @@ class TestGrow:
         channels = _channel_stack(a, self.SECRET_KEY)
         u, w, _ = _polish(np.array([a]), np.array([1.0]), a, channels)
         grid, s_grid, _, violation = solver._kkt_profile(
-            *_expand(u, w), channels, a, _cells(a, self.SECRET_KEY))
+            u, w, channels, a, _cells(a, self.SECRET_KEY))
         assert violation > 1e-6
         assert self._check(u, w, grid, s_grid, a)[0] == center
 
@@ -249,6 +249,9 @@ class TestExpand:
         got_points, got_probs = _expand(np.array(u), np.array(w))
         np.testing.assert_array_equal(got_points, points)
         np.testing.assert_array_equal(got_probs, probs)
+        # and _fold takes the even law back to its groups
+        for got, want in zip(_fold(got_points, got_probs), (u, w)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPolish:
@@ -276,8 +279,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 def _quadpack_marginal_density(x, points, probs, channels):
     """Oracle for s(x; F): each channel's D(N(x, sigma^2) || f) by QUADPACK
     on (sigma, sign) pairs, with the mixture log-density summed in plain
-    Python (independent of the solver's Gauss-Legendre nodes and of
-    `numerics._log_mixture`)."""
+    Python (independent of the solver's Gauss-Legendre nodes and of its
+    folded kernel)."""
     total = 0.0
     for sigma, sign in channels:
         log_norm = _LOG_SQRT_2PI + math.log(sigma)
@@ -329,23 +332,52 @@ class TestBlockedExpectation:
     @pytest.mark.parametrize("zero_weight", [False, True])
     @pytest.mark.parametrize("k", [2, 7, 32])
     def test_equals_one_block(self, k, zero_weight, monkeypatch):
+        # k random groups: pairs at uneven locations, uneven weights
         rng = np.random.default_rng(k)
-        points = np.sort(rng.uniform(-3.0, 3.0, k))
-        probs = rng.dirichlet(np.ones(k))
+        u = np.sort(rng.uniform(0.0, 3.0, k))
+        w = rng.dirichlet(np.ones(k))
         if zero_weight:
-            probs[1] = 0.0
-            probs /= probs.sum()
+            w[1] = 0.0
+            w /= w.sum()
         (channel,) = channels = _channel_stack(3.0, ((0.8, 1.0),))
         rows = solver._KERNEL_BLOCK_TERMS // len(channel[2])
         assert rows > 1
+        log_fs = []
+        _rate(u, w, channels, log_fs=log_fs)
         for n in (1, rows - 1, rows, rows + 1, 2001):
             x = rng.uniform(-4.0, 4.0, n)
-            got = _profile(x, points, probs, channels)
+            got = _marginal_density(x, channels, log_fs)
             with monkeypatch.context() as m:
                 m.setattr(solver, "_KERNEL_BLOCK_TERMS", 2001 * len(channel[2]))
-                want = _profile(x, points, probs, channels)
+                want = _marginal_density(x, channels, log_fs)
             assert np.isfinite(got).all()
             assert np.array_equal(got, want), n
+
+
+class TestGroupKernels:
+    """The folded kernel at negative locations, as `_marginal_density`
+    takes x: phi, phi'' and log phi even in x, phi' odd, and all finite
+    where exp(2 y |x| / sigma^2) overflows."""
+
+    def test_negative_x_far_out(self):
+        a = 40.0
+        channels = _channel_stack(a, ((1.0, 1.0), (1.5, -1.0)))
+        x = np.array([5.0, 20.0, a])
+        assert 2.0 * channels[0][2].max() * a > 710.0
+        with np.errstate(over="raise", invalid="raise"):
+            for got, want in zip(_group_kernels(-x, channels),
+                                 _group_kernels(x, channels)):
+                for g, v, parity in zip(got, want, (1.0, -1.0, 1.0, 1.0)):
+                    assert np.isfinite(g).all()
+                    np.testing.assert_array_equal(g, parity * v)
+            log_fs = []
+            _rate(*_fold(*maxentropic_scheme(a, 9).dist.as_arrays()),
+                  channels, log_fs=log_fs)
+            got = _marginal_density(-x, channels, log_fs)
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(
+            got, _marginal_density(x, channels, log_fs) * [[1.0], [-1.0],
+                                                           [1.0]])
 
 
 def _equispaced_law(k, a):
@@ -392,8 +424,8 @@ class TestChannelStack:
         for (*_, nodes, _), (*_, full, _) in zip(stack, whole):
             n = len(full) // GL_NODES
             assert len(nodes) <= (n // 2 + 1) * GL_NODES
-        assert _rate(points, probs, stack) == pytest.approx(
-            _rate(points, probs, whole), rel=0.0, abs=1e-13)
+        assert _rate(u, w, stack) == pytest.approx(
+            _rate(u, w, whole), rel=0.0, abs=1e-13)
         for got, want in zip(_derivatives(u, w, stack),
                              _derivatives(u, w, whole)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
@@ -433,14 +465,17 @@ def _whole_window(lo, hi, sigma):
 def _direct_s(x, points, probs, channels):
     """s(x; F) alone, summed with the plain kernel phi_sigma(y_j - x) on the
     entropy rule's whole window [min x_i - 10 sigma, max x_i + 10 sigma],
-    log f from `_log_mixture` there, in blocks of 256 points: a second
-    implementation of the profile's value (neither the stack's half-line
-    panels nor its folded kernel), and a cheaper one on dense lattices."""
+    log f from scipy's logsumexp over the law's points there, in blocks of
+    256 points: a second implementation of the profile's value (neither the
+    stack's half-line panels nor its folded kernel), and a cheaper one on
+    dense lattices."""
     s = np.zeros(len(x))
     for sigma, sign, *_ in channels:
         nodes, weights = _whole_window(points.min() - 10.0 * sigma,
                                        points.max() + 10.0 * sigma, sigma)
-        log_f = _log_mixture(nodes, points, np.log(probs), sigma)
+        log_f = logsumexp(np.log(probs) - 0.5 * (
+            (nodes[:, None] - points) / sigma)**2, axis=1) - math.log(
+                sigma * math.sqrt(2.0 * math.pi))
         h_noise = 0.5 * math.log(2.0 * math.pi * math.e * sigma * sigma)
         w_log_f = weights * log_f / (sigma * math.sqrt(2.0 * math.pi))
         for i in range(0, len(x), 256):
@@ -454,7 +489,7 @@ def _violation_on(x, points, probs, channels):
     violation of the law on the points x."""
     s_grid = _direct_s(x, points, probs, channels)
     s_pts = _direct_s(points, points, probs, channels)
-    rate = _rate(points, probs, channels)
+    rate = _rate(*_fold(points, probs), channels)
     return max(float(np.max(s_grid) - rate),
                float(np.max(np.abs(s_pts - rate))))
 
@@ -477,7 +512,8 @@ class TestKKTProfile:
         points = np.array([-0.7123, 0.0, 0.7123])
         probs = np.array([0.3, 0.4, 0.3])
         grid, s_grid, _, _ = solver._kkt_profile(
-            points, probs, _channel_stack(a, channels), a, _cells(a, channels))
+            *_fold(points, probs), _channel_stack(a, channels), a,
+            _cells(a, channels))
         assert np.array_equal(grid, -grid[::-1])
         assert np.array_equal(s_grid, s_grid[::-1])
         assert (grid[0], grid[-1]) == (-a, a)
@@ -496,11 +532,11 @@ class TestKKTProfile:
         channels = _channel_stack(a, channels)
         points, probs = _equispaced_law(k, a)
         s_pts = _profile(points, points, probs, channels)[0]
-        rate = _rate(points, probs, channels)
+        rate = _rate(*_fold(points, probs), channels)
         # on shared nodes the profile's own sum is R(F) up to rounding
         assert float(probs @ s_pts) == pytest.approx(rate, rel=0.0, abs=1e-14)
         _, _, got_rate, got = solver._kkt_profile(
-            points, probs, channels, a, _cells(a, channels))
+            *_fold(points, probs), channels, a, _cells(a, channels))
         assert got_rate == rate
         coarse = _violation_on(np.linspace(-a, a, solver._KKT_GRID_SIZE),
                                points, probs, channels)
@@ -526,7 +562,7 @@ class TestKKTProfile:
             rep = secret_key_capacity(params)
         stack = _channel_stack(a, channels)
         points, probs = rep.distribution.as_arrays()
-        _, _, _, got = solver._kkt_profile(points, probs, stack, a,
+        _, _, _, got = solver._kkt_profile(*_fold(points, probs), stack, a,
                                            math.ceil(4.0 * a))
         assert got == rep.kkt_max_violation <= 1e-6
         assert got >= _dense_violation(points, probs, stack, a) - 1e-13
@@ -582,7 +618,7 @@ class TestSecondOrderSteps:
         assert g.shape == (2 * n,) and hess.shape == (2 * n, 2 * n)
 
         def rate(x):
-            return _rate(*_expand(x[n:], x[:n]), channels)
+            return _rate(x[n:], x[:n], channels)
 
         x = np.concatenate([w, u])
         assert val == rate(x)
@@ -681,7 +717,7 @@ class TestPlainCapacity:
         rep = plain_capacity(1.0, 1.0)
         assert rep.kkt_max_violation <= 1e-6
         s_grid = solver._kkt_profile(
-            *rep.distribution.as_arrays(),
+            *_fold(*rep.distribution.as_arrays()),
             _channel_stack(1.0, ((1.0, 1.0),)), 1.0, 4)[1]
         s_max = float(np.max(s_grid))
         assert s_max <= rep.rate_nats + 2e-6
@@ -827,7 +863,8 @@ class TestCapacityWrappers:
         assert rep.num_points_K == k
         points, probs = rep.distribution.as_arrays()
         assert rep.rate_nats == pytest.approx(
-            _rate(points, probs, _channel_stack(p.amplitude, channels)),
+            _rate(*_fold(points, probs),
+                  _channel_stack(p.amplitude, channels)),
             rel=0.0, abs=1e-14)
 
 
