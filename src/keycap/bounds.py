@@ -14,10 +14,9 @@ import numpy as np
 
 from .channel import ChannelParams, equivalent_channel
 from .errors import InvalidBeta
-from .numerics import RateResult, minimize_bounded
+from .numerics import _SQRT_2PI, RateResult, maximize_on_grid
 from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BETA_LO = 1e-6
 _BETA_HI = 50.0
 
@@ -53,19 +52,11 @@ def lower_bound_2(params: ChannelParams, beta: float) -> float:
 
 
 def maximize_lower_bound_2(params: ChannelParams) -> tuple[float, float]:
-    """Maximize the beta-parametrized lower bound over (1e-6, 50]: coarse
-    grid, then local refinement."""
-    betas = np.geomspace(_BETA_LO, _BETA_HI, 200)
-    vals = [lower_bound_2(params, float(b)) for b in betas]
-    i = int(np.argmax(vals))
-    lo = betas[max(i - 1, 0)]
-    hi = betas[min(i + 1, len(betas) - 1)]
-    beta_star, neg_val = minimize_bounded(
-        lambda b: -lower_bound_2(params, b), float(lo), float(hi), 1e-10)
-    val = -neg_val
-    if vals[i] > val:
-        beta_star, val = float(betas[i]), vals[i]
-    return beta_star, val
+    """Maximize the beta-parametrized lower bound over [1e-6, 50]:
+    `maximize_on_grid` on a 200-point log grid."""
+    return maximize_on_grid(
+        lambda betas: [lower_bound_2(params, b) for b in betas],
+        np.geomspace(_BETA_LO, _BETA_HI, 200))
 
 
 def lower_bound_3(params: ChannelParams) -> float:

@@ -204,6 +204,7 @@ def _options(amplitudes):
             click.option("--max-k", type=int, default=64, show_default=True,
                          help="mass-point budget for the solver"),
             click.option("--restarts", type=click.IntRange(min=1), default=8,
+                         expose_value=False,
                          help="accepted only; no longer changes the result"),
         ]):
             fn = opt(fn)
@@ -250,7 +251,7 @@ def main():
 
 @main.command()
 @_common_options
-def capacity(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts):
+def capacity(var_d, var_e, a2_grid, units, fmt, out, seed, max_k):
     """Secret-key capacity over the amplitude grid."""
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
                {"capacity"})
@@ -258,7 +259,7 @@ def capacity(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts):
 
 @main.command()
 @_common_options
-def bounds(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts):
+def bounds(var_d, var_e, a2_grid, units, fmt, out, seed, max_k):
     """Closed-form bounds (plus the solver-backed bound) over the grid."""
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
                {"bounds"})
@@ -269,8 +270,7 @@ def bounds(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts):
 @click.option("--k-max", type=click.IntRange(min=2), default=32,
               show_default=True,
               help="largest point count tried by the equally-spaced scheme")
-def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
-            k_max):
+def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, k_max):
     """Suboptimal scheme rates over the grid."""
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
                {"schemes"}, k_max_schemes=k_max)
@@ -281,8 +281,7 @@ def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
 @click.option("--outputs", default="capacity,bounds",
               show_default=True,
               help="comma-set drawn from capacity,schemes,bounds")
-def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
-          outputs):
+def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, outputs):
     """Combined sweep with selectable output families."""
     chosen = {tok.strip() for tok in outputs.split(",") if tok.strip()}
     bad = chosen - {"capacity", "schemes", "bounds"}
@@ -294,7 +293,7 @@ def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, restarts,
 @main.command("kkt-profile")
 @_options(click.option("--a2", type=float, required=True,
                        help="squared amplitude"))
-def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k, restarts):
+def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k):
     """Dump the optimality-profile s(x; F) of the capacity solution."""
     (params,), cfg = _validate([a2], var_d, var_e, max_k)
     try:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import ChannelParams, secret_key_rate, secret_key_rates
 from .inputs import TruncatedGaussianScheme, UniformScheme, maxentropic_scheme
-from .numerics import RateResult, minimize_bounded
+from .numerics import RateResult, maximize_on_grid
 
 
 def best_maxentropic(
@@ -48,22 +48,14 @@ def optimize_truncated_gaussian(
 ) -> tuple[float, RateResult]:
     """Maximize the truncated-Gaussian rate over sigma_x in [A/100, 100 A].
 
-    Unimodality is not assumed: a 50-point log grid (one batch) locates the
-    basin, then a bounded Brent search over the two grid cells around the
-    best grid point refines it to 1e-6 * A. A best point at either end of
-    the grid is kept as it is: the grid's rates rise towards that end,
-    which a bounded search never evaluates.
+    Unimodality is not assumed: `maximize_on_grid` takes a 50-point log
+    grid (one batch) and refines its best point, unless at an end of the
+    grid, where the grid's rates rise towards that end; each Newton step's
+    rate and central differences are one 3-member batch.
     """
     a = params.amplitude
-    grid = np.geomspace(a / 100.0, 100.0 * a, 50)
-    vals = [r.nats for r in secret_key_rates(
-        params, [TruncatedGaussianScheme(a, s) for s in grid])]
-    i = int(np.argmax(vals))
-    sigma_star = float(grid[i])
-    if 0 < i < len(grid) - 1:
-        x, neg_rate = minimize_bounded(
-            lambda s: -truncated_gaussian_rate(params, s).nats,
-            float(grid[i - 1]), float(grid[i + 1]), 1e-6 * a)
-        if -neg_rate >= vals[i]:
-            sigma_star = x
+    sigma_star, _ = maximize_on_grid(
+        lambda sx: [r.nats for r in secret_key_rates(
+            params, [TruncatedGaussianScheme(a, s) for s in sx])],
+        np.geomspace(a / 100.0, 100.0 * a, 50))
     return sigma_star, truncated_gaussian_rate(params, sigma_star)

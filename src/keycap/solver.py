@@ -50,8 +50,8 @@ from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
 from .inputs import (DiscreteDistribution, DiscreteScheme,
                      _check_positive_finite, maxentropic_scheme)
-from .numerics import (_GL_W, _GL_X, _SQRT_2PI, _TAIL_SIGMAS, _gl_panels,
-                       mutual_information)
+from .numerics import (_GL_W, _GL_X, _NEWTON_STEPS, _SQRT_2PI, _TAIL_SIGMAS,
+                       _gl_panels, maximize_newton, mutual_information)
 
 _KERNEL_BLOCK_TERMS = 2**14  # x values x nodes per block: 128 kB temporaries
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -60,7 +60,6 @@ _KKT_TOLERANCE = 1e-6     # largest s(x; F) - rate a certificate accepts
 _KKT_GRID_SIZE = 2001     # points of [-A, A] in `keycap kkt-profile`
 _INNER_TOLERANCE = 1e-9   # weight residual and joint reduced gradient
 _RATE_ROUNDING = 1e-13    # how far a Newton step may lower R(F): rounding
-_NEWTON_STEPS = 100       # Newton steps of one weight or joint loop
 _GROWTH_WEIGHT = 1e-3     # weight of the mass point each growth step adds
 _PAIR_FLOOR = 1e-9        # lowest pair location, in units of A
 
@@ -375,7 +374,7 @@ def _grow(u, w, grid, s_grid, amplitude):
 def _kkt_profile(u, w, channels, amplitude, cells):
     """The group state's certificate: s at cells + 1 points of [0, A], at
     the group locations and at the maximum in each cell s' falls through 0
-    in (safeguarded Newton from the secant root). Returns them and s
+    in (`maximize_newton`, from the secant root of s'). Returns them and s
     mirrored, R(F), max(s - R, |s - R| at mass points)."""
     log_fs = []
     rate_ref = _rate(u, w, channels, log_fs=log_fs)
@@ -384,16 +383,9 @@ def _kkt_profile(u, w, channels, amplitude, cells):
     s_half, ds, _ = _marginal_density(half, channels, log_fs)
     up = np.flatnonzero((ds[:-1] > 0.0) & (ds[1:] <= 0.0))
     lo, hi = half[up], half[up + 1]
-    x = lo + (hi - lo) * ds[up] / (ds[up] - ds[up + 1])
-    s_x, ds_x, d2s_x = _marginal_density(x, channels, log_fs)
-    for _ in range(_NEWTON_STEPS):
-        # until Newton's predicted gain s'^2 / 2|s''| is below 5e-16
-        if np.all(ds_x**2 <= 1e-15 * np.abs(d2s_x)):
-            break
-        lo, hi = np.where(ds_x > 0.0, x, lo), np.where(ds_x > 0.0, hi, x)
-        x = x + ds_x / (np.abs(d2s_x) + 1e-300)
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-        s_x, ds_x, d2s_x = _marginal_density(x, channels, log_fs)
+    x, (s_x, _, _) = maximize_newton(
+        lambda x: _marginal_density(x, channels, log_fs), lo, hi,
+        lo + (hi - lo) * ds[up] / (ds[up] - ds[up + 1]))
     half, idx = np.unique(np.append(half, x), return_index=True)
     s_half = np.append(s_half, s_x)[idx]
     violation = max(float(np.max(s_half) - rate_ref), float(np.max(

@@ -14,12 +14,12 @@ from keycap import (
     DiscreteDistribution,
     QuadratureFailure,
     SolverConfig,
-    bounds,
     channel,
     differential_entropy,
     density_discrete_conv,
     density_trunc_gauss_conv,
     density_uniform_conv,
+    lower_bound_2,
     maxentropic_scheme,
     maximize_lower_bound_2,
     mutual_information,
@@ -27,6 +27,7 @@ from keycap import (
     schemes,
     secret_key_capacity,
     secret_key_rate,
+    truncated_gaussian_rate,
 )
 from keycap.inputs import (
     DiscreteScheme,
@@ -41,7 +42,7 @@ from keycap.numerics import (
     _GL_X,
     _erfcx,
     _gl_panels,
-    minimize_bounded,
+    maximize_newton,
     scheme_output_density,
 )
 from keycap.solver import _channel_stack, _expand, _group_kernels, _rate
@@ -621,68 +622,79 @@ class TestBatchedAndFoldedRule:
                    for d, calls in seen for t in calls) <= _EVAL_BLOCK_TERMS
 
 
-def _counted(f):
-    """f, and the list its calls are appended to."""
-    calls = []
+class TestMaximizeNewton:
+    def test_interior_maximum(self):
+        # log x - x / c peaks at x = c; three searches in one call
+        c = np.array([0.5, 2.0, 7.0])
+        x, v = maximize_newton(
+            lambda x: np.array([np.log(x) - x / c, 1.0 / x - 1.0 / c,
+                                -1.0 / x**2]), c / 3.0, 3.0 * c, 0.8 * c)
+        np.testing.assert_allclose(x, c, rtol=1e-7)
+        np.testing.assert_allclose(v[0], np.log(c) - 1.0, rtol=0, atol=1e-14)
 
-    def g(x):
-        calls.append(x)
-        return f(x)
+    def test_step_out_of_bracket_bisects(self):
+        # at x = 0.1 Newton's step on sin x lands near 10, past the
+        # bracket's end 3, so the next point is the bracket's middle
+        seen = []
 
-    return g, calls
+        def f(x):
+            seen.append(x)
+            return np.array([np.sin(x), np.cos(x), -np.sin(x)])
 
+        x, v = maximize_newton(f, np.array([0.0]), np.array([3.0]),
+                               np.array([0.1]))
+        assert seen[1][0] == 0.5 * (0.1 + 3.0)
+        assert x[0] == pytest.approx(math.pi / 2.0, abs=1e-7)
+        assert v[0, 0] == pytest.approx(1.0, abs=1e-14)
 
-def _same_as_scipy(f, lo, hi, xatol):
-    """minimize_bounded against scipy's bounded Brent search on f: the same
-    point, value and number of evaluations, bit for bit."""
-    from scipy.optimize import minimize_scalar
+    def test_empty_arrays(self):
+        seen = []
 
-    ours, our_calls = _counted(f)
-    theirs, their_calls = _counted(f)
-    x, fx = minimize_bounded(ours, lo, hi, xatol)
-    res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol})
-    assert (x, fx) == (float(res.x), float(res.fun))
-    assert len(our_calls) == len(their_calls) == res.nfev
-    return x, fx
+        def f(x):
+            seen.append(x)
+            return np.zeros((3, len(x)))
 
+        empty = np.zeros(0)
+        x, v = maximize_newton(f, empty, empty, empty)
+        assert len(seen) == 1 and x.size == 0 and v.shape == (3, 0)
 
-class TestMinimizeBounded:
-    def test_interior_minimum(self):
-        x, fx = _same_as_scipy(lambda x: math.exp(x) - 2.5 * x,
-                               -1.0, 3.0, 1e-10)
-        # near a smooth minimum f is flat to rounding over about sqrt(eps)
-        assert x == pytest.approx(math.log(2.5), abs=1e-7)
-        assert fx == pytest.approx(2.5 - 2.5 * math.log(2.5), abs=1e-15)
+    @pytest.mark.parametrize("a2", [20.0, 49.0, 100.0, 1e4])
+    def test_scheme_and_bound_searches(self, monkeypatch, fig1_params, a2):
+        # sigma_x and beta of the closed-form lower bound against scipy's
+        # bounded search over the same two grid cells, at a far tighter
+        # tolerance; the sigma_x refinement is at most 6 batches
+        from scipy.optimize import minimize_scalar
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_minimum_at_a_bound(self, sign):
-        # never evaluated at the bound itself, but within the tolerance
-        x, _ = _same_as_scipy(lambda x: sign * x, 0.0, 1.0, 1e-6)
-        assert x == pytest.approx(0.0 if sign > 0 else 1.0, abs=1e-6)
+        calls = []
 
-    def test_constant_function(self):
-        x, fx = _same_as_scipy(lambda x: 1.0, 0.5, 2.0, 1e-8)
-        assert 0.5 < x < 2.0 and fx == 1.0
+        def counting(params, family):
+            calls.append(len(family))
+            return channel.secret_key_rates(params, family)
 
-    def test_scheme_and_bound_searches(self, monkeypatch, fig1_params):
-        # the two searches left, replayed at A^2 = 20, where the best
-        # sigma_x (about 0.96 A) is inside the truncated Gaussian's grid:
-        # sigma_x and beta of the closed-form lower bound
-        searches = []
+        monkeypatch.setattr(schemes, "secret_key_rates", counting)
+        p = fig1_params(a2)
+        a = p.amplitude
+        sx, rate = optimize_truncated_gaussian(p)
+        assert calls[0] == 50 and set(calls[1:]) == {3}
+        assert len(calls) - 1 <= 6
+        grid = np.geomspace(a / 100.0, 100.0 * a, 50)
+        i = int(np.argmax([r.nats for r in channel.secret_key_rates(
+            p, [TruncatedGaussianScheme(a, s) for s in grid])]))
+        res = minimize_scalar(
+            lambda s: -truncated_gaussian_rate(p, s).nats,
+            bounds=(grid[i - 1], grid[i + 1]), method="bounded",
+            options={"xatol": 1e-9 * a})
+        assert abs(sx - res.x) <= 1e-6 * a
+        assert abs(rate.nats + res.fun) <= 1e-12
 
-        def recording(f, lo, hi, xatol):
-            searches.append((f, lo, hi, xatol))
-            return minimize_bounded(f, lo, hi, xatol)
-
-        monkeypatch.setattr(schemes, "minimize_bounded", recording)
-        monkeypatch.setattr(bounds, "minimize_bounded", recording)
-        p = fig1_params(20.0)
-        optimize_truncated_gaussian(p)
-        maximize_lower_bound_2(p)
-        assert [s[3] for s in searches] == [1e-6 * p.amplitude, 1e-10]
-        for f, lo, hi, xatol in searches:
-            _same_as_scipy(f, lo, hi, xatol)
+        beta, lb2 = maximize_lower_bound_2(p)
+        betas = np.geomspace(1e-6, 50.0, 200)
+        i = int(np.argmax([lower_bound_2(p, b) for b in betas]))
+        res = minimize_scalar(lambda b: -lower_bound_2(p, b),
+                              bounds=(betas[i - 1], betas[i + 1]),
+                              method="bounded", options={"xatol": 1e-12})
+        assert abs(beta - res.x) <= 1e-6
+        assert abs(lb2 + res.fun) <= 1e-12
 
 
 class TestMixedGaussianIntegral:
