@@ -18,7 +18,6 @@ from .errors import (
 )
 from .inputs import (
     DiscreteDistribution,
-    DiscreteScheme,
     InputScheme,
     TruncatedGaussianScheme,
     UniformScheme,

@@ -25,13 +25,12 @@ def lower_bound_1(
     params: ChannelParams, cfg: SolverConfig = DEFAULT_SOLVER
 ) -> RateResult:
     """C_BE - C_E: enhanced-receiver capacity minus eavesdropper capacity,
-    both from the discrete-input solver; quad_error is the sum of the two
-    capacities' entropy-rule errors."""
-    eq = equivalent_channel(params)
-    be, e = (plain_capacity(params.amplitude, math.sqrt(var), cfg)
-             for var in (eq.var_eq, eq.var_e))
-    return RateResult(be.rate_nats - e.rate_nats,
-                      be.quad_error + e.quad_error)
+    sign times `plain_capacity` summed over the equivalent wiretap's stack;
+    quad_error is the sum of the two capacities' entropy-rule errors."""
+    reps = [(sign, plain_capacity(params.amplitude, sigma, cfg))
+            for sigma, sign in equivalent_channel(params).stack]
+    return RateResult(sum(sign * rep.rate_nats for sign, rep in reps),
+                      sum(rep.quad_error for _, rep in reps))
 
 
 def lower_bound_2(params: ChannelParams, beta: float) -> float:

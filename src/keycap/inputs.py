@@ -1,8 +1,9 @@
 """Input distributions admissible under a peak-amplitude constraint.
 
-A scheme is one of three families: a discrete distribution on finitely many
-mass points, the continuous uniform law on [-A, A], or a zero-mean Gaussian
-truncated to [-A, A]. All are immutable values.
+A scheme is one of three families, one type each: a DiscreteDistribution
+(finitely many mass points, such as a solver report's law), the continuous
+uniform law on [-A, A], or a zero-mean Gaussian truncated to [-A, A]. All
+are immutable values with a half_width, the A their support needs.
 """
 
 from __future__ import annotations
@@ -56,15 +57,6 @@ class DiscreteDistribution:
 
 
 @dataclass(frozen=True)
-class DiscreteScheme:
-    dist: DiscreteDistribution
-
-    @property
-    def half_width(self) -> float:
-        return self.dist.half_width
-
-
-@dataclass(frozen=True)
 class UniformScheme:
     """Continuous uniform on [-amplitude, amplitude]."""
 
@@ -94,10 +86,10 @@ class TruncatedGaussianScheme:
         return self.amplitude
 
 
-InputScheme = Union[DiscreteScheme, UniformScheme, TruncatedGaussianScheme]
+InputScheme = Union[DiscreteDistribution, UniformScheme, TruncatedGaussianScheme]
 
 
-def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteScheme:
+def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteDistribution:
     """Uniform probabilities over num_points equally spaced points spanning
     [-amplitude, amplitude], endpoints included, and exactly mirror-symmetric
     (points == -points[::-1])."""
@@ -106,5 +98,5 @@ def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteScheme:
     x = np.linspace(-amplitude, amplitude, num_points)
     points = 0.5 * (x - x[::-1])
     probs = np.full(num_points, 1.0 / num_points)
-    return DiscreteScheme(DiscreteDistribution(tuple(points), tuple(probs)))
+    return DiscreteDistribution(tuple(points), tuple(probs))
 

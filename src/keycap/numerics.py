@@ -1,9 +1,14 @@
-"""Output densities, quadrature, differential entropy and mutual information.
+"""Output densities, quadrature, differential entropy and every rate.
 
 Everything here works on a generic observation T = X + N with N a zero-mean
 Gaussian of standard deviation sigma, and X one of the admissible input
 schemes. Densities come with a finite support hint outside which they fall
 below 1e-16, so all integrals run over finite windows.
+
+Every rate is one sum over a noise stack of (sigma, sign) pairs,
+sum_c sign_c [h(X + N_c) - h(N_c)] (`stack_rates`; h(N) is `noise_entropy`):
+((sigma, +1),) for the mutual information, `channel.EquivalentWiretap.stack`
+for the secret-key rate.
 
 Every reported entropy, and so every reported rate, comes from one fixed
 composite Gauss-Legendre rule on the output axis (`differential_entropy`).
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateTruncation, QuadratureFailure
 from .inputs import (
-    DiscreteScheme,
+    DiscreteDistribution,
     InputScheme,
     TruncatedGaussianScheme,
     UniformScheme,
@@ -296,8 +301,8 @@ def scheme_output_density(scheme, sigma: float) -> OutputDensity:
         return ([getattr(x, name) for x in scheme] if batch
                 else getattr(one, name))
 
-    if isinstance(one, DiscreteScheme):
-        return density_discrete_conv(param("dist"), sigma)
+    if isinstance(one, DiscreteDistribution):
+        return density_discrete_conv(scheme, sigma)
     if isinstance(one, UniformScheme):
         return density_uniform_conv(param("amplitude"), sigma)
     if isinstance(one, TruncatedGaussianScheme):
@@ -368,9 +373,23 @@ def differential_entropy(d: OutputDensity) -> RateResult | list[RateResult]:
     return out if d.batch else out[0]
 
 
+def noise_entropy(sigma: float) -> float:
+    """h(N) of a zero-mean Gaussian N of std sigma, in nats."""
+    return GAUSS_ENTROPY_UNIT + math.log(sigma)
+
+
+def stack_rates(schemes, stack) -> list[RateResult]:
+    """sum_c sign_c [h(X + N_c) - h(N_c)] of each scheme of one family over
+    a noise stack of (sigma, sign) pairs, from one batched entropy per
+    noise; entropy_legit and entropy_eve are the first two h(X + N_c)."""
+    hs = [differential_entropy(scheme_output_density(schemes, sigma))
+          for sigma, _ in stack]
+    return [RateResult(sum(sign * (h.nats - noise_entropy(sigma))
+                           for (sigma, sign), h in zip(stack, member)),
+                       sum(h.quad_error for h in member),
+                       *[h.nats for h in member]) for member in zip(*hs)]
+
+
 def mutual_information(scheme: InputScheme, sigma: float) -> RateResult:
     """I(X; X + N) = h(X + N) - h(N) for Gaussian N of std sigma, in nats."""
-    d = scheme_output_density(scheme, sigma)
-    h = differential_entropy(d)
-    mi = h.nats - (GAUSS_ENTROPY_UNIT + math.log(sigma))
-    return RateResult(nats=mi, quad_error=h.quad_error, entropy_legit=h.nats)
+    return stack_rates([scheme], ((sigma, 1.0),))[0]

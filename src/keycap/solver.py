@@ -8,14 +8,16 @@ One folded kernel per group of the law (`_group_kernels`), with its
 u-derivatives and its log, gives them all: log f is a log-sum-exp over
 the groups, and the law's points are expanded only to be reported.
 
-The solve runs in noise units: A and every noise std of the stack are
-divided by the smallest, sigma_min, so that, like the capacity, it depends
-on A / sigma alone; the certified points are scaled back. Below, lengths
-are in these units. The search starts from the equispaced law of
-min(max_K, ceil(1.3 A)) points, 2 at least. Each law is polished by one
-projected Newton ascent (`_ascend`), run over the weights, then over the
-weights and pair locations together, then after a merge over the weights
-again, and accepted once the marginal density
+A solve maximizes R(F) = sum_c sign_c (h(f_c) - h(N_c)) over a noise
+stack of (sigma, sign) pairs: ((sigma, +1),) for the plain capacity,
+`EquivalentWiretap.stack` for the secret-key capacity. It runs in noise
+units: A and every sigma are divided by the smallest, sigma_min, so that,
+like the capacity, it depends on A / sigma alone; the certified points are
+scaled back. Below, lengths are in these units. The search starts from the
+equispaced law of min(max_K, ceil(1.3 A)) points, 2 at least. Each law is
+polished by two runs of one projected Newton ascent (`_ascend`), over the
+weights, then over the weights and pair locations together, then merged,
+and accepted once the marginal density
 
     s(x; F) = sum_c sign_c * D( p_c(.|x) || f_{F,c} )
 
@@ -48,13 +50,13 @@ import numpy as np
 
 from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
-from .inputs import (DiscreteDistribution, DiscreteScheme,
-                     _check_positive_finite, maxentropic_scheme)
+from .inputs import (DiscreteDistribution, _check_positive_finite,
+                     maxentropic_scheme)
 from .numerics import (_GL_W, _GL_X, _NEWTON_STEPS, _SQRT_2PI, _TAIL_SIGMAS,
-                       _gl_panels, maximize_newton, mutual_information)
+                       _gl_panels, maximize_newton, mutual_information,
+                       noise_entropy)
 
 _KERNEL_BLOCK_TERMS = 2**14  # x values x nodes per block: 128 kB temporaries
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _KKT_TOLERANCE = 1e-6     # largest s(x; F) - rate a certificate accepts
 _KKT_GRID_SIZE = 2001     # points of [-A, A] in `keycap kkt-profile`
@@ -80,8 +82,8 @@ DEFAULT_SOLVER = SolverConfig()
 class EscalationStep(NamedTuple):
     """One polished law: the point count of its start law, the K of the law
     the polish returned, that law's R(F) and KKT violation (C_k is in
-    [R(F), R(F) + violation]), the Newton steps of the polish's two weight
-    ascents and of its joint (w, u) ascent, and whether one was capped."""
+    [R(F), R(F) + violation]), the Newton steps of the polish's weight
+    ascent and of its joint (w, u) ascent, and whether one was capped."""
 
     K_tried: int
     K: int
@@ -151,8 +153,7 @@ def _marginal_density(x, channels, log_fs):
     against w_j log f(y_j), f being even. x is taken in cache-sized blocks;
     each row's sums are the same in any block."""
     out = np.zeros((3, len(x)))
-    out[0] -= sum(sign * (_LOG_SQRT_2PI + math.log(sigma) + 0.5)
-                  for sigma, sign, *_ in channels)
+    out[0] -= sum(sign * noise_entropy(sigma) for sigma, sign, *_ in channels)
     rows = max(1, _KERNEL_BLOCK_TERMS // max(len(c[2]) for c in channels))
     for i in range(0, len(x), rows):
         for (_, sign, _, weights), log_f, (*kernels, _) in zip(
@@ -173,11 +174,11 @@ def _rate(u, w, channels, kernels=None, log_fs=None):
     log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)[:, None]
     rate = 0.0
     for (sigma, sign, _, weights), (*_, log_phi) in zip(channels, kernels):
-        h_noise = _LOG_SQRT_2PI + math.log(sigma) + 0.5
         terms = log_w + log_phi
         m = terms.max(axis=0)
         log_f = np.log(np.exp(terms - m).sum(axis=0)) + m
-        rate += sign * (-float(weights @ (np.exp(log_f) * log_f)) - h_noise)
+        h = -float(weights @ (np.exp(log_f) * log_f))
+        rate += sign * (h - noise_entropy(sigma))
         if log_fs is not None:
             log_fs.append(log_f)
     return rate
@@ -316,17 +317,14 @@ def _ascend(u, w, amplitude, channels, move):
 
 
 def _polish(u, w, amplitude, channels):
-    """`_ascend` in the weights, jointly, and after a merge in the weights
-    again. Returns the state and (weight steps, joint steps, whether one
-    ascent capped)."""
+    """`_ascend` in the weights, then jointly, then `_merge_groups` (the
+    certificate judges the merged law). Returns the state and (weight
+    steps, joint steps, whether either ascent capped)."""
     u, w, first = _ascend(u, w, amplitude, channels, False)
     u, w, steps = _ascend(u, w, amplitude, channels, True)
     order = np.argsort(u)
     u, w = _merge_groups(u[order], w[order], amplitude)
-    u, w, last = _ascend(u, w, amplitude, channels, False)
-    # drop what the closing weight ascent zeroed
-    return u[w > 0.0], w[w > 0.0], (
-        first + last, steps, _NEWTON_STEPS in (first, steps, last))
+    return u, w, (first, steps, _NEWTON_STEPS in (first, steps))
 
 
 def _merge_gap(amplitude):
@@ -398,7 +396,7 @@ def _kkt_profile(u, w, channels, amplitude, cells):
 def _capacity(amplitude, channels, cfg, rate_of):
     """Grow the law from the equispaced start law until the KKT certificate
     holds (at most max_K points, max_K - 1 profiles); the reported rate is
-    rate_of applied to the certified law's DiscreteScheme. channels holds
+    rate_of applied to the certified law. channels is a noise stack of
     (sigma, sign) pairs. The solve runs in noise units: A and every sigma
     are divided by sigma_min, the stack's nodes laid out once at that scale,
     and the certified points scaled back."""
@@ -407,7 +405,7 @@ def _capacity(amplitude, channels, cfg, rate_of):
     channels = _channel_stack(a, [(sigma / scale, sign)
                                   for sigma, sign in channels])
     u, w = _fold(*maxentropic_scheme(a, min(cfg.max_K, max(2, math.ceil(
-        1.3 * a)))).dist.as_arrays())
+        1.3 * a)))).as_arrays())
     trace = []
     while len(trace) < cfg.max_K - 1 and (k := _num_points(u)) <= cfg.max_K:
         u, w, steps = _polish(u, w, a, channels)
@@ -419,7 +417,7 @@ def _capacity(amplitude, channels, cfg, rate_of):
             points, probs = _expand(u, w)
             points = np.clip(points * scale, -amplitude, amplitude)
             dist = DiscreteDistribution(tuple(points), tuple(probs))
-            rate = rate_of(DiscreteScheme(dist))
+            rate = rate_of(dist)
             return SolverReport(dist, rate.nats, rate.quad_error, len(points),
                                 violation, tuple(trace))
         u, w = _grow(u, w, grid, s_grid, a)
@@ -439,17 +437,12 @@ def plain_capacity(
                      lambda s: mutual_information(s, sigma))
 
 
-def _secret_key_channels(params):
-    eq = equivalent_channel(params)
-    return ((math.sqrt(eq.var_eq), 1.0), (math.sqrt(eq.var_e), -1.0))
-
-
 def secret_key_capacity(
     params: ChannelParams, cfg: SolverConfig = DEFAULT_SOLVER
 ) -> SolverReport:
     """Secret-key capacity of the amplitude-constrained setting, maximizing
     the degraded-wiretap rate over discrete inputs on [-A, A]."""
-    return _capacity(params.amplitude, _secret_key_channels(params), cfg,
+    return _capacity(params.amplitude, equivalent_channel(params).stack, cfg,
                      lambda s: secret_key_rate(params, s))
 
 
@@ -457,6 +450,6 @@ def secret_key_profile(params: ChannelParams, dist: DiscreteDistribution):
     """(x, s) of an even law on the secret-key stack: its certificate's
     profile, on a lattice of _KKT_GRID_SIZE points of [-A, A]."""
     a = params.amplitude
-    stack = _channel_stack(a, _secret_key_channels(params))
+    stack = _channel_stack(a, equivalent_channel(params).stack)
     return _kkt_profile(*_fold(*dist.as_arrays()), stack, a,
                         _KKT_GRID_SIZE // 2)[:2]

@@ -14,7 +14,6 @@ from keycap.errors import QuadratureFailure
 
 from keycap.inputs import (
     DiscreteDistribution,
-    DiscreteScheme,
     InputScheme,
     TruncatedGaussianScheme,
     UniformScheme,
@@ -97,8 +96,8 @@ def mirrored(dist: DiscreteDistribution) -> DiscreteDistribution:
     )
 
 
-def point_mass_scheme(location: float = 0.0) -> DiscreteScheme:
-    return DiscreteScheme(DiscreteDistribution((location,), (1.0,)))
+def point_mass_scheme(location: float = 0.0) -> DiscreteDistribution:
+    return DiscreteDistribution((location,), (1.0,))
 
 
 def density_variance(
@@ -117,8 +116,8 @@ def sample_scheme(
     scheme: InputScheme, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw n i.i.d. inputs from a scheme."""
-    if isinstance(scheme, DiscreteScheme):
-        x, p = scheme.dist.as_arrays()
+    if isinstance(scheme, DiscreteDistribution):
+        x, p = scheme.as_arrays()
         return rng.choice(x, size=n, p=p)
     if isinstance(scheme, UniformScheme):
         return rng.uniform(-scheme.amplitude, scheme.amplitude, size=n)

@@ -14,7 +14,6 @@ from click.testing import CliRunner
 from keycap import (
     ChannelParams,
     DiscreteDistribution,
-    DiscreteScheme,
     SolverConfig,
     density_trunc_gauss_conv,
     density_uniform_conv,
@@ -235,8 +234,7 @@ def test_criterion_09_oracle_agreement():
         while np.min(np.diff(pts)) < 1e-3:
             pts = np.sort(rng.uniform(-1.5, 1.5, size=k))
         probs = rng.dirichlet(np.ones(k))
-        scheme = DiscreteScheme(
-            DiscreteDistribution(tuple(pts), tuple(probs)))
+        scheme = DiscreteDistribution(tuple(pts), tuple(probs))
         quad = secret_key_rate(p, scheme).nats
         mc = (monte_carlo_mi_oracle(scheme, math.sqrt(eq.var_eq), 10**7,
                                     2 * trial)

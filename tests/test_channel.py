@@ -6,14 +6,16 @@ import pytest
 from keycap import (
     ChannelParams,
     DiscreteDistribution,
-    DiscreteScheme,
+    TruncatedGaussianScheme,
+    UniformScheme,
     UnsupportedScheme,
     equivalent_channel,
     maxentropic_scheme,
     mutual_information,
+    plain_capacity,
+    secret_key_capacity,
     secret_key_rate,
 )
-from keycap.channel import rate_constant
 from support import mirrored, monte_carlo_mi_oracle, point_mass_scheme
 
 
@@ -48,8 +50,11 @@ def test_invalid_params_rejected():
 
 
 def test_rate_constant_strictly_positive():
-    assert rate_constant(ChannelParams(1.0, 1.0, 1e6)) > 0.0
-    assert rate_constant(ChannelParams(1.0, 3.0, 0.01)) > 0.0
+    # h(N_E) - h(N_eq) = 0.5 log(var_e / var_eq) > 0: the stack's legitimate
+    # noise is the smaller, with sign +1
+    for p in (ChannelParams(1.0, 1.0, 1e6), ChannelParams(1.0, 3.0, 0.01)):
+        (sigma_eq, plus), (sigma_e, minus) = equivalent_channel(p).stack
+        assert sigma_eq < sigma_e and (plus, minus) == (1.0, -1.0)
 
 
 def test_point_mass_rate_is_zero():
@@ -77,20 +82,32 @@ def test_support_violation_raises():
 def test_mirror_invariance():
     p = ChannelParams(1.0, 1.0, 2.0)
     d = DiscreteDistribution((-1.0, 0.2, 0.9), (0.3, 0.3, 0.4))
-    r = secret_key_rate(p, DiscreteScheme(d))
-    rm = secret_key_rate(p, DiscreteScheme(mirrored(d)))
+    r = secret_key_rate(p, d)
+    rm = secret_key_rate(p, mirrored(d))
     assert r.nats == pytest.approx(rm.nats, abs=1e-10)
 
 
 def test_entropy_form_equals_mi_difference():
+    # the secret-key rate is the sign-weighted sum of the stack's mutual
+    # informations, for every input family
     p = ChannelParams(1.2, 0.8, 2.5)
-    s = DiscreteScheme(
-        DiscreteDistribution((-1.2, -0.3, 1.0), (0.25, 0.4, 0.35)))
-    eq = equivalent_channel(p)
-    a = secret_key_rate(p, s)
-    b = (mutual_information(s, math.sqrt(eq.var_eq)).nats
-         - mutual_information(s, math.sqrt(eq.var_e)).nats)
-    assert a.nats == pytest.approx(b, abs=1e-8)
+    stack = equivalent_channel(p).stack
+    for s in (DiscreteDistribution((-1.2, -0.3, 1.0), (0.25, 0.4, 0.35)),
+              maxentropic_scheme(1.2, 3), UniformScheme(1.2),
+              TruncatedGaussianScheme(1.2, 1.2)):
+        b = sum(sign * mutual_information(s, sigma).nats
+                for sigma, sign in stack)
+        assert secret_key_rate(p, s).nats == pytest.approx(b, abs=1e-14), s
+
+
+def test_report_law_is_a_scheme():
+    # a solver report's law is rated as it stands, to the reported rate
+    p = ChannelParams(math.sqrt(2.0), 1.0, 2.0)
+    rep = secret_key_capacity(p)
+    assert secret_key_rate(p, rep.distribution).nats == rep.rate_nats
+    sigma = math.sqrt(equivalent_channel(p).var_eq)
+    rep = plain_capacity(p.amplitude, sigma)
+    assert mutual_information(rep.distribution, sigma).nats == rep.rate_nats
 
 
 def test_two_point_rate_against_monte_carlo():

@@ -23,6 +23,7 @@ from keycap import (
     maxentropic_scheme,
     maximize_lower_bound_2,
     mutual_information,
+    numerics,
     q_function,
     schemes,
     secret_key_capacity,
@@ -30,7 +31,6 @@ from keycap import (
     truncated_gaussian_rate,
 )
 from keycap.inputs import (
-    DiscreteScheme,
     TruncatedGaussianScheme,
     UniformScheme,
 )
@@ -472,7 +472,7 @@ class TestDifferentialEntropy:
 def _mass_points(scheme):
     """A discrete scheme's mass points, where the QUADPACK oracles subdivide;
     none for the continuous families."""
-    return scheme.dist.points if isinstance(scheme, DiscreteScheme) else ()
+    return scheme.points if isinstance(scheme, DiscreteDistribution) else ()
 
 
 def _quadpack_entropy(d, breakpoints=()):
@@ -582,7 +582,7 @@ class TestBatchedAndFoldedRule:
             single = differential_entropy(scheme_output_density(law, 0.8))
             assert abs(h.nats - single.nats) <= 1e-14
             assert abs(h.nats - _quadpack_entropy(
-                scheme_output_density(law, 0.8), law.dist.points)) <= 1e-12
+                scheme_output_density(law, 0.8), law.points)) <= 1e-12
 
     @pytest.mark.parametrize("sigma", [math.sqrt(2.0 / 3.0), math.sqrt(2.0)])
     def test_one_failing_member_fails_the_batch(self, sigma):
@@ -610,7 +610,7 @@ class TestBatchedAndFoldedRule:
             seen.append((d, calls))
             return d
 
-        monkeypatch.setattr(channel, "scheme_output_density", recording)
+        monkeypatch.setattr(numerics, "scheme_output_density", recording)
         p = fig1_params(1e4)
         best_maxentropic(p, k_max=32)
         optimize_truncated_gaussian(p)
@@ -774,7 +774,7 @@ class TestDiscreteDistributionContract:
         lambda: density_trunc_gauss_conv(1.0, 1.0, math.nan),
         lambda: density_trunc_gauss_conv(1.0, math.inf, 1.0),
         lambda: density_trunc_gauss_conv([1.0, math.nan], 1.0, 1.0),
-        lambda: density_discrete_conv(maxentropic_scheme(1.0, 2).dist,
+        lambda: density_discrete_conv(maxentropic_scheme(1.0, 2),
                                       math.nan),
         lambda: mutual_information(UniformScheme(1.0), math.nan),
         lambda: mutual_information(maxentropic_scheme(1.0, 3), math.inf),
@@ -800,5 +800,5 @@ class TestDiscreteDistributionContract:
         assert m.probs == (0.6, 0.4)
 
     def test_scheme_support(self):
-        assert DiscreteScheme(
-            DiscreteDistribution((-2.0, 1.0), (0.5, 0.5))).half_width == 2.0
+        assert DiscreteDistribution(
+            (-2.0, 1.0), (0.5, 0.5)).half_width == 2.0

@@ -22,16 +22,16 @@ from keycap.schemes import (
 class TestMaxentropicScheme:
     def test_point_layouts(self):
         np.testing.assert_allclose(
-            maxentropic_scheme(1.0, 2).dist.points, [-1.0, 1.0])
+            maxentropic_scheme(1.0, 2).points, [-1.0, 1.0])
         np.testing.assert_allclose(
-            maxentropic_scheme(1.0, 3).dist.points, [-1.0, 0.0, 1.0])
+            maxentropic_scheme(1.0, 3).points, [-1.0, 0.0, 1.0])
         np.testing.assert_allclose(
-            maxentropic_scheme(2.0, 5).dist.points,
+            maxentropic_scheme(2.0, 5).points,
             [-2.0, -1.0, 0.0, 1.0, 2.0])
 
     def test_equal_weights(self):
         s = maxentropic_scheme(1.5, 4)
-        np.testing.assert_allclose(s.dist.probs, [0.25] * 4)
+        np.testing.assert_allclose(s.probs, [0.25] * 4)
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
@@ -41,7 +41,7 @@ class TestMaxentropicScheme:
     def test_exactly_mirror_symmetric(self, amplitude):
         # what lets the entropy rule fold every maxentropic law onto t >= 0
         for k in range(2, 33):
-            dist = maxentropic_scheme(amplitude, k).dist
+            dist = maxentropic_scheme(amplitude, k)
             assert dist.points == tuple(-x for x in reversed(dist.points)), k
             assert dist.probs == dist.probs[::-1], k
             assert (dist.points[0], dist.points[-1]) == (-amplitude, amplitude)

@@ -272,6 +272,29 @@ class TestPolish:
         assert u2[1] == pytest.approx(points[2], rel=0.0, abs=1e-6)
         np.testing.assert_allclose(w2, w, rtol=0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("a2,secret_key,max_k", [
+        (20.0, True, 64), (100.0, True, 64), (1000.0, True, 128),
+        (500.0, False, 64)])
+    def test_merged_weights_need_no_ascent(self, fig1_params, monkeypatch,
+                                           a2, secret_key, max_k):
+        # a weight ascent on each polished (merged) law takes no step: the
+        # merge leaves the weights optimal, so the polish ends with it
+        steps = []
+        polish = solver._polish
+
+        def checked(u, w, amplitude, channels):
+            u, w, cost = polish(u, w, amplitude, channels)
+            steps.append(_ascend(u, w, amplitude, channels, False)[2])
+            return u, w, cost
+
+        monkeypatch.setattr(solver, "_polish", checked)
+        p, cfg = fig1_params(a2), SolverConfig(max_K=max_k)
+        if secret_key:
+            secret_key_capacity(p, cfg)
+        else:
+            plain_capacity(p.amplitude, math.sqrt(2.0 / 3.0), cfg)
+        assert steps and steps == [0] * len(steps)
+
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -317,7 +340,7 @@ class TestMarginalDensityAgainstQuadpack:
         # A^2 = 10, K <= 3 puts the mass points 3 sigma or more apart, where
         # log f bends between them
         a = math.sqrt(a2)
-        points, probs = maxentropic_scheme(a, k).dist.as_arrays()
+        points, probs = maxentropic_scheme(a, k).as_arrays()
         xs = np.unique(np.concatenate([[-a, 0.0, a], points]))
         got = _profile(xs, points, probs, _channel_stack(a, channels))[0]
         want = [_quadpack_marginal_density(float(x), points, probs, channels)
@@ -371,7 +394,7 @@ class TestGroupKernels:
                     assert np.isfinite(g).all()
                     np.testing.assert_array_equal(g, parity * v)
             log_fs = []
-            _rate(*_fold(*maxentropic_scheme(a, 9).dist.as_arrays()),
+            _rate(*_fold(*maxentropic_scheme(a, 9).as_arrays()),
                   channels, log_fs=log_fs)
             got = _marginal_density(-x, channels, log_fs)
         assert np.isfinite(got).all()
@@ -558,7 +581,7 @@ class TestKKTProfile:
             rep = plain_capacity(a, 1.0)
         else:
             params = ChannelParams(a, 1.5, 3.0)
-            assert solver._secret_key_channels(params) == channels
+            assert equivalent_channel(params).stack == channels
             rep = secret_key_capacity(params)
         stack = _channel_stack(a, channels)
         points, probs = rep.distribution.as_arrays()
