@@ -31,7 +31,6 @@ from .numerics import (
     density_trunc_gauss_conv,
     density_uniform_conv,
     mutual_information,
-    q_function,
 )
 from .bounds import (
     high_a_limit,

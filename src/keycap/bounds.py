@@ -42,7 +42,7 @@ def lower_bound_2(params: ChannelParams, beta: float) -> float:
     sigma_e = math.sqrt(eq.var_e)
     ratio = beta + a / sigma_e
     term1 = 0.5 * math.log1p(2.0 * a * a / (eq.var_eq * math.pi * math.e))
-    # Q(x) = erfc(x / sqrt 2) / 2 on floats: numerics.q_function takes arrays
+    # Q(x) = erfc(x / sqrt 2) / 2
     term3 = 0.5 * math.erfc(beta / math.sqrt(2.0))
     term2 = (1.0 - math.erfc(ratio / math.sqrt(2.0))) * math.log(
         2.0 * ratio / (_SQRT_2PI * (1.0 - 2.0 * term3)))

@@ -10,10 +10,13 @@ sum_c sign_c [h(X + N_c) - h(N_c)] (`stack_rates`; h(N) is `noise_entropy`):
 ((sigma, +1),) for the mutual information, `channel.EquivalentWiretap.stack`
 for the secret-key rate.
 
-Every reported entropy, and so every reported rate, comes from one fixed
-composite Gauss-Legendre rule on the output axis (`differential_entropy`).
-It sums a batch of densities with one sigma (a scheme family) in one pass,
-with one error estimate per member, and an even density on t >= 0 only.
+Every density is a batch: the output densities of a scheme family with
+one sigma, a leading member axis in every value (a scalar parameter or a
+one-scheme list is a batch of one). Every reported entropy, and so every
+reported rate, comes from one fixed composite Gauss-Legendre rule on the
+output axis (`differential_entropy`). It sums a batch in one pass, with one
+result and one error estimate per member, and an even density on t >= 0
+only.
 No QUADPACK integral is taken here: the adaptive-quadrature oracles that
 the tests check the rule and the densities against live in tests/support.py.
 
@@ -76,16 +79,12 @@ class RateResult:
     entropy_legit: Optional[float] = None
     entropy_eve: Optional[float] = None
 
-    @property
-    def bits(self) -> float:
-        return self.nats / math.log(2.0)
-
 
 @dataclass(frozen=True)
 class OutputDensity:
-    """Probability density of T = X + N, evaluable on numpy arrays, or a
-    batch of such densities with one sigma; eval(t) has a leading axis of
-    members (a batch of one unless batch is set).
+    """A batch of probability densities of T = X + N with one sigma, one
+    member per input X: eval(t) has a leading axis of members, then the
+    shape of t.
 
     support is the interval outside which every member is below 1e-16;
     sigma is the standard deviation of the noise N, which sets the panel
@@ -100,12 +99,6 @@ class OutputDensity:
     sigma: float
     even: bool = False
     terms: int = 1
-    batch: bool = False
-
-    def __call__(self, t):
-        t = np.asarray(t, float)
-        out = self.eval(t)
-        return out if self.batch else float(out[0]) if t.ndim == 0 else out[0]
 
 
 _ERFCX_K = 3.5  # R's coefficients follow, highest degree first
@@ -132,15 +125,6 @@ def _erfcx(z):
     p += _ERFCX_R[-1]
     p /= np.add(z, _ERFCX_K, out=t)
     return p
-
-
-def q_function(x):
-    """Upper-tail probability of the standard normal, Q(x): at z = |x| /
-    sqrt 2 it is exp(-z^2) erfcx(z) / 2, and 1 minus that for x < 0."""
-    x = np.asarray(x, float)
-    z = np.abs(x).reshape(-1) / math.sqrt(2.0)
-    q = (0.5 * _erfcx(z) * np.exp(-z * z)).reshape(x.shape)
-    return np.where(x < 0.0, 1.0 - q, q)[()]
 
 
 def _erfc_window(q, c, w, h, g):
@@ -217,23 +201,22 @@ def maximize_on_grid(values, grid):
 
 
 def density_uniform_conv(amplitude, sigma: float) -> OutputDensity:
-    """Density of U(-A, A) + N(0, sigma^2):
+    """Densities of U(-A, A) + N(0, sigma^2), one per amplitude A:
     p(t) = (1/2A) [Q((-A - t)/sigma) - Q((A - t)/sigma)].
 
-    A sequence of amplitudes gives their batch. The density is even; it is
-    evaluated at |t| by `_erfc_window`, with g = log 2A and no h."""
+    The density is even; it is evaluated at |t| by `_erfc_window`, with
+    g = log 2A and no h."""
     a = np.atleast_1d(np.asarray(amplitude, float))
     _check_positive_finite(amplitude=a, sigma=sigma)
     s = float(sigma)
     pdf = _erfc_window(1.0, a, math.sqrt(0.5) / s, 0.0, np.log(2.0 * a))
     lo = -float(a.max()) - _TAIL_SIGMAS * s
-    return OutputDensity(pdf, (lo, -lo), "uniform-conv", s, True, len(a),
-                         np.ndim(amplitude) > 0)
+    return OutputDensity(pdf, (lo, -lo), "uniform-conv", s, True, len(a))
 
 
 def density_trunc_gauss_conv(amplitude, sigma_x, sigma) -> OutputDensity:
-    """Density of a truncated Gaussian input plus Gaussian noise; sequences
-    of amplitudes and/or sigma_x give their (broadcast) batch.
+    """Densities of a truncated Gaussian input plus Gaussian noise, one per
+    (amplitude, sigma_x) pair of the broadcast arguments.
 
     p(t) = g(t) w(t) with g the zero-mean Gaussian density of variance
     sigma^2 + sigma_x^2 and w the truncation weighting built from the
@@ -258,19 +241,17 @@ def density_trunc_gauss_conv(amplitude, sigma_x, sigma) -> OutputDensity:
     # the input is bounded by A, so only the noise tail extends the support
     half = float(a.max()) + _TAIL_SIGMAS * s
     return OutputDensity(pdf, (-half, half), "trunc-gauss-conv", s, True,
-                         len(a), np.ndim(amplitude) + np.ndim(sigma_x) > 0)
+                         len(a))
 
 
-def density_discrete_conv(dist, sigma: float) -> OutputDensity:
-    """Gaussian mixture sum_k p_k phi((t - x_k) / sigma) / sigma induced by
-    a discrete input through N(0, sigma^2); a list or tuple of laws gives
-    their batch, summed law by law (np.add.reduceat). Terms that underflow
-    fall where the entropy rule zeroes p log p (p < 1e-300) anyway."""
+def density_discrete_conv(laws, sigma: float) -> OutputDensity:
+    """Gaussian mixtures sum_k p_k phi((t - x_k) / sigma) / sigma induced
+    through N(0, sigma^2), one per discrete law of the sequence laws, summed
+    law by law (np.add.reduceat). Terms that underflow fall where the
+    entropy rule zeroes p log p (p < 1e-300) anyway."""
     _check_positive_finite(sigma=sigma)
-    batch = isinstance(dist, (list, tuple))
-    dists = dist if batch else [dist]
     s = float(sigma)
-    laws = [q.as_arrays() for q in dists]
+    laws = [q.as_arrays() for q in laws]
     x = np.concatenate([xq for xq, _ in laws])
     w = np.concatenate([pq for _, pq in laws]) / (s * _SQRT_2PI)
     starts = np.cumsum([0] + [len(xq) for xq, _ in laws[:-1]])
@@ -285,30 +266,23 @@ def density_discrete_conv(dist, sigma: float) -> OutputDensity:
                for xq, pq in laws)
     lo = float(x.min()) - _TAIL_SIGMAS * s
     hi = float(x.max()) + _TAIL_SIGMAS * s
-    return OutputDensity(pdf, (lo, hi), "gaussian-mixture", s, even, len(x),
-                         batch)
+    return OutputDensity(pdf, (lo, hi), "gaussian-mixture", s, even, len(x))
 
 
-def scheme_output_density(scheme, sigma: float) -> OutputDensity:
-    """Density of scheme + N(0, sigma^2), dispatching on the scheme family;
-    a list or tuple of schemes of one family gives their batch."""
-    batch = isinstance(scheme, (list, tuple))
-    one = scheme[0] if batch else scheme
-    if batch and any(type(x) is not type(one) for x in scheme):
+def scheme_output_density(schemes, sigma: float) -> OutputDensity:
+    """Densities of X + N(0, sigma^2), one per scheme X of the sequence
+    schemes, all of one family, dispatching on the family."""
+    one = schemes[0]
+    if any(type(x) is not type(one) for x in schemes):
         raise TypeError("a batch mixes scheme families")
-
-    def param(name):  # one value, or one per member of a batch
-        return ([getattr(x, name) for x in scheme] if batch
-                else getattr(one, name))
-
     if isinstance(one, DiscreteDistribution):
-        return density_discrete_conv(scheme, sigma)
+        return density_discrete_conv(schemes, sigma)
     if isinstance(one, UniformScheme):
-        return density_uniform_conv(param("amplitude"), sigma)
+        return density_uniform_conv([x.amplitude for x in schemes], sigma)
     if isinstance(one, TruncatedGaussianScheme):
-        return density_trunc_gauss_conv(param("amplitude"), param("sigma_x"),
-                                        sigma)
-    raise TypeError(f"not an input scheme: {scheme!r}")
+        return density_trunc_gauss_conv([x.amplitude for x in schemes],
+                                        [x.sigma_x for x in schemes], sigma)
+    raise TypeError(f"not an input scheme: {one!r}")
 
 
 def _gl_panels(lo: float, hi: float, sigma: float, even: bool):
@@ -329,9 +303,9 @@ def _gl_panels(lo: float, hi: float, sigma: float, even: bool):
     return centers, half, scale
 
 
-def differential_entropy(d: OutputDensity) -> RateResult | list[RateResult]:
-    """h = -integral p log p over the support hint, in nats: a RateResult,
-    or for a batch density a list of them, one per member.
+def differential_entropy(d: OutputDensity) -> list[RateResult]:
+    """h = -integral p log p over the support hint, in nats: one RateResult
+    per member of the batch d.
 
     A composite Gauss-Legendre rule (Davis & Rabinowitz, Methods of
     Numerical Integration, 1984) on `_gl_panels`: panels about
@@ -368,9 +342,8 @@ def differential_entropy(d: OutputDensity) -> RateResult | list[RateResult]:
         raise QuadratureFailure(
             f"entropy on [{lo}, {hi}] did not reach abs_tol={QUAD_ABS_TOL}: "
             f"error estimate {np.max(err):.3e}")
-    out = [RateResult(nats=float(v), quad_error=float(e))
-           for v, e in zip(value, err)]
-    return out if d.batch else out[0]
+    return [RateResult(nats=float(v), quad_error=float(e))
+            for v, e in zip(value, err)]
 
 
 def noise_entropy(sigma: float) -> float:

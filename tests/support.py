@@ -50,13 +50,20 @@ def normal_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def member(d: OutputDensity, i: int = 0) -> Callable:
+    """Member i of the batch density d, as a function of t (a float or an
+    array of points)."""
+    return lambda t: d.eval(np.asarray(t, float))[i]
+
+
 def normalization_error(
     d: OutputDensity, breakpoints: tuple[float, ...] = ()
 ) -> float:
-    """|integral of d - 1| over the support hint extended by 2 units;
-    QUADPACK subdivides at the breakpoints (e.g. mixture centers)."""
+    """|integral of member 0 of d - 1| over the support hint extended by 2
+    units; QUADPACK subdivides at the breakpoints (e.g. mixture centers)."""
     lo, hi = d.support
-    val, _ = _quad(lambda t: float(d(t)), lo - 2.0, hi + 2.0, breakpoints)
+    p = member(d)
+    val, _ = _quad(lambda t: float(p(t)), lo - 2.0, hi + 2.0, breakpoints)
     return abs(val - 1.0)
 
 
@@ -103,11 +110,12 @@ def point_mass_scheme(location: float = 0.0) -> DiscreteDistribution:
 def density_variance(
     d: OutputDensity, breakpoints: tuple[float, ...] = ()
 ) -> float:
-    """Variance of the density by quadrature (mean subtracted), subdivided
-    at the breakpoints."""
+    """Variance of member 0 of d by quadrature (mean subtracted),
+    subdivided at the breakpoints."""
     lo, hi = d.support
-    mean, _ = _quad(lambda t: t * float(d(t)), lo, hi, breakpoints)
-    m2, _ = _quad(lambda t: (t - mean) ** 2 * float(d(t)), lo, hi,
+    p = member(d)
+    mean, _ = _quad(lambda t: t * float(p(t)), lo, hi, breakpoints)
+    m2, _ = _quad(lambda t: (t - mean) ** 2 * float(p(t)), lo, hi,
                   breakpoints)
     return m2
 

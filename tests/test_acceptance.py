@@ -40,6 +40,7 @@ from keycap.schemes import (
     uniform_scheme_rate,
 )
 from support import (
+    member,
     mixed_gaussian_entropy_integral,
     monte_carlo_mi_oracle,
     normalization_error,
@@ -86,15 +87,15 @@ def test_criterion_02_density_normalization():
                     (err < 1e-9,
                      f"trunc-gauss-conv norm A={a} sigma_x={sx} sigma={s}"))
     # untruncated limit: the density is the pure Gaussian N(0, s^2 + sx^2)
-    d = density_trunc_gauss_conv(50.0, 1.0, 1.0)
+    p = member(density_trunc_gauss_conv(50.0, 1.0, 1.0))
     t = np.linspace(-3, 3, 7)
     gauss = np.exp(-t * t / 4.0) / math.sqrt(4.0 * math.pi)
-    checks.append((bool(np.allclose(d(t), gauss, rtol=1e-10)),
+    checks.append((bool(np.allclose(p(t), gauss, rtol=1e-10)),
                    "untruncated limit equals pure Gaussian"))
     # wide prior limit: matches the uniform-input density
-    dt = density_trunc_gauss_conv(1.0, 1e6, 1.0)
-    du = density_uniform_conv(1.0, 1.0)
-    wide_ok = all(abs(float(dt(x)) - float(du(x))) < 1e-3
+    pt = member(density_trunc_gauss_conv(1.0, 1e6, 1.0))
+    pu = member(density_uniform_conv(1.0, 1.0))
+    wide_ok = all(abs(float(pt(x)) - float(pu(x))) < 1e-3
                   for x in (-1.0, 0.0, 0.5, 1.0))
     checks.append((wide_ok, "wide-sigma_x limit matches uniform density"))
     _report(2, "output density normalization and limits", checks)
@@ -105,8 +106,8 @@ def test_criterion_03_entropy_cross_check():
     for a in (0.1, 0.5, 1.0, 2.0):
         i_val = mixed_gaussian_entropy_integral(a)
         scheme = maxentropic_scheme(a, 2)
-        h = differential_entropy(scheme_output_density(scheme, 1.0)).nats
-        gap_h = abs(h - (H_GAUSS + a * a - i_val))
+        (h,) = differential_entropy(scheme_output_density([scheme], 1.0))
+        gap_h = abs(h.nats - (H_GAUSS + a * a - i_val))
         checks.append((gap_h < 1e-7, f"entropy identity A={a}, gap={gap_h:.2e}"))
         rate = mutual_information(scheme, 1.0).nats
         gap_r = abs(rate - (a * a - i_val))

@@ -24,7 +24,6 @@ from keycap import (
     maximize_lower_bound_2,
     mutual_information,
     numerics,
-    q_function,
     schemes,
     secret_key_capacity,
     secret_key_rate,
@@ -54,6 +53,7 @@ from keycap.schemes import (
 from support import (
     _quad,
     density_variance,
+    member,
     mirrored,
     mixed_gaussian_entropy_integral,
     monte_carlo_mi_oracle,
@@ -62,31 +62,6 @@ from support import (
 )
 
 H_STD_NORMAL = 0.5 * math.log(2.0 * math.pi * math.e)
-
-
-class TestQFunction:
-    def test_zero(self):
-        assert q_function(0.0) == pytest.approx(0.5, abs=1e-16)
-
-    def test_deep_tail(self):
-        assert q_function(40.0) < 1e-300
-
-    def test_against_erfc(self):
-        # Q(1) = erfc(1/sqrt(2)) / 2
-        assert float(q_function(1.0)) == pytest.approx(0.15865525393145705,
-                                                       abs=1e-15)
-
-    @given(st.floats(-10.0, 10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_symmetry(self, x):
-        assert abs(float(q_function(x) + q_function(-x)) - 1.0) < 1e-15
-
-    def test_monotone(self):
-        xs = np.linspace(-10, 10, 401)
-        assert np.all(np.diff(q_function(xs)) <= 0)
-        # strictly decreasing wherever the tail is resolvable in doubles
-        xs = np.linspace(-6, 6, 241)
-        assert np.all(np.diff(q_function(xs)) < 0)
 
 
 def _kernel_erfc(x):
@@ -100,16 +75,17 @@ def _kernel_erfc(x):
 
 def _kernel_log_ndtr(x):
     """log Phi from the kernel: log(erfcx(-x / sqrt 2) / 2) - x^2 / 2 for
-    x <= 0, and log1p(-Q(x)) for x > 0."""
+    x <= 0, and log1p(-erfc(x / sqrt 2) / 2) for x > 0."""
     x = np.asarray(x, float)
     lower = np.log(0.5 * _erfcx(np.abs(x) / math.sqrt(2.0))) - 0.5 * x * x
     with np.errstate(divide="ignore"):  # log1p(-1) off its branch
-        return np.where(x <= 0.0, lower, np.log1p(-q_function(x)))
+        return np.where(x <= 0.0, lower,
+                        np.log1p(-0.5 * _kernel_erfc(x / math.sqrt(2.0))))
 
 
 class TestErfcxKernel:
-    """The numpy erfcx kernel behind q_function and the uniform and
-    truncated-Gaussian densities, against scipy.special and mpmath."""
+    """The numpy erfcx kernel behind the uniform and truncated-Gaussian
+    densities, against scipy.special and mpmath."""
 
     # the kernel has no pieces; these are the reflection at 0 and the
     # centre K = 3.5 of its variable t = (z - K) / (z + K)
@@ -149,16 +125,12 @@ class TestErfcxKernel:
         assert _erfcx(np.array([0.0]))[0] == 1.0
         assert _erfcx(np.array([np.inf]))[0] == 0.0
         assert np.isnan(_erfcx(np.array([np.nan]))[0])
-        assert q_function(0.0) == q_function(-0.0) == 0.5
-        assert q_function(np.inf) == 0.0 and q_function(-np.inf) == 1.0
-        assert np.isnan(q_function(np.nan))
         np.testing.assert_array_equal(_kernel_erfc([0.0, -0.0]), [1.0, 1.0])
         np.testing.assert_array_equal(_kernel_erfc([np.inf, -np.inf]),
                                       [0.0, 2.0])
         assert np.isnan(_kernel_erfc([np.nan])[0])
         x = np.linspace(0.0, 30.0, 3001)
         np.testing.assert_array_equal(_kernel_erfc(-x), 2.0 - _kernel_erfc(x))
-        np.testing.assert_array_equal(q_function(-x), 1.0 - q_function(x))
 
 
 def _scipy_uniform_pdf(t, a, sigma):
@@ -209,7 +181,7 @@ class TestDensitiesAgainstScipy:
         a = math.sqrt(a2) * np.array([1.0, 0.5, 2.0])
         d = density_uniform_conv(a, sigma)
         t = np.linspace(*d.support, 20001)
-        self._close(d(t), _scipy_uniform_pdf(t, a, sigma))
+        self._close(d.eval(t), _scipy_uniform_pdf(t, a, sigma))
 
     @pytest.mark.parametrize("a2", [0.5, 49.0, 1e6])
     @pytest.mark.parametrize("sigma", [1.0, 1.5])
@@ -218,7 +190,7 @@ class TestDensitiesAgainstScipy:
         grid = np.geomspace(a / 100.0, 100.0 * a, 50)
         d = density_trunc_gauss_conv(a, grid, sigma)
         t = np.linspace(*d.support, 20001)
-        self._close(d(t), _scipy_trunc_gauss_pdf(t, a, grid, sigma))
+        self._close(d.eval(t), _scipy_trunc_gauss_pdf(t, a, grid, sigma))
 
     # uniform rate, then truncated-Gaussian rates at sigma_x = A/2 and A,
     # var_d = 1, var_e = 2.25, as computed on scipy's erfc and log_ndtr
@@ -241,18 +213,19 @@ class TestDensitiesAgainstScipy:
 
 class TestUniformConvDensity:
     def test_value_at_zero(self):
-        d = density_uniform_conv(1.0, 1.0)
-        expected = 0.5 * (q_function(-1.0) - q_function(1.0))
-        assert float(d(0.0)) == pytest.approx(float(expected), abs=1e-15)
+        # (Q(-1) - Q(1)) / 2 = erf(1 / sqrt 2) / 2
+        p = member(density_uniform_conv(1.0, 1.0))
+        expected = 0.5 * math.erf(1.0 / math.sqrt(2.0))
+        assert float(p(0.0)) == pytest.approx(expected, abs=1e-15)
 
     def test_small_noise_limit(self):
-        d = density_uniform_conv(1.0, 1e-6)
-        assert float(d(0.0)) == pytest.approx(0.5, abs=1e-6)
+        p = member(density_uniform_conv(1.0, 1e-6))
+        assert float(p(0.0)) == pytest.approx(0.5, abs=1e-6)
 
     def test_even(self):
-        d = density_uniform_conv(2.0, 0.7)
+        p = member(density_uniform_conv(2.0, 0.7))
         t = np.linspace(0.0, 5.0, 50)
-        np.testing.assert_allclose(d(t), d(-t), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p(t), p(-t), rtol=0, atol=1e-15)
 
     @given(st.floats(0.1, 5.0), st.floats(0.1, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -267,16 +240,16 @@ class TestTruncGaussConvDensity:
 
     def test_untruncated_limit_is_gaussian(self):
         # A = 50 sigma_x: weighting ~ 1, density is N(0, sigma^2 + sigma_x^2)
-        d = density_trunc_gauss_conv(50.0, 1.0, 1.0)
+        p = member(density_trunc_gauss_conv(50.0, 1.0, 1.0))
         t = np.linspace(-3, 3, 13)
         gauss = np.exp(-t * t / 4.0) / math.sqrt(4.0 * math.pi)
-        np.testing.assert_allclose(d(t), gauss, rtol=1e-12)
+        np.testing.assert_allclose(p(t), gauss, rtol=1e-12)
 
     def test_wide_sigma_x_matches_uniform(self):
-        du = density_uniform_conv(1.0, 1.0)
-        dt = density_trunc_gauss_conv(1.0, 1e6, 1.0)
+        pu = member(density_uniform_conv(1.0, 1.0))
+        pt = member(density_trunc_gauss_conv(1.0, 1e6, 1.0))
         for t in (0.0, 1.0, -1.0):
-            assert float(dt(t)) == pytest.approx(float(du(t)), abs=1e-3)
+            assert float(pt(t)) == pytest.approx(float(pu(t)), abs=1e-3)
 
     def test_degenerate_truncation(self):
         with pytest.raises(DegenerateTruncation):
@@ -284,8 +257,8 @@ class TestTruncGaussConvDensity:
 
 
 @pytest.mark.parametrize("density", [
-    density_uniform_conv(1.0, 1.0),
-    density_trunc_gauss_conv(1.0, 1.0, 1.0),
+    member(density_uniform_conv(1.0, 1.0)),
+    member(density_trunc_gauss_conv(1.0, 1.0, 1.0)),
 ], ids=["uniform", "trunc-gauss"])
 @pytest.mark.parametrize("sigmas", [6, 9, 11, 15])
 def test_even_and_positive_far_past_the_edge(density, sigmas):
@@ -296,31 +269,34 @@ def test_even_and_positive_far_past_the_edge(density, sigmas):
 
 class TestDiscreteConvDensity:
     def test_point_mass_is_shifted_gaussian(self):
-        d = density_discrete_conv(DiscreteDistribution((0.0,), (1.0,)), 2.0)
+        p = member(density_discrete_conv(
+            [DiscreteDistribution((0.0,), (1.0,))], 2.0))
         t = 1.3
-        assert float(d(t)) == pytest.approx(
+        assert float(p(t)) == pytest.approx(
             math.exp(-t * t / 8.0) / (2.0 * math.sqrt(2 * math.pi)), rel=1e-14)
 
     def test_two_point_at_origin(self):
-        d = density_discrete_conv(
-            DiscreteDistribution((-1.0, 1.0), (0.5, 0.5)), 1.0)
+        p = member(density_discrete_conv(
+            [DiscreteDistribution((-1.0, 1.0), (0.5, 0.5))], 1.0))
         phi1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
-        assert float(d(0.0)) == pytest.approx(phi1, rel=1e-14)
+        assert float(p(0.0)) == pytest.approx(phi1, rel=1e-14)
 
     def test_normalized(self):
         points = (-2.0, 0.3, 1.0)
         d = density_discrete_conv(
-            DiscreteDistribution(points, (0.2, 0.5, 0.3)), 0.4)
+            [DiscreteDistribution(points, (0.2, 0.5, 0.3))], 0.4)
         assert normalization_error(d, points) < 1e-9
 
-    def test_scalar_in_scalar_out(self):
-        d = density_discrete_conv(
-            DiscreteDistribution((-1.0, 1.0), (0.5, 0.5)), 1.0)
-        assert type(d(0.3)) is float
-        assert type(d(np.asarray(0.3))) is float
-        out = d(np.array([-0.5, 0.0, 0.3]))
-        assert isinstance(out, np.ndarray) and out.shape == (3,)
-        assert out[2] == d(0.3)
+    def test_eval_has_a_member_axis(self):
+        laws = [DiscreteDistribution((-1.0, 1.0), (0.5, 0.5)),
+                DiscreteDistribution((-0.5, 0.0, 2.0), (0.2, 0.5, 0.3))]
+        d = density_discrete_conv(laws, 1.0)
+        t = np.array([-0.5, 0.0, 0.3])
+        assert d.eval(np.asarray(0.3)).shape == (2,)
+        assert d.eval(t).shape == (2, 3)
+        one = density_discrete_conv(laws[:1], 1.0)
+        np.testing.assert_array_equal(d.eval(t)[0], one.eval(t)[0])
+        assert d.eval(np.asarray(0.3))[0] == one.eval(np.asarray(0.3))[0]
 
 
 def _scipy_log_mixture(nodes, u, w, sigma):
@@ -429,21 +405,21 @@ class TestLogMixture:
 
 class TestDifferentialEntropy:
     def test_standard_gaussian(self):
-        d = density_discrete_conv(DiscreteDistribution((0.0,), (1.0,)), 1.0)
-        assert differential_entropy(d).nats == pytest.approx(
+        d = density_discrete_conv([DiscreteDistribution((0.0,), (1.0,))], 1.0)
+        assert differential_entropy(d)[0].nats == pytest.approx(
             H_STD_NORMAL, abs=1e-8)
 
     def test_scaling_law(self):
-        d = density_discrete_conv(DiscreteDistribution((0.0,), (1.0,)), 2.0)
-        assert differential_entropy(d).nats == pytest.approx(
+        d = density_discrete_conv([DiscreteDistribution((0.0,), (1.0,))], 2.0)
+        assert differential_entropy(d)[0].nats == pytest.approx(
             H_STD_NORMAL + math.log(2.0), abs=1e-8)
 
     def test_two_point_mixture_identity(self):
         # h(Y) = h(N) + A^2 - I for the equal two-point input, unit noise
         for a in (0.1, 0.5, 1.0, 2.0):
             d = density_discrete_conv(
-                DiscreteDistribution((-a, a), (0.5, 0.5)), 1.0)
-            h = differential_entropy(d).nats
+                [DiscreteDistribution((-a, a), (0.5, 0.5))], 1.0)
+            h = differential_entropy(d)[0].nats
             rhs = H_STD_NORMAL + a * a - mixed_gaussian_entropy_integral(a)
             assert h == pytest.approx(rhs, abs=1e-7)
 
@@ -453,10 +429,10 @@ class TestDifferentialEntropy:
             (density_uniform_conv(2.0, 0.5), ()),
             (density_trunc_gauss_conv(1.0, 0.8, 1.2), ()),
             (density_discrete_conv(
-                DiscreteDistribution(points, (0.3, 0.3, 0.4)), 0.6), points),
+                [DiscreteDistribution(points, (0.3, 0.3, 0.4))], 0.6), points),
         ):
             v = density_variance(d, breakpoints)
-            h = differential_entropy(d).nats
+            h = differential_entropy(d)[0].nats
             assert h <= 0.5 * math.log(2 * math.pi * math.e * v) + 1e-8
 
     def test_quadrature_failure(self):
@@ -479,8 +455,10 @@ def _quadpack_entropy(d, breakpoints=()):
     """Oracle: -integral p log p by QUADPACK, subdivided at the breakpoints,
     as the rates were computed before the fixed rule (independent of
     `differential_entropy`)."""
+    f = member(d)
+
     def integrand(t):
-        p = float(d(t))
+        p = float(f(t))
         return 0.0 if p < _DENSITY_FLOOR else -p * math.log(p)
 
     lo, hi = d.support
@@ -499,8 +477,8 @@ class TestEntropyRuleAgainstQuadpack:
         # the equivalent-legitimate and the eavesdropper noise, var_d = 1
         for sigma in (math.sqrt(var_e / (1.0 + var_e)), math.sqrt(var_e)):
             for scheme in schemes:
-                d = scheme_output_density(scheme, sigma)
-                h = differential_entropy(d)
+                d = scheme_output_density([scheme], sigma)
+                (h,) = differential_entropy(d)
                 assert abs(h.nats - _quadpack_entropy(
                     d, _mass_points(scheme))) <= 1e-12, scheme
                 assert h.quad_error <= QUAD_ABS_TOL
@@ -551,10 +529,10 @@ class TestBatchedAndFoldedRule:
         scheme = {"uniform": UniformScheme(amplitude),
                   "trunc-gauss": TruncatedGaussianScheme(amplitude, 0.7),
                   "discrete": maxentropic_scheme(amplitude, 4)}[family]
-        d, calls = _recording(scheme_output_density(scheme, 1.0))
+        d, calls = _recording(scheme_output_density([scheme], 1.0))
         centers, half, _ = _gl_panels(*d.support, d.sigma, False)
         assert d.even and len(centers) % 2 == odd
-        h = differential_entropy(d)
+        (h,) = differential_entropy(d)
         # only the middle panel of an odd count reaches below t = 0
         low = min(float(t.min()) for t in calls)
         assert -half < low < 0.0 if odd else 0.0 <= low < half
@@ -568,9 +546,9 @@ class TestBatchedAndFoldedRule:
     ])
     def test_asymmetric_law_is_not_folded(self, points, probs):
         dist = DiscreteDistribution(points, probs)
-        d, calls = _recording(density_discrete_conv(dist, 0.6))
+        d, calls = _recording(density_discrete_conv([dist], 0.6))
         assert not d.even
-        h = differential_entropy(d)
+        (h,) = differential_entropy(d)
         assert min(float(t.min()) for t in calls) < d.support[0] + 0.3
         assert abs(h.nats - _quadpack_entropy(d, points)) <= 1e-12
 
@@ -579,10 +557,11 @@ class TestBatchedAndFoldedRule:
         batch = differential_entropy(scheme_output_density(laws, 0.8))
         assert len(batch) == len(laws)
         for law, h in zip(laws, batch):
-            single = differential_entropy(scheme_output_density(law, 0.8))
+            (single,) = differential_entropy(
+                scheme_output_density([law], 0.8))
             assert abs(h.nats - single.nats) <= 1e-14
             assert abs(h.nats - _quadpack_entropy(
-                scheme_output_density(law, 0.8), law.points)) <= 1e-12
+                scheme_output_density([law], 0.8), law.points)) <= 1e-12
 
     @pytest.mark.parametrize("sigma", [math.sqrt(2.0 / 3.0), math.sqrt(2.0)])
     def test_one_failing_member_fails_the_batch(self, sigma):
@@ -597,6 +576,15 @@ class TestBatchedAndFoldedRule:
         with pytest.raises(TypeError, match="families"):
             scheme_output_density([UniformScheme(1.0),
                                    TruncatedGaussianScheme(1.0, 1.0)], 1.0)
+
+    def test_a_bare_scheme_is_not_a_batch(self):
+        with pytest.raises(TypeError):
+            scheme_output_density(UniformScheme(1.0), 1.0)
+        with pytest.raises(TypeError):
+            density_discrete_conv(maxentropic_scheme(1.0, 2), 1.0)
+
+    def test_a_scalar_amplitude_is_a_batch_of_one(self):
+        assert len(differential_entropy(density_uniform_conv(1.0, 1.0))) == 1
 
     def test_wide_window_batches_stay_within_the_block_budget(
             self, monkeypatch, fig1_params):
@@ -774,7 +762,7 @@ class TestDiscreteDistributionContract:
         lambda: density_trunc_gauss_conv(1.0, 1.0, math.nan),
         lambda: density_trunc_gauss_conv(1.0, math.inf, 1.0),
         lambda: density_trunc_gauss_conv([1.0, math.nan], 1.0, 1.0),
-        lambda: density_discrete_conv(maxentropic_scheme(1.0, 2),
+        lambda: density_discrete_conv([maxentropic_scheme(1.0, 2)],
                                       math.nan),
         lambda: mutual_information(UniformScheme(1.0), math.nan),
         lambda: mutual_information(maxentropic_scheme(1.0, 3), math.inf),

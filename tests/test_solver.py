@@ -755,6 +755,20 @@ class TestSecretKeyCapacity:
         direct = secret_key_rate(p, maxentropic_scheme(p.amplitude, 2)).nats
         assert rep.rate_nats == pytest.approx(direct, abs=1e-8)
 
+    @pytest.mark.parametrize("a2", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("var_d,var_e", [(1.0, 2.0), (1.0, 10.0),
+                                             (2.0, 1.0)])
+    def test_vanishing_amplitude_rate(self, a2, var_d, var_e):
+        # the A -> 0 theorem on C_k itself, with its rate: both laws are
+        # +-A, and I(rho) = rho/2 - rho^2/4 + O(rho^3) nats at rho =
+        # A^2/sigma^2 with 1/var_eq = 1/var_d + 1/var_e give C_k /
+        # C_plain(A; var_d) = 1 - A^2/var_e + O(A^4). Below A^2 ~ 1e-8 the
+        # ratio is rounding noise, so the grid stops at 1e-6
+        a = math.sqrt(a2)
+        ck = secret_key_capacity(ChannelParams(a, var_d, var_e)).rate_nats
+        plain = plain_capacity(a, math.sqrt(var_d)).rate_nats
+        assert abs(ck / plain - (1.0 - a2 / var_e)) <= 2.0 * a2**2 + 5e-8
+
     def test_symmetric_solution(self, fig1_params, fast_cfg):
         rep = secret_key_capacity(fig1_params(2.0), fast_cfg)
         pts = np.asarray(rep.distribution.points)
