@@ -32,7 +32,7 @@ from .bounds import (
 from .channel import ChannelParams
 from .errors import KeycapError, NoConvergence
 from .inputs import _check_positive_finite
-from .numerics import GL_NODES, GL_PANEL_SIGMAS, QUAD_ABS_TOL
+from .numerics import LATTICE_PER_SIGMA, QUAD_ABS_TOL
 from .schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
@@ -169,8 +169,7 @@ def _write_output(rows, columns, metas, cfg, units, fmt, seed, out_path):
     payload = {
         "solver_config": asdict(cfg),
         "quadrature": {"abs_tol": QUAD_ABS_TOL,
-                       "nodes_per_panel": GL_NODES,
-                       "panel_width_sigma": GL_PANEL_SIGMAS},
+                       "nodes_per_sigma": LATTICE_PER_SIGMA},
         "units": units,
         "seed": seed,
         "rows": metas,

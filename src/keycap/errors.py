@@ -24,7 +24,7 @@ class DegenerateTruncation(KeycapError):
 
 class QuadratureFailure(KeycapError):
     """An integral's error estimate exceeds its tolerance: an entropy of the
-    fixed Gauss-Legendre rule, or a QUADPACK oracle integral of the tests."""
+    trapezoid lattice rule, or a QUADPACK oracle integral of the tests."""
 
     status = "quadrature_failure"
 

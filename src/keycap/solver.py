@@ -2,7 +2,7 @@
 
 One quadrature rule gives every number here: s(x; F), R(F) and R's exact
 first and second derivatives are sums over the entropy rule's nodes on the
-t >= 0 half of [-A - 10 sigma, A + 10 sigma] (`_gl_panels`), laid out once
+t >= 0 half of [-A - 10 sigma, A + 10 sigma] (`_lattice`), laid out once
 per solve; for a law with mass at +-A, R(F) is the reported rate's own sum.
 One folded kernel per group of the law (`_group_kernels`), with its
 u-derivatives and its log, gives them all: log f is a log-sum-exp over
@@ -52,9 +52,8 @@ from .channel import ChannelParams, equivalent_channel, secret_key_rate
 from .errors import NoConvergence
 from .inputs import (DiscreteDistribution, _check_positive_finite,
                      maxentropic_scheme)
-from .numerics import (_GL_W, _GL_X, _NEWTON_STEPS, _SQRT_2PI, _TAIL_SIGMAS,
-                       _gl_panels, maximize_newton, mutual_information,
-                       noise_entropy)
+from .numerics import (_NEWTON_STEPS, _SQRT_2PI, _TAIL_SIGMAS, _lattice,
+                       maximize_newton, mutual_information, noise_entropy)
 
 _KERNEL_BLOCK_TERMS = 2**14  # x values x nodes per block: 128 kB temporaries
 
@@ -111,15 +110,12 @@ class SolverReport:
 
 def _channel_stack(amplitude, channels):
     """(sigma, sign) pairs -> (sigma, sign, nodes, weights) per channel: the
-    entropy rule's t >= 0 panels of [-A - 10 sigma, A + 10 sigma], as for an
+    entropy rule's t >= 0 lattice of [-A - 10 sigma, A + 10 sigma], as for an
     even law with mass at +-A; every law and group kernel here is even."""
-    stack = []
-    for sigma, sign in channels:
-        hi = amplitude + _TAIL_SIGMAS * sigma
-        centers, half, scale = _gl_panels(-hi, hi, sigma, True)
-        stack.append((sigma, sign, (centers[:, None] + half * _GL_X).ravel(),
-                      (scale[:, None] * _GL_W).ravel()))
-    return tuple(stack)
+    return tuple((sigma, sign, *_lattice(-amplitude - _TAIL_SIGMAS * sigma,
+                                         amplitude + _TAIL_SIGMAS * sigma,
+                                         sigma, True)[:2])
+                 for sigma, sign in channels)
 
 
 def _group_kernels(u, channels):
@@ -232,8 +228,10 @@ def _derivatives(u, w, channels, kernels=None):
             channels, log_fs, kernels):
         d_log = weights * (log_f + 1.0)
         j = np.vstack([phi, w[:, None] * dphi])
-        # weights / f, kept finite where f underflows (there j does too)
-        h = (j * (weights * np.exp(-np.maximum(log_f, -700.0)))) @ j.T
+        # weights / f, kept finite where f underflows (there j does too);
+        # js @ js.T is numpy's symmetric product
+        js = j * np.sqrt(weights * np.exp(-np.maximum(log_f, -700.0)))
+        h = js @ js.T
         h[n:, n:] += np.diag(w * (d2phi @ d_log))
         h += np.diag(dphi @ d_log, n) + np.diag(dphi @ d_log, -n)
         grad = grad - sign * (j @ d_log)

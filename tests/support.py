@@ -1,7 +1,7 @@
 """Fixtures and oracles shared by the tests; nothing in keycap calls them.
 
 The oracles integrate with scipy's adaptive QUADPACK (`_quad`), independent
-of the package's fixed Gauss-Legendre entropy rule."""
+of the package's trapezoid lattice entropy rule."""
 
 import math
 from typing import Callable

@@ -56,8 +56,7 @@ def test_meta_records_the_entropy_rule(tmp_path):
                 "--out", str(out)])
     assert res.exit_code == 0
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
-    assert meta["quadrature"] == {"abs_tol": 1e-10, "nodes_per_panel": 16,
-                                  "panel_width_sigma": 1.0}
+    assert meta["quadrature"] == {"abs_tol": 1e-10, "nodes_per_sigma": 16}
     # the largest error estimate among the row's rates, within tolerance
     assert 0.0 < meta["rows"][0]["quad_error"] <= 1e-10
 

@@ -36,11 +36,10 @@ from keycap.inputs import (
 from keycap.numerics import (
     _DENSITY_FLOOR,
     _EVAL_BLOCK_TERMS,
+    LATTICE_PER_SIGMA,
     QUAD_ABS_TOL,
-    _GL_W,
-    _GL_X,
     _erfcx,
-    _gl_panels,
+    _lattice,
     maximize_newton,
     scheme_output_density,
 )
@@ -370,12 +369,11 @@ class TestLogMixture:
         # differently from the leading-axis sum over the groups
         rng = np.random.default_rng(k)
         a, sigma = 20.0, 0.9
-        centers, half, scale = _gl_panels(-a - 10.0 * sigma,
-                                          a + 10.0 * sigma, sigma, False)
-        nodes = (centers[:, None] + half * _GL_X).ravel()
+        nodes, weights, _ = _lattice(-a - 10.0 * sigma, a + 10.0 * sigma,
+                                     sigma, False)
         u, w = self._groups(rng, k, a, center=k > 1)
         assert -2.0 * nodes.min() * u.max() / sigma**2 > 710.0
-        stack = ((sigma, 1.0, nodes, (scale[:, None] * _GL_W).ravel()),)
+        stack = ((sigma, 1.0, nodes, weights),)
         for kernel in _group_kernels(u, stack)[0]:
             assert kernel.shape == (k, len(nodes))
         self._check(u, w, stack)
@@ -438,7 +436,7 @@ class TestDifferentialEntropy:
     def test_quadrature_failure(self):
         # a near-point-mass uniform input: the density is a difference of two
         # almost equal Q values that loses about 6 digits, and the entropy
-        # rule's 16/12-node error estimate exceeds the fixed tolerance (the
+        # rule's nested-lattice error estimate exceeds the fixed tolerance (the
         # A^2=1e-20 uniform-scheme row of the CLI)
         d = density_uniform_conv(1e-10, math.sqrt(2.0 / 3.0))
         with pytest.raises(QuadratureFailure, match="abs_tol=1e-10"):
@@ -490,9 +488,11 @@ class TestEntropyRuleAgainstQuadpack:
             differential_entropy(density_uniform_conv(1e-10, sigma))
 
     def test_too_wide_window_fails_cleanly(self):
-        # 2e5 noise standard deviations of panels: refused before any call
-        with pytest.raises(QuadratureFailure, match="panels"):
-            differential_entropy(density_uniform_conv(1e5, 1.0))
+        # a window of 2e5 noise standard deviations: refused before any call
+        d, calls = _recording(density_uniform_conv(1e5, 1.0))
+        with pytest.raises(QuadratureFailure, match="2\\^16 noise widths"):
+            differential_entropy(d)
+        assert calls == []
 
     def test_rates_never_call_quadpack(self, monkeypatch, fig1_params):
         def refuse(*args, **kwargs):
@@ -525,17 +525,19 @@ class TestBatchedAndFoldedRule:
     @pytest.mark.parametrize("amplitude, odd", [(1.0, False), (1.5, True)])
     @pytest.mark.parametrize("family", ["uniform", "trunc-gauss", "discrete"])
     def test_folded_entropy_against_quadpack(self, amplitude, odd, family):
-        # [-A - 10, A + 10] in unit panels: 22 panels at A = 1, 23 at 1.5
+        # [-A - 10, A + 10] is 22 noise widths at A = 1, an odd 23 at 1.5:
+        # either way the fold evaluates t = 0 once and no t < 0
         scheme = {"uniform": UniformScheme(amplitude),
                   "trunc-gauss": TruncatedGaussianScheme(amplitude, 0.7),
                   "discrete": maxentropic_scheme(amplitude, 4)}[family]
         d, calls = _recording(scheme_output_density([scheme], 1.0))
-        centers, half, _ = _gl_panels(*d.support, d.sigma, False)
-        assert d.even and len(centers) % 2 == odd
+        lo, hi = d.support
+        assert d.even and round((hi - lo) / d.sigma) % 2 == odd
         (h,) = differential_entropy(d)
-        # only the middle panel of an odd count reaches below t = 0
-        low = min(float(t.min()) for t in calls)
-        assert -half < low < 0.0 if odd else 0.0 <= low < half
+        t = np.concatenate(calls)
+        np.testing.assert_array_equal(
+            t, np.arange(len(t)) * (d.sigma / LATTICE_PER_SIGMA))
+        assert t[-1] <= hi < t[-1] + d.sigma / LATTICE_PER_SIGMA
         want = _quadpack_entropy(d, _mass_points(scheme))
         assert abs(h.nats - want) <= 1e-12
 
@@ -608,6 +610,57 @@ class TestBatchedAndFoldedRule:
         assert terms == {"gaussian-mixture": 527, "trunc-gauss-conv": 50}
         assert max(t.size * d.terms
                    for d, calls in seen for t in calls) <= _EVAL_BLOCK_TERMS
+
+
+class TestLattice:
+    """The trapezoid lattice of the entropy rule and its nested error
+    estimate."""
+
+    @pytest.mark.parametrize("lo, hi, sigma", [
+        (-11.0, 11.0, 1.0), (-3.7, 5.2, 0.6), (0.3, 9.9, 1.3)])
+    def test_unfolded_layout(self, lo, hi, sigma):
+        delta = sigma / LATTICE_PER_SIGMA
+        t, weights, sub = _lattice(lo, hi, sigma, False)
+        j = np.arange(math.ceil(lo / delta), math.floor(hi / delta) + 1)
+        np.testing.assert_array_equal(t, j * delta)
+        assert lo <= t[0] < lo + delta and hi - delta < t[-1] <= hi
+        assert np.all(weights == delta)
+        assert abs(weights.sum() - (hi - lo)) <= delta
+        np.testing.assert_array_equal(sub, np.where(j % 2 == 0, 2 * delta, 0))
+
+    def test_folded_layout(self):
+        sigma = 0.7
+        delta = sigma / LATTICE_PER_SIGMA
+        t, weights, sub = _lattice(-9.0, 9.0, sigma, True)
+        j = np.arange(len(t))
+        np.testing.assert_array_equal(t, j * delta)
+        assert t[-1] <= 9.0 < t[-1] + delta
+        # t = 0 once, with weight delta; every other node stands for +-t
+        assert weights[0] == delta and np.all(weights[1:] == 2.0 * delta)
+        np.testing.assert_array_equal(
+            sub, np.where(j % 2 == 0, np.where(j == 0, 2.0, 4.0) * delta, 0))
+
+    def _two_point(self):
+        law = maxentropic_scheme(3.0, 2)
+        d = density_discrete_conv([law], 0.5)
+        return d, _quadpack_entropy(d, law.points)
+
+    def test_estimate_catches_a_coarse_lattice(self):
+        # the K = 2 law at A = 3, sigma 0.5, on the lattice of a sigma field
+        # 8 sigma: eight times too coarse, refused; at the true sigma it
+        # passes
+        d, want = self._two_point()
+        (h,) = differential_entropy(d)
+        assert abs(h.nats - want) <= 1e-12
+        with pytest.raises(QuadratureFailure, match="abs_tol=1e-10"):
+            differential_entropy(dataclasses.replace(d, sigma=8.0 * d.sigma))
+
+    @pytest.mark.parametrize("factor", [2.0, 3.0, 4.0])
+    def test_estimate_covers_the_error_of_coarser_lattices(self, factor):
+        d, want = self._two_point()
+        (h,) = differential_entropy(
+            dataclasses.replace(d, sigma=factor * d.sigma))
+        assert h.quad_error >= abs(h.nats - want)
 
 
 class TestMaximizeNewton:
@@ -770,7 +823,7 @@ class TestDiscreteDistributionContract:
             "tg-nan-sigma", "tg-inf-sigma-x", "tg-nan-member",
             "discrete-nan-sigma", "mi-nan-sigma", "mi-inf-sigma"])
     def test_densities_reject_non_finite_parameters(self, make):
-        # a usage error up front, not a panel count that cannot be an
+        # a usage error up front, not a node count that cannot be an
         # integer or a silently NaN density
         with pytest.raises(ValueError, match="positive and finite"):
             make()

@@ -18,7 +18,7 @@ from keycap import (
     secret_key_rate,
 )
 from keycap import solver
-from keycap.numerics import GL_NODES, _GL_W, _GL_X, _gl_panels
+from keycap.numerics import LATTICE_PER_SIGMA, _lattice
 from keycap.solver import (
     _ascend,
     _channel_stack,
@@ -417,7 +417,7 @@ _STACKS = pytest.mark.parametrize("channels", [
 
 
 class TestChannelStack:
-    """The solver's sums on the stack's t >= 0 panels, with doubled weights,
+    """The solver's sums on the stack's t >= 0 lattice, with doubled weights,
     against the same routines on the whole window [-A - 10 sigma,
     A + 10 sigma]: each law is even and each group kernel folded, so the
     two agree up to rounding, on half the nodes."""
@@ -425,9 +425,9 @@ class TestChannelStack:
     @pytest.mark.parametrize("channels", [
         ((1.0, 1.0),), ((1.0, 1.0), (math.sqrt(3.0), -1.0)),
     ], ids=["plain", "secret_key"])
-    @pytest.mark.parametrize("a,panels", [(1.0, 22), (1.5, 23)])
+    @pytest.mark.parametrize("a,widths", [(1.0, 22), (1.5, 23)])
     @pytest.mark.parametrize("law", ["K2", "K3", "K4", "random"])
-    def test_half_line_equals_whole_window(self, channels, a, panels, law):
+    def test_half_line_equals_whole_window(self, channels, a, widths, law):
         if law == "random":
             # a mirror-symmetric state with a center and two pairs
             rng = np.random.default_rng(7)
@@ -442,11 +442,11 @@ class TestChannelStack:
         whole = tuple((sigma, sign, *_whole_window(
             -a - 10.0 * sigma, a + 10.0 * sigma, sigma))
             for sigma, sign in channels)
-        # an even count of unit panels at A = 1, an odd one at 1.5
-        assert len(whole[0][2]) == panels * GL_NODES
+        # an even count of unit noise widths at A = 1, an odd one at 1.5:
+        # 16 nodes per width and t = 0, of which the stack keeps t >= 0
+        assert len(whole[0][2]) == widths * LATTICE_PER_SIGMA + 1
         for (*_, nodes, _), (*_, full, _) in zip(stack, whole):
-            n = len(full) // GL_NODES
-            assert len(nodes) <= (n // 2 + 1) * GL_NODES
+            assert len(nodes) == len(full) // 2 + 1
         assert _rate(u, w, stack) == pytest.approx(
             _rate(u, w, whole), rel=0.0, abs=1e-13)
         for got, want in zip(_derivatives(u, w, stack),
@@ -480,9 +480,7 @@ class TestMarginalDensityDerivatives:
 
 def _whole_window(lo, hi, sigma):
     """Nodes and weights of the entropy rule on all of [lo, hi], unfolded."""
-    centers, half, scale = _gl_panels(lo, hi, sigma, False)
-    return ((centers[:, None] + half * _GL_X).ravel(),
-            (scale[:, None] * _GL_W).ravel())
+    return _lattice(lo, hi, sigma, False)[:2]
 
 
 def _direct_s(x, points, probs, channels):
@@ -490,7 +488,7 @@ def _direct_s(x, points, probs, channels):
     entropy rule's whole window [min x_i - 10 sigma, max x_i + 10 sigma],
     log f from scipy's logsumexp over the law's points there, in blocks of
     256 points: a second implementation of the profile's value (neither the
-    stack's half-line panels nor its folded kernel), and a cheaper one on
+    stack's half-line lattice nor its folded kernel), and a cheaper one on
     dense lattices."""
     s = np.zeros(len(x))
     for sigma, sign, *_ in channels:
