@@ -268,7 +268,7 @@ def bounds(var_d, var_e, a2_grid, units, fmt, out, seed, max_k):
 @_common_options
 @click.option("--k-max", type=click.IntRange(min=2), default=32,
               show_default=True,
-              help="largest point count tried by the equally-spaced scheme")
+              help="largest point count the equally spaced search considers")
 def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, k_max):
     """Suboptimal scheme rates over the grid."""
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,

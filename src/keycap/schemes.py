@@ -18,18 +18,30 @@ from .numerics import RateResult, maximize_on_grid
 def best_maxentropic(
     params: ChannelParams, k_max: int = 32
 ) -> tuple[int, RateResult]:
-    """Exhaustive search over the point count K = 2..k_max, one batch. Rates
+    """Bracketed search over the point count K = 2..k_max, in two batches:
+    the √2 ladder round(2·2^(i/2)) < k_max plus k_max (2, 3, 4, 6, 8, 11,
+    16, 23, 32 for k_max = 32), then the integers strictly between the
+    ladder's best K and its ladder neighbours (an end bounds itself). Rates
     within their summed quadrature errors of the maximum tie, and ties go to
-    the smaller K."""
+    the smaller K. The search assumes that the rate is unimodal in K."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    a = params.amplitude
-    rates = secret_key_rates(
-        params, [maxentropic_scheme(a, k) for k in range(2, k_max + 1)])
-    best = max(rates, key=lambda r: r.nats)
-    k = next(k for k, r in enumerate(rates, 2)
-             if r.nats >= best.nats - (r.quad_error + best.quad_error))
-    return k, rates[k - 2]
+    ladder = [k for i in range(2 * k_max.bit_length())
+              if (k := round(2.0 * 2.0 ** (i / 2.0))) < k_max] + [k_max]
+    rated = {}
+
+    def best_with(counts):  # one batch for the counts not yet rated
+        if new := [k for k in counts if k not in rated]:
+            rated.update(zip(new, secret_key_rates(params, [
+                maxentropic_scheme(params.amplitude, k) for k in new])))
+        best = max(rated.values(), key=lambda r: r.nats)
+        return min(k for k, r in rated.items()
+                   if r.nats >= best.nats - (r.quad_error + best.quad_error))
+
+    i = ladder.index(best_with(ladder))
+    lo, hi = ladder[max(i - 1, 0)], ladder[min(i + 1, len(ladder) - 1)]
+    k = best_with(range(lo + 1, hi))
+    return k, rated[k]
 
 
 def uniform_scheme_rate(params: ChannelParams) -> RateResult:

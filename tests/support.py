@@ -10,6 +10,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtri
 
+from keycap.channel import ChannelParams, secret_key_rates
 from keycap.errors import QuadratureFailure
 
 from keycap.inputs import (
@@ -17,8 +18,14 @@ from keycap.inputs import (
     InputScheme,
     TruncatedGaussianScheme,
     UniformScheme,
+    maxentropic_scheme,
 )
-from keycap.numerics import GAUSS_ENTROPY_UNIT, QUAD_ABS_TOL, OutputDensity
+from keycap.numerics import (
+    GAUSS_ENTROPY_UNIT,
+    QUAD_ABS_TOL,
+    OutputDensity,
+    RateResult,
+)
 
 # subdivision budget of the QUADPACK oracle integrals
 QUAD_MAX_SUBDIVISIONS = 2**15
@@ -93,6 +100,24 @@ def mixed_gaussian_entropy_integral(amplitude: float) -> float:
     hi = a + 12.0 + 12.0 / a  # both bells and the logcosh scale covered
     val, _ = _quad(integrand, 0.0, hi, (a,))
     return val
+
+
+def exhaustive_maxentropic(
+    params: ChannelParams, k_max: int = 32
+) -> tuple[int, RateResult]:
+    """Exhaustive search over the point count K = 2..k_max, one batch. Rates
+    within their summed quadrature errors of the maximum tie, and ties go to
+    the smaller K. The oracle of `schemes.best_maxentropic`'s bracketed
+    search."""
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    a = params.amplitude
+    rates = secret_key_rates(
+        params, [maxentropic_scheme(a, k) for k in range(2, k_max + 1)])
+    best = max(rates, key=lambda r: r.nats)
+    k = next(k for k, r in enumerate(rates, 2)
+             if r.nats >= best.nats - (r.quad_error + best.quad_error))
+    return k, rates[k - 2]
 
 
 def mirrored(dist: DiscreteDistribution) -> DiscreteDistribution:

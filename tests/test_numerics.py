@@ -602,7 +602,8 @@ class TestBatchedAndFoldedRule:
 
         monkeypatch.setattr(numerics, "scheme_output_density", recording)
         p = fig1_params(1e4)
-        best_maxentropic(p, k_max=32)
+        channel.secret_key_rates(
+            p, [maxentropic_scheme(p.amplitude, k) for k in range(2, 33)])
         optimize_truncated_gaussian(p)
         terms = {}
         for d, _ in seen:

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from keycap import (
+    ChannelParams,
     TruncatedGaussianScheme,
     maxentropic_scheme,
+    numerics,
     secret_key_capacity,
     secret_key_rate,
 )
 from keycap.bounds import high_a_limit
 from keycap.channel import secret_key_rates
+from keycap.numerics import scheme_output_density
 from keycap.schemes import (
     best_maxentropic,
     optimize_truncated_gaussian,
     truncated_gaussian_rate,
     uniform_scheme_rate,
 )
+from support import exhaustive_maxentropic
 
 
 class TestMaxentropicScheme:
@@ -95,6 +99,41 @@ class TestBestMaxentropic:
         _, rate = best_maxentropic(p, k_max=8)
         cap = secret_key_capacity(p, fast_cfg).rate_nats
         assert rate.nats <= cap + 1e-8
+
+    @pytest.mark.parametrize("var_e", [1.1, 2.0, 2.25, 10.0])
+    def test_equals_the_exhaustive_search(self, var_e):
+        # rates at rounding-noise level (A^2 = 1e-20 and 1e6, where every K
+        # ties), best K on and between the ladder's rungs, best K at the cap
+        for a2 in [1e-20, *np.geomspace(1e-3, 2e3, 12), 1e6]:
+            p = ChannelParams(math.sqrt(a2), 1.0, var_e)
+            for k_max in (2, 3, 5, 32):
+                k, rate = best_maxentropic(p, k_max)
+                want_k, want = exhaustive_maxentropic(p, k_max)
+                assert k == want_k, (a2, k_max)
+                assert abs(rate.nats - want.nats) <= 1e-12, (a2, k_max)
+
+    @pytest.mark.parametrize("a2, var_e, want_k, bracket", [
+        (1.0, 2.25, 2, []),  # best at the ladder's low end: no second batch
+        (49.0, 2.25, 16, [12, 13, 14, 15, 17, 18, 19, 20, 21, 22]),
+        (1e4, 2.0, 32, [24, 25, 26, 27, 28, 29, 30, 31]),  # at the cap
+    ])
+    def test_the_ladder_then_the_bracket(self, monkeypatch, a2, var_e,
+                                         want_k, bracket):
+        batches = []
+
+        def recording(schemes, sigma):
+            batches.append((sigma, [len(s.points) for s in schemes]))
+            return scheme_output_density(schemes, sigma)
+
+        monkeypatch.setattr(numerics, "scheme_output_density", recording)
+        k, _ = best_maxentropic(ChannelParams(math.sqrt(a2), 1.0, var_e))
+        assert k == want_k
+        ladder = [2, 3, 4, 6, 8, 11, 16, 23, 32]
+        sigmas = {sigma for sigma, _ in batches}
+        assert len(sigmas) == 2
+        for sigma in sigmas:
+            counts = [c for s, c in batches if s == sigma]
+            assert counts == ([ladder, bracket] if bracket else [ladder])
 
 
 class TestUniformScheme:
