@@ -4,8 +4,6 @@ a sweep CLI."""
 
 from .channel import (
     ChannelParams,
-    EquivalentWiretap,
-    equivalent_channel,
     secret_key_rate,
 )
 from .errors import (

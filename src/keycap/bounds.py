@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .channel import ChannelParams, equivalent_channel
+from .channel import ChannelParams
 from .errors import InvalidBeta
 from .numerics import _SQRT_2PI, RateResult, maximize_on_grid
 from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity
@@ -28,7 +28,7 @@ def lower_bound_1(
     sign times `plain_capacity` summed over the equivalent wiretap's stack;
     quad_error is the sum of the two capacities' entropy-rule errors."""
     reps = [(sign, plain_capacity(params.amplitude, sigma, cfg))
-            for sigma, sign in equivalent_channel(params).stack]
+            for sigma, sign in params.stack]
     return RateResult(sum(sign * rep.rate_nats for sign, rep in reps),
                       sum(rep.quad_error for _, rep in reps))
 
@@ -37,11 +37,10 @@ def lower_bound_2(params: ChannelParams, beta: float) -> float:
     """Closed-form lower bound with free parameter 0 < beta < inf."""
     if not 0.0 < beta < math.inf:
         raise InvalidBeta(f"beta must be positive and finite, got {beta}")
-    eq = equivalent_channel(params)
     a = params.amplitude
-    sigma_e = math.sqrt(eq.var_e)
+    sigma_e = math.sqrt(params.var_e)
     ratio = beta + a / sigma_e
-    term1 = 0.5 * math.log1p(2.0 * a * a / (eq.var_eq * math.pi * math.e))
+    term1 = 0.5 * math.log1p(2.0 * a * a / (params.var_eq * math.pi * math.e))
     # Q(x) = erfc(x / sqrt 2) / 2
     term3 = 0.5 * math.erfc(beta / math.sqrt(2.0))
     term2 = (1.0 - math.erfc(ratio / math.sqrt(2.0))) * math.log(
@@ -60,11 +59,10 @@ def maximize_lower_bound_2(params: ChannelParams) -> tuple[float, float]:
 
 def lower_bound_3(params: ChannelParams) -> float:
     """Closed-form lower bound with no free parameter; 0 at A = 0."""
-    eq = equivalent_channel(params)
     a2 = params.amplitude**2
     pe = math.pi * math.e
-    return 0.5 * math.log(
-        (6.0 * a2 / eq.var_eq + 3.0 * pe) / (pe * a2 / eq.var_e + 3.0 * pe))
+    return 0.5 * math.log((6.0 * a2 / params.var_eq + 3.0 * pe)
+                          / (pe * a2 / params.var_e + 3.0 * pe))
 
 
 def upper_bound(params: ChannelParams) -> float:

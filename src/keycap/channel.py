@@ -6,7 +6,7 @@ Gaussian noises of variances var_d and var_e. Combining Y and Z through the
 sufficient statistic Y/var_d + Z/var_e turns the key-agreement problem into
 a wiretap channel whose legitimate noise variance is the harmonic
 combination var_eq = 1 / (1/var_d + 1/var_e) < min(var_d, var_e): the
-noise stack ((sqrt var_eq, +1), (sqrt var_e, -1)) of `EquivalentWiretap`,
+noise stack ((sqrt var_eq, +1), (sqrt var_e, -1)), `ChannelParams.stack`,
 which every secret-key rate (`numerics.stack_rates`) and solve sums over.
 """
 
@@ -34,24 +34,15 @@ class ChannelParams:
         _check_positive_finite(amplitude=self.amplitude, var_d=self.var_d,
                                var_e=self.var_e)
 
-
-@dataclass(frozen=True)
-class EquivalentWiretap:
-    """Degraded wiretap equivalent: legitimate noise var_eq, eavesdropper var_e."""
-
-    var_eq: float
-    var_e: float
+    @property
+    def var_eq(self) -> float:
+        """Legitimate noise variance of the degraded wiretap equivalent."""
+        return 1.0 / (1.0 / self.var_d + 1.0 / self.var_e)
 
     @property
     def stack(self) -> tuple[tuple[float, float], ...]:
         """The (sigma, sign) noise stack every secret-key rate sums over."""
         return ((math.sqrt(self.var_eq), 1.0), (math.sqrt(self.var_e), -1.0))
-
-
-def equivalent_channel(params: ChannelParams) -> EquivalentWiretap:
-    """Reduce the key-agreement model to its degraded wiretap equivalent."""
-    var_eq = 1.0 / (1.0 / params.var_d + 1.0 / params.var_e)
-    return EquivalentWiretap(var_eq, params.var_e)
 
 
 def secret_key_rate(params: ChannelParams, scheme: InputScheme) -> RateResult:
@@ -70,4 +61,4 @@ def secret_key_rates(params: ChannelParams, schemes) -> list[RateResult]:
         raise UnsupportedScheme(
             f"scheme support {width} exceeds amplitude {params.amplitude}"
         )
-    return stack_rates(schemes, equivalent_channel(params).stack)
+    return stack_rates(schemes, params.stack)

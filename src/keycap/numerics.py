@@ -7,7 +7,7 @@ below 1e-16, so all integrals run over finite windows.
 
 Every rate is one sum over a noise stack of (sigma, sign) pairs,
 sum_c sign_c [h(X + N_c) - h(N_c)] (`stack_rates`; h(N) is `noise_entropy`):
-((sigma, +1),) for the mutual information, `channel.EquivalentWiretap.stack`
+((sigma, +1),) for the mutual information, `channel.ChannelParams.stack`
 for the secret-key rate.
 
 Every density is a batch: the output densities of a scheme family with
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -64,12 +64,10 @@ _EVAL_BLOCK_TERMS = 2**13  # terms x nodes per density call: 64 kB temporaries
 
 @dataclass(frozen=True)
 class RateResult:
-    """A rate (or entropy) in nats plus numerical diagnostics."""
+    """A rate (or entropy) in nats and its quadrature error estimate."""
 
     nats: float
     quad_error: float = 0.0
-    entropy_legit: Optional[float] = None
-    entropy_eve: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -337,14 +335,13 @@ def noise_entropy(sigma: float) -> float:
 
 def stack_rates(schemes, stack) -> list[RateResult]:
     """sum_c sign_c [h(X + N_c) - h(N_c)] of each scheme of one family over
-    a noise stack of (sigma, sign) pairs, from one batched entropy per
-    noise; entropy_legit and entropy_eve are the first two h(X + N_c)."""
+    a noise stack of (sigma, sign) pairs, one batched entropy per noise."""
     hs = [differential_entropy(scheme_output_density(schemes, sigma))
           for sigma, _ in stack]
     return [RateResult(sum(sign * (h.nats - noise_entropy(sigma))
                            for (sigma, sign), h in zip(stack, member)),
-                       sum(h.quad_error for h in member),
-                       *[h.nats for h in member]) for member in zip(*hs)]
+                       sum(h.quad_error for h in member))
+            for member in zip(*hs)]
 
 
 def mutual_information(scheme: InputScheme, sigma: float) -> RateResult:

@@ -8,6 +8,8 @@ sigma_x = A.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .channel import ChannelParams, secret_key_rate, secret_key_rates
@@ -24,8 +26,9 @@ def best_maxentropic(
     ladder's best K and its ladder neighbours (an end bounds itself). Rates
     within their summed quadrature errors of the maximum tie, and ties go to
     the smaller K. The search assumes that the rate is unimodal in K."""
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
+    if not isinstance(k_max, numbers.Integral) or k_max < 2:
+        raise ValueError(f"k_max must be an integer >= 2, got {k_max!r}")
+    k_max = int(k_max)
     ladder = [k for i in range(2 * k_max.bit_length())
               if (k := round(2.0 * 2.0 ** (i / 2.0))) < k_max] + [k_max]
     rated = {}

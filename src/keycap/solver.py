@@ -10,7 +10,7 @@ the groups, and the law's points are expanded only to be reported.
 
 A solve maximizes R(F) = sum_c sign_c (h(f_c) - h(N_c)) over a noise
 stack of (sigma, sign) pairs: ((sigma, +1),) for the plain capacity,
-`EquivalentWiretap.stack` for the secret-key capacity. It runs in noise
+`ChannelParams.stack` for the secret-key capacity. It runs in noise
 units: A and every sigma are divided by the smallest, sigma_min, so that,
 like the capacity, it depends on A / sigma alone; the certified points are
 scaled back. Below, lengths are in these units. The search starts from the
@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams, equivalent_channel, secret_key_rate
+from .channel import ChannelParams, secret_key_rate
 from .errors import NoConvergence
 from .inputs import (DiscreteDistribution, _check_positive_finite,
                      maxentropic_scheme)
@@ -440,7 +440,7 @@ def secret_key_capacity(
 ) -> SolverReport:
     """Secret-key capacity of the amplitude-constrained setting, maximizing
     the degraded-wiretap rate over discrete inputs on [-A, A]."""
-    return _capacity(params.amplitude, equivalent_channel(params).stack, cfg,
+    return _capacity(params.amplitude, params.stack, cfg,
                      lambda s: secret_key_rate(params, s))
 
 
@@ -448,6 +448,6 @@ def secret_key_profile(params: ChannelParams, dist: DiscreteDistribution):
     """(x, s) of an even law on the secret-key stack: its certificate's
     profile, on a lattice of _KKT_GRID_SIZE points of [-A, A]."""
     a = params.amplitude
-    stack = _channel_stack(a, equivalent_channel(params).stack)
+    stack = _channel_stack(a, params.stack)
     return _kkt_profile(*_fold(*dist.as_arrays()), stack, a,
                         _KKT_GRID_SIZE // 2)[:2]

@@ -18,7 +18,6 @@ from keycap import (
     density_trunc_gauss_conv,
     density_uniform_conv,
     differential_entropy,
-    equivalent_channel,
     maxentropic_scheme,
     mutual_information,
     plain_capacity,
@@ -64,12 +63,12 @@ def test_criterion_01_equivalent_channel():
     checks = []
     for _ in range(100):
         vd, ve = rng.uniform(0.05, 25.0, size=2)
-        eq = equivalent_channel(ChannelParams(1.0, vd, ve))
+        p = ChannelParams(1.0, vd, ve)
         expected = 1.0 / (1.0 / vd + 1.0 / ve)
         checks.append((
-            math.isclose(eq.var_eq, expected, rel_tol=1e-14),
+            math.isclose(p.var_eq, expected, rel_tol=1e-14),
             f"var_eq formula at ({vd:.4f}, {ve:.4f})"))
-        checks.append((eq.var_eq < min(vd, ve),
+        checks.append((p.var_eq < min(vd, ve),
                        f"var_eq < min at ({vd:.4f}, {ve:.4f})"))
     _report(1, "equivalent channel variance", checks)
 
@@ -227,7 +226,6 @@ def test_criterion_08_low_amplitude_ratio():
 def test_criterion_09_oracle_agreement():
     rng = np.random.default_rng(99)
     p = ChannelParams(1.5, 1.0, 2.0)
-    eq = equivalent_channel(p)
     checks = []
     for trial in range(5):
         k = int(rng.integers(2, 5))
@@ -237,9 +235,9 @@ def test_criterion_09_oracle_agreement():
         probs = rng.dirichlet(np.ones(k))
         scheme = DiscreteDistribution(tuple(pts), tuple(probs))
         quad = secret_key_rate(p, scheme).nats
-        mc = (monte_carlo_mi_oracle(scheme, math.sqrt(eq.var_eq), 10**7,
+        mc = (monte_carlo_mi_oracle(scheme, math.sqrt(p.var_eq), 10**7,
                                     2 * trial)
-              - monte_carlo_mi_oracle(scheme, math.sqrt(eq.var_e), 10**7,
+              - monte_carlo_mi_oracle(scheme, math.sqrt(p.var_e), 10**7,
                                       2 * trial + 1))
         checks.append((abs(quad - mc) < 1e-2,
                        f"scheme {trial}: |quad - MC| = {abs(quad - mc):.2e}"))

@@ -68,7 +68,6 @@ def test_batched_rates_equal_single_rates(a2, fig1_params):
             single = secret_key_rate(p, scheme)
             assert abs(rate.nats - single.nats) <= 1e-14, scheme
             assert abs(rate.quad_error - single.quad_error) <= 1e-14, scheme
-            assert abs(rate.entropy_eve - single.entropy_eve) <= 1e-14
 
 
 class TestBestMaxentropic:
@@ -134,6 +133,20 @@ class TestBestMaxentropic:
         for sigma in sigmas:
             counts = [c for s, c in batches if s == sigma]
             assert counts == ([ladder, bracket] if bracket else [ladder])
+
+    @pytest.mark.parametrize("k_max", [np.int64(8), 8.0, 2.5, 1],
+                             ids=["int64", "float-8", "float-2.5", "one"])
+    def test_k_max_is_an_integer_of_at_least_2(self, fig1_params, k_max):
+        # any Integral >= 2 counts as its int, as SolverConfig.max_K does;
+        # anything else is a ValueError
+        p = fig1_params(10.0)
+        if isinstance(k_max, np.integer):
+            k, rate = best_maxentropic(p, k_max)
+            want_k, want = best_maxentropic(p, 8)
+            assert (k, rate.nats) == (want_k, want.nats)
+        else:
+            with pytest.raises(ValueError, match="integer >= 2"):
+                best_maxentropic(p, k_max)
 
 
 class TestUniformScheme:

@@ -11,7 +11,6 @@ from keycap import (
     ChannelParams,
     NoConvergence,
     SolverConfig,
-    equivalent_channel,
     maxentropic_scheme,
     plain_capacity,
     secret_key_capacity,
@@ -579,7 +578,7 @@ class TestKKTProfile:
             rep = plain_capacity(a, 1.0)
         else:
             params = ChannelParams(a, 1.5, 3.0)
-            assert equivalent_channel(params).stack == channels
+            assert params.stack == channels
             rep = secret_key_capacity(params)
         stack = _channel_stack(a, channels)
         points, probs = rep.distribution.as_arrays()
@@ -787,9 +786,8 @@ class TestSecretKeyCapacity:
         monkeypatch.setattr(solver, "maxentropic_scheme",
                             lambda a, k: maxentropic_scheme(a, 2))
         p = fig1_params(20.0)
-        eq = equivalent_channel(p)
         for rep in (secret_key_capacity(p),
-                    plain_capacity(p.amplitude, math.sqrt(eq.var_eq))):
+                    plain_capacity(p.amplitude, math.sqrt(p.var_eq))):
             rates = [step.rate_nats for step in rep.trace]
             assert rep.trace[0].K_tried == 2 and len(rates) >= 4
             assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
@@ -886,15 +884,14 @@ class TestCapacityWrappers:
         # rate of the returned law on the wrapper's channel stack: one sum
         # on the same nodes, up to rounding
         p = fig1_params(a2)
-        eq = equivalent_channel(p)
         cfg = SolverConfig()
         if secret_key:
             rep = secret_key_capacity(p, cfg)
-            channels = ((math.sqrt(eq.var_eq), 1.0),
-                        (math.sqrt(eq.var_e), -1.0))
+            channels = ((math.sqrt(p.var_eq), 1.0),
+                        (math.sqrt(p.var_e), -1.0))
         else:
-            rep = plain_capacity(p.amplitude, math.sqrt(eq.var_eq), cfg)
-            channels = ((math.sqrt(eq.var_eq), 1.0),)
+            rep = plain_capacity(p.amplitude, math.sqrt(p.var_eq), cfg)
+            channels = ((math.sqrt(p.var_eq), 1.0),)
         assert rep.num_points_K == k
         points, probs = rep.distribution.as_arrays()
         assert rep.rate_nats == pytest.approx(
