@@ -50,11 +50,11 @@ def lower_bound_2(params: ChannelParams, beta: float) -> float:
 
 
 def maximize_lower_bound_2(params: ChannelParams) -> tuple[float, float]:
-    """Maximize the beta-parametrized lower bound over [1e-6, 50]:
-    `maximize_on_grid` on a 200-point log grid."""
+    """Maximize the beta-parametrized lower bound over [1e-6, 50] on a
+    25-point log grid, assuming one maximum per pair of grid cells."""
     return maximize_on_grid(
         lambda betas: [lower_bound_2(params, b) for b in betas],
-        np.geomspace(_BETA_LO, _BETA_HI, 200))
+        np.geomspace(_BETA_LO, _BETA_HI, 25))
 
 
 def lower_bound_3(params: ChannelParams) -> float:

@@ -9,6 +9,7 @@ are immutable values with a half_width, the A their support needs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -93,8 +94,8 @@ def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteDistributio
     """Uniform probabilities over num_points equally spaced points spanning
     [-amplitude, amplitude], endpoints included, and exactly mirror-symmetric
     (points == -points[::-1])."""
-    if num_points < 2:
-        raise ValueError("need at least two mass points")
+    if not isinstance(num_points, numbers.Integral) or num_points < 2:
+        raise ValueError(f"num_points must be an integer >= 2, got {num_points!r}")
     x = np.linspace(-amplitude, amplitude, num_points)
     points = 0.5 * (x - x[::-1])
     probs = np.full(num_points, 1.0 / num_points)

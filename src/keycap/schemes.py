@@ -63,14 +63,14 @@ def optimize_truncated_gaussian(
 ) -> tuple[float, RateResult]:
     """Maximize the truncated-Gaussian rate over sigma_x in [A/100, 100 A].
 
-    Unimodality is not assumed: `maximize_on_grid` takes a 50-point log
-    grid (one batch) and refines its best point, unless at an end of the
-    grid, where the grid's rates rise towards that end; each Newton step's
-    rate and central differences are one 3-member batch.
+    `maximize_on_grid` takes a 9-point log grid, half a decade apart (one
+    batch), and refines its best point unless at an end of the grid; each
+    Newton step's rate and central differences are one 3-member batch. The
+    search assumes one maximum of the rate per pair of grid cells.
     """
     a = params.amplitude
     sigma_star, _ = maximize_on_grid(
         lambda sx: [r.nats for r in secret_key_rates(
             params, [TruncatedGaussianScheme(a, s) for s in sx])],
-        np.geomspace(a / 100.0, 100.0 * a, 50))
+        np.geomspace(a / 100.0, 100.0 * a, 9))
     return sigma_star, truncated_gaussian_rate(params, sigma_star)

@@ -10,6 +10,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtri
 
+from keycap.bounds import _BETA_HI, _BETA_LO, lower_bound_2
 from keycap.channel import ChannelParams, secret_key_rates
 from keycap.errors import QuadratureFailure
 
@@ -25,7 +26,9 @@ from keycap.numerics import (
     QUAD_ABS_TOL,
     OutputDensity,
     RateResult,
+    maximize_on_grid,
 )
+from keycap.schemes import truncated_gaussian_rate
 
 # subdivision budget of the QUADPACK oracle integrals
 QUAD_MAX_SUBDIVISIONS = 2**15
@@ -118,6 +121,32 @@ def exhaustive_maxentropic(
     k = next(k for k, r in enumerate(rates, 2)
              if r.nats >= best.nats - (r.quad_error + best.quad_error))
     return k, rates[k - 2]
+
+
+def full_grid_truncated_gaussian(
+    params: ChannelParams,
+) -> tuple[float, RateResult]:
+    """The truncated-Gaussian rate maximized over sigma_x in [A/100, 100 A]
+    by `maximize_on_grid` on a 50-point log grid (one batch). The oracle of
+    `schemes.optimize_truncated_gaussian`, whose 9-point grid has the same
+    ends; it finds the same maximum if the rate has one maximum per pair of
+    the 9-point grid's cells."""
+    a = params.amplitude
+    sigma_star, _ = maximize_on_grid(
+        lambda sx: [r.nats for r in secret_key_rates(
+            params, [TruncatedGaussianScheme(a, s) for s in sx])],
+        np.geomspace(a / 100.0, 100.0 * a, 50))
+    return sigma_star, truncated_gaussian_rate(params, sigma_star)
+
+
+def full_grid_lower_bound_2(params: ChannelParams) -> tuple[float, float]:
+    """LB2 maximized over beta in [1e-6, 50] by `maximize_on_grid` on a
+    200-point log grid. The oracle of `bounds.maximize_lower_bound_2`, whose
+    25-point grid has the same ends; it finds the same maximum if LB2 has
+    one maximum per pair of the 25-point grid's cells."""
+    return maximize_on_grid(
+        lambda betas: [lower_bound_2(params, b) for b in betas],
+        np.geomspace(_BETA_LO, _BETA_HI, 200))
 
 
 def mirrored(dist: DiscreteDistribution) -> DiscreteDistribution:

@@ -14,6 +14,7 @@ from keycap.bounds import (
     maximize_lower_bound_2,
     upper_bound,
 )
+from support import full_grid_lower_bound_2
 
 HALF_LN3 = 0.5 * math.log(3.0)
 
@@ -95,6 +96,18 @@ class TestLowerBound2:
         beta_star, val = maximize_lower_bound_2(p)
         assert val == pytest.approx(0.49739875308349274, abs=1e-9)
         assert beta_star == pytest.approx(3.4730913841021, abs=1e-6)
+
+    @pytest.mark.parametrize("var_e", [1.1, 2.0, 2.25, 10.0, 100.0])
+    def test_equals_the_full_grid_search(self, var_e):
+        # the 25-point beta grid against the 200-point one; at A^2 = 1e-12
+        # the bound is flat in beta to rounding, so only LB2 must agree there
+        for a2 in [1e-12, *np.geomspace(1e-3, 2e3, 12), 1e4]:
+            p = _params(a2, 1.0, var_e)
+            beta, lb2 = maximize_lower_bound_2(p)
+            want_beta, want = full_grid_lower_bound_2(p)
+            assert abs(lb2 - want) <= 1e-12, a2
+            if a2 != 1e-12:
+                assert abs(beta - want_beta) <= 1e-6, a2
 
 
 class TestLowerBound3:

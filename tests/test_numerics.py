@@ -591,7 +591,7 @@ class TestBatchedAndFoldedRule:
     def test_wide_window_batches_stay_within_the_block_budget(
             self, monkeypatch, fig1_params):
         # A^2 = 1e4: 31 laws of 2..32 points (527 kernel terms per node) and
-        # the 50-point sigma_x grid, each one batch per noise; no density
+        # the 9-point sigma_x grid, each one batch per noise; no density
         # call may hold more than _EVAL_BLOCK_TERMS terms (peak memory)
         seen = []
 
@@ -608,7 +608,7 @@ class TestBatchedAndFoldedRule:
         terms = {}
         for d, _ in seen:
             terms[d.kind] = max(terms.get(d.kind, 0), d.terms)
-        assert terms == {"gaussian-mixture": 527, "trunc-gauss-conv": 50}
+        assert terms == {"gaussian-mixture": 527, "trunc-gauss-conv": 9}
         assert max(t.size * d.terms
                    for d, calls in seen for t in calls) <= _EVAL_BLOCK_TERMS
 
@@ -704,7 +704,7 @@ class TestMaximizeNewton:
     def test_scheme_and_bound_searches(self, monkeypatch, fig1_params, a2):
         # sigma_x and beta of the closed-form lower bound against scipy's
         # bounded search over the same two grid cells, at a far tighter
-        # tolerance; the sigma_x refinement is at most 6 batches
+        # tolerance; the sigma_x search rates at most 9 + 3 x 9 members
         from scipy.optimize import minimize_scalar
 
         calls = []
@@ -717,9 +717,9 @@ class TestMaximizeNewton:
         p = fig1_params(a2)
         a = p.amplitude
         sx, rate = optimize_truncated_gaussian(p)
-        assert calls[0] == 50 and set(calls[1:]) == {3}
-        assert len(calls) - 1 <= 6
-        grid = np.geomspace(a / 100.0, 100.0 * a, 50)
+        assert calls[0] == 9 and set(calls[1:]) == {3}
+        assert sum(calls) <= 36
+        grid = np.geomspace(a / 100.0, 100.0 * a, 9)
         i = int(np.argmax([r.nats for r in channel.secret_key_rates(
             p, [TruncatedGaussianScheme(a, s) for s in grid])]))
         res = minimize_scalar(
@@ -730,7 +730,7 @@ class TestMaximizeNewton:
         assert abs(rate.nats + res.fun) <= 1e-12
 
         beta, lb2 = maximize_lower_bound_2(p)
-        betas = np.geomspace(1e-6, 50.0, 200)
+        betas = np.geomspace(1e-6, 50.0, 25)
         i = int(np.argmax([lower_bound_2(p, b) for b in betas]))
         res = minimize_scalar(lambda b: -lower_bound_2(p, b),
                               bounds=(betas[i - 1], betas[i + 1]),

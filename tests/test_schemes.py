@@ -20,7 +20,7 @@ from keycap.schemes import (
     truncated_gaussian_rate,
     uniform_scheme_rate,
 )
-from support import exhaustive_maxentropic
+from support import exhaustive_maxentropic, full_grid_truncated_gaussian
 
 
 class TestMaxentropicScheme:
@@ -40,6 +40,14 @@ class TestMaxentropicScheme:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             maxentropic_scheme(1.0, 1)
+
+    def test_rejects_non_integer_counts(self):
+        # a ValueError, as from best_maxentropic and SolverConfig, not
+        # np.linspace's TypeError; NumPy integers count as their int
+        for count in (3.0, 2.5, math.nan, "3"):
+            with pytest.raises(ValueError, match="integer >= 2"):
+                maxentropic_scheme(1.0, count)
+        assert len(maxentropic_scheme(1.0, np.int64(3)).points) == 3
 
     @pytest.mark.parametrize("amplitude", [1e-10, 1.0, 100.0])
     def test_exactly_mirror_symmetric(self, amplitude):
@@ -191,3 +199,19 @@ class TestTruncatedGaussian:
         _, best = optimize_truncated_gaussian(p)
         cap = secret_key_capacity(p, fast_cfg).rate_nats
         assert best.nats <= cap + 1e-8
+
+    @pytest.mark.parametrize("var_e", [1.1, 2.0, 2.25, 10.0, 100.0])
+    def test_equals_the_full_grid_search(self, var_e):
+        # the 9-point grid against the 50-point one: interior maxima and
+        # maxima at the cap 100 A, which both grids end on; at A^2 = 1e-12
+        # every rate is rounding noise, so only the rates must agree there
+        for a2 in [1e-12, *np.geomspace(1e-3, 2e3, 12), 1e4]:
+            p = ChannelParams(math.sqrt(a2), 1.0, var_e)
+            sx, rate = optimize_truncated_gaussian(p)
+            want_sx, want = full_grid_truncated_gaussian(p)
+            if a2 == 1e-12:
+                assert abs(rate.nats - want.nats) <= (
+                    rate.quad_error + want.quad_error)
+                continue
+            assert abs(sx - want_sx) <= 1e-6 * p.amplitude, a2
+            assert abs(rate.nats - want.nats) <= 1e-12, a2
