@@ -45,13 +45,13 @@ class DiscreteDistribution:
                              "positive and finite")
         if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        scale = np.abs(points).max() or 1.0
+        scale = max(abs(points[0]), abs(points[-1])) or 1.0  # if sorted
         if len(points) > 1 and np.diff(points).min() <= _MIN_REL_GAP * scale:
             raise ValueError("mass points must be strictly increasing and separated")
 
     @property
     def half_width(self) -> float:
-        return max(abs(x) for x in self.points)
+        return max(self.points[-1], -self.points[0])  # points increase
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.points, float), np.asarray(self.probs, float)
@@ -98,6 +98,5 @@ def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteDistributio
         raise ValueError(f"num_points must be an integer >= 2, got {num_points!r}")
     x = np.linspace(-amplitude, amplitude, num_points)
     points = 0.5 * (x - x[::-1])
-    probs = np.full(num_points, 1.0 / num_points)
-    return DiscreteDistribution(tuple(points), tuple(probs))
+    return DiscreteDistribution(tuple(points), (1.0 / num_points,) * num_points)
 

@@ -118,27 +118,32 @@ def _channel_stack(amplitude, channels):
                  for sigma, sign in channels)
 
 
-def _group_kernels(u, channels):
+def _group_kernels(u, channels, log_only=False):
     """Per channel, on its nodes y: the folded kernel phi (groups x nodes),
     (phi(y - u_i) + phi(y + u_i)) / 2 per group, so that f_c = w @ phi; its
-    first and second u-derivatives (the first is 0 at u = 0); and log phi.
-    phi is even in y and in u, phi' odd in u: all are taken at |y| and |u|,
-    where phi(y + u) = phi(y - u) r, r = exp(-2 y u / sigma^2) <= 1, so
-    log phi = log phi(y - u) + log1p(r) - log 2 stays finite everywhere."""
+    first and second u-derivatives (the first is 0 at u = 0); and log phi,
+    alone if log_only. phi is even in y and in u, phi' odd in u: all are
+    taken at |y| and |u|, where phi(y + u) = phi(y - u) r, r = exp(-2 y u /
+    sigma^2) <= 1, so log phi = log phi(y - u) + log1p(r) - log 2 stays
+    finite everywhere."""
     a = np.abs(u)[:, None]
     out = []
     for sigma, _, nodes, _ in channels:
         y = np.abs(nodes)
-        zm, zp = (y - a) / sigma, (y + a) / sigma
+        zm = (y - a) / sigma
         log_em = -0.5 * zm * zm - math.log(2.0 * sigma * _SQRT_2PI)
-        em = np.exp(log_em)
         r = np.exp(-2.0 / sigma**2 * y * a)
+        log_phi = log_em + np.log1p(r)
+        if log_only:
+            out.append((log_phi,))
+            continue
+        zp, em = (y + a) / sigma, np.exp(log_em)
         ep = em * r
         dphi = (em * zm - ep * zp) / sigma
         np.negative(dphi, out=dphi, where=u[:, None] < 0.0)
         out.append((em + ep, dphi,
                     (em * (zm * zm - 1.0) + ep * (zp * zp - 1.0)) / sigma**2,
-                    log_em + np.log1p(r)))
+                    log_phi))
     return out
 
 
@@ -165,7 +170,7 @@ def _rate(u, w, channels, kernels=None, log_fs=None):
     `differential_entropy` takes. log f_c is the log-sum-exp of log w_i +
     log phi_i over the groups, from `_group_kernels` at u (kernels, if
     given); each channel's is appended to log_fs when one is given."""
-    kernels = kernels or _group_kernels(u, channels)
+    kernels = kernels or _group_kernels(u, channels, log_only=True)
     # zero weights give -inf rows, which drop out of the sum
     log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)[:, None]
     rate = 0.0
@@ -233,7 +238,8 @@ def _derivatives(u, w, channels, kernels=None):
         js = j * np.sqrt(weights * np.exp(-np.maximum(log_f, -700.0)))
         h = js @ js.T
         h[n:, n:] += np.diag(w * (d2phi @ d_log))
-        h += np.diag(dphi @ d_log, n) + np.diag(dphi @ d_log, -n)
+        cross = np.diag(dphi @ d_log, n)  # (w_i, u_i) and (u_i, w_i)
+        h += cross + cross.T
         grad = grad - sign * (j @ d_log)
         hess = hess - sign * h
     return rate, grad, hess
@@ -282,16 +288,18 @@ def _newton_step(g, hess, free_w, free_u):
             float(np.max(np.abs(g_r), initial=0.0)))
 
 
-def _ascend(u, w, amplitude, channels, move):
+def _ascend(u, w, amplitude, channels, move, evals=None):
     """Projected Newton ascent of R over the nonzero weights and, if move,
     the pair locations, projected on [_PAIR_FLOOR A, A] and held at a bound
     the gradient pushes past (the center stays at 0), until max(|P(w + g) -
     w|, |dR/du| of the free pairs) <= _INNER_TOLERANCE; a projected-gradient
-    step in w only to change the face. Returns (u, w, steps)."""
+    step in w only to change the face. Returns (u, w, steps); `_derivatives`
+    at them is appended to evals, whose last entry, if any, is the start's."""
     n, pair = len(u), u > 0.0
     lo = _PAIR_FLOOR * amplitude * pair
     kernels = None if move else _group_kernels(u, channels)
-    val, g, hess = _derivatives(u, w, channels, kernels)
+    val, g, hess = evals[-1] if evals else _derivatives(u, w, channels,
+                                                         kernels)
     for steps in range(_NEWTON_STEPS + 1):
         pg = project_simplex(w + g[:n]) - w
         free_u = move & pair & (w > 0.0) & (
@@ -311,6 +319,8 @@ def _ascend(u, w, amplitude, channels, move):
         if found is None:
             break
         (w, u), (val, g, hess) = np.split(found[0], 2), found[1]
+    if evals is not None:
+        evals.append((val, g, hess))
     return u, w, steps
 
 
@@ -318,8 +328,9 @@ def _polish(u, w, amplitude, channels):
     """`_ascend` in the weights, then jointly, then `_merge_groups` (the
     certificate judges the merged law). Returns the state and (weight
     steps, joint steps, whether either ascent capped)."""
-    u, w, first = _ascend(u, w, amplitude, channels, False)
-    u, w, steps = _ascend(u, w, amplitude, channels, True)
+    evals = []  # the weight ascent's last state starts the joint one
+    u, w, first = _ascend(u, w, amplitude, channels, False, evals)
+    u, w, steps = _ascend(u, w, amplitude, channels, True, evals)
     order = np.argsort(u)
     u, w = _merge_groups(u[order], w[order], amplitude)
     return u, w, (first, steps, _NEWTON_STEPS in (first, steps))
@@ -385,7 +396,7 @@ def _kkt_profile(u, w, channels, amplitude, cells):
     half, idx = np.unique(np.append(half, x), return_index=True)
     s_half = np.append(s_half, s_x)[idx]
     violation = max(float(np.max(s_half) - rate_ref), float(np.max(
-        np.abs(s_half[np.isin(half, u)] - rate_ref))))
+        np.abs(s_half[(half[:, None] == u).any(axis=1)] - rate_ref))))
     # s is even: mirror x >= 0, keeping half[0] = 0.0 once
     return (np.concatenate([-half[:0:-1], half]),
             np.concatenate([s_half[:0:-1], s_half]), rate_ref, violation)

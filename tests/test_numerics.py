@@ -554,6 +554,15 @@ class TestBatchedAndFoldedRule:
         assert min(float(t.min()) for t in calls) < d.support[0] + 0.3
         assert abs(h.nats - _quadpack_entropy(d, points)) <= 1e-12
 
+    def test_one_asymmetric_law_unfolds_the_batch(self):
+        # laws of 2 to 5 points, each checked against its own mirror image
+        laws = [maxentropic_scheme(1.0, k) for k in (2, 5, 3)]
+        assert density_discrete_conv(laws, 0.6).even
+        odd = DiscreteDistribution((-1.0, 0.2, 1.0), (0.3, 0.3, 0.4))
+        for i in range(len(laws) + 1):
+            batch = laws[:i] + [odd] + laws[i:]
+            assert not density_discrete_conv(batch, 0.6).even
+
     def test_batch_members_match_single_entropies(self):
         laws = [maxentropic_scheme(2.0, k) for k in range(2, 9)]
         batch = differential_entropy(scheme_output_density(laws, 0.8))
@@ -640,6 +649,15 @@ class TestLattice:
         assert weights[0] == delta and np.all(weights[1:] == 2.0 * delta)
         np.testing.assert_array_equal(
             sub, np.where(j % 2 == 0, np.where(j == 0, 2.0, 4.0) * delta, 0))
+
+    def test_lattices_are_read_only(self):
+        # one lattice serves every call with the same window
+        for even in (False, True):
+            arrays = _lattice(-2.0, 2.0, 0.5, even)
+            assert arrays is _lattice(-2.0, 2.0, 0.5, even)
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
 
     def _two_point(self):
         law = maxentropic_scheme(3.0, 2)

@@ -254,6 +254,23 @@ class TestExpand:
 
 
 class TestPolish:
+    def test_joint_ascent_starts_from_the_weight_ascent(self):
+        # the weight ascent's last evaluation, handed on in evals, is the
+        # one the joint ascent would compute; each ascent appends its last
+        a = math.sqrt(2.0)
+        channels = _channel_stack(a, TestMergeGroups.SECRET_KEY)
+        evals = []
+        u, w, _ = _ascend(np.array([0.0, 0.9 * a]), np.array([0.4, 0.6]), a,
+                          channels, False, evals)
+        got = _ascend(u, w, a, channels, True, evals)
+        want = _ascend(u, w, a, channels, True)
+        assert len(evals) == 2 and got[2] == want[2] > 0
+        for x, y in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(x, y)
+        for state, found in zip([(u, w), got[:2]], evals):
+            for x, y in zip(found, _derivatives(*state, channels)):
+                np.testing.assert_array_equal(x, y)
+
     @pytest.mark.parametrize("shift", [1.0, 0.9])
     def test_center_held_at_zero(self, fig1_params, shift):
         # the polished 3-point law at A^2 = 2, its pair as certified and
