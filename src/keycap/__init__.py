@@ -7,12 +7,9 @@ from .channel import (
     secret_key_rate,
 )
 from .errors import (
-    DegenerateTruncation,
-    InvalidBeta,
     KeycapError,
     NoConvergence,
     QuadratureFailure,
-    UnsupportedScheme,
 )
 from .inputs import (
     DiscreteDistribution,

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import InvalidBeta
 from .numerics import _SQRT_2PI, RateResult, maximize_on_grid
 from .solver import DEFAULT_SOLVER, SolverConfig, plain_capacity
 
@@ -36,7 +35,7 @@ def lower_bound_1(
 def lower_bound_2(params: ChannelParams, beta: float) -> float:
     """Closed-form lower bound with free parameter 0 < beta < inf."""
     if not 0.0 < beta < math.inf:
-        raise InvalidBeta(f"beta must be positive and finite, got {beta}")
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     a = params.amplitude
     sigma_e = math.sqrt(params.var_e)
     ratio = beta + a / sigma_e

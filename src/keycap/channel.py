@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnsupportedScheme
 from .inputs import InputScheme, _check_positive_finite
 from .numerics import RateResult, stack_rates
 
@@ -58,7 +57,6 @@ def secret_key_rates(params: ChannelParams, schemes) -> list[RateResult]:
     equivalent wiretap's stack, after checking every support fits [-A, A]."""
     width = max(scheme.half_width for scheme in schemes)
     if width > params.amplitude * (1.0 + _SUPPORT_SLACK):
-        raise UnsupportedScheme(
-            f"scheme support {width} exceeds amplitude {params.amplitude}"
-        )
+        raise ValueError(f"scheme support {width} exceeds amplitude "
+                         f"{params.amplitude}")
     return stack_rates(schemes, params.stack)

@@ -3,8 +3,7 @@ comparison tables, and KKT profile dumps, written as CSV or JSON.
 
 Every input is validated before any row is solved; a bad value is a usage
 error and writes no file. Each grid row then gets a `status`: `ok`, or the
-failure that stopped it (`no_convergence`, `quadrature_failure`,
-`degenerate_truncation`, `unsupported_scheme`, `invalid_beta`), with the
+failure that stopped it (`no_convergence`, `quadrature_failure`), with the
 message in the row's `.meta.json` `error` field. A failed row is kept with
 the columns computed before the failure, and the other rows still run.
 
@@ -283,9 +282,10 @@ def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, k_max):
 def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, outputs):
     """Combined sweep with selectable output families."""
     chosen = {tok.strip() for tok in outputs.split(",") if tok.strip()}
-    bad = chosen - {"capacity", "schemes", "bounds"}
-    if bad:
+    if bad := chosen - {"capacity", "schemes", "bounds"}:
         raise click.BadParameter(f"unknown outputs: {sorted(bad)}")
+    if not chosen:
+        raise click.BadParameter("no outputs chosen")
     _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, chosen)
 
 

@@ -1,6 +1,7 @@
 """Exception hierarchy for the keycap package.
 
-Each class names the per-row `status` the CLI writes when it is raised.
+Each class names the per-row `status` the CLI writes when it is raised; a
+bad library argument raises `ValueError` instead.
 """
 
 
@@ -8,18 +9,6 @@ class KeycapError(Exception):
     """Base class for all keycap errors."""
 
     status = "error"
-
-
-class UnsupportedScheme(KeycapError):
-    """Input scheme support exceeds the channel's amplitude limit."""
-
-    status = "unsupported_scheme"
-
-
-class DegenerateTruncation(KeycapError):
-    """Truncated-Gaussian normalizer underflows; input is numerically a point mass."""
-
-    status = "degenerate_truncation"
 
 
 class QuadratureFailure(KeycapError):
@@ -40,9 +29,3 @@ class NoConvergence(KeycapError):
     def __init__(self, message: str, trace: tuple):
         super().__init__(message)
         self.trace = trace
-
-
-class InvalidBeta(KeycapError):
-    """Free parameter of the closed-form lower bound must be positive."""
-
-    status = "invalid_beta"

@@ -28,6 +28,12 @@ def _check_positive_finite(**params):
                              f"got {value}")
 
 
+def _check_count(**counts):
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral) or value < 2:
+            raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Mass points and probabilities, points strictly increasing."""
@@ -94,8 +100,7 @@ def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteDistributio
     """Uniform probabilities over num_points equally spaced points spanning
     [-amplitude, amplitude], endpoints included, and exactly mirror-symmetric
     (points == -points[::-1])."""
-    if not isinstance(num_points, numbers.Integral) or num_points < 2:
-        raise ValueError(f"num_points must be an integer >= 2, got {num_points!r}")
+    _check_count(num_points=num_points)
     x = np.linspace(-amplitude, amplitude, num_points)
     points = 0.5 * (x - x[::-1])
     return DiscreteDistribution(tuple(points), (1.0 / num_points,) * num_points)

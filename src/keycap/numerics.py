@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateTruncation, QuadratureFailure
+from .errors import QuadratureFailure
 from .inputs import (
     DiscreteDistribution,
     InputScheme,
@@ -218,15 +218,17 @@ def density_trunc_gauss_conv(amplitude, sigma_x, sigma) -> OutputDensity:
     a, sx = np.broadcast_arrays(*np.atleast_1d(np.asarray(amplitude, float),
                                                np.asarray(sigma_x, float)))
     _check_positive_finite(amplitude=a, sigma_x=sx, sigma=sigma)
-    s, ratio = float(sigma), a / sx
-    if ratio.min() < 1e-8:
-        raise DegenerateTruncation(
-            f"normalizer underflow at A/sigma_x = {ratio.min():.3e}"
-        )
+    s = float(sigma)
+    with np.errstate(over="ignore", divide="ignore"):  # both checked next
+        ratio = (a / sx).tolist()
+        st2 = 1.0 / (1.0 / (sx * sx) + 1.0 / (s * s))  # sigma_tilde^2
+    if min(ratio) < 1e-8 or not min(st2.tolist()) > 0.0:
+        raise ValueError(f"sigma_x out of range: A/sigma_x = {min(ratio):.3e}"
+                         f" must be >= 1e-8 (near-uniform end) and sigma_tilde"
+                         f"^2 = {min(st2.tolist()):.3e} > 0 (point-mass end)")
     var_sum = s * s + sx * sx
-    st2 = 1.0 / (1.0 / (sx * sx) + 1.0 / (s * s))  # sigma_tilde^2
     # g's normalizer D = Phi(A/sx) - Phi(-A/sx), via erf for symmetry
-    d = [math.erf(r / math.sqrt(2.0)) for r in ratio.tolist()]
+    d = [math.erf(r / math.sqrt(2.0)) for r in ratio]
     pdf = _erfc_window(st2 / (s * s), a, 1.0 / np.sqrt(2.0 * st2),
                        0.5 / var_sum, np.log(_SQRT_2PI * np.sqrt(var_sum) * d))
     # the input is bounded by A, so only the noise tail extends the support

@@ -42,7 +42,6 @@ amplitudes).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,8 +49,8 @@ import numpy as np
 
 from .channel import ChannelParams, secret_key_rate
 from .errors import NoConvergence
-from .inputs import (DiscreteDistribution, _check_positive_finite,
-                     maxentropic_scheme)
+from .inputs import (DiscreteDistribution, _check_count,
+                     _check_positive_finite, maxentropic_scheme)
 from .numerics import (_NEWTON_STEPS, _SQRT_2PI, _TAIL_SIGMAS, _lattice,
                        maximize_newton, mutual_information, noise_entropy)
 
@@ -70,9 +69,7 @@ class SolverConfig:
     max_K: int = 64
 
     def __post_init__(self):
-        if not isinstance(self.max_K, numbers.Integral) or self.max_K < 2:
-            raise ValueError(
-                f"max_K must be an integer of at least 2, got {self.max_K!r}")
+        _check_count(max_K=self.max_K)
 
 
 DEFAULT_SOLVER = SolverConfig()

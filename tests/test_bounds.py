@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keycap import ChannelParams, InvalidBeta, SolverConfig, secret_key_capacity
+from keycap import ChannelParams, SolverConfig, secret_key_capacity
 from keycap.bounds import (
     high_a_limit,
     lower_bound_1,
@@ -50,13 +50,13 @@ class TestUpperBound:
 
 class TestLowerBound2:
     def test_rejects_nonpositive_beta(self):
-        with pytest.raises(InvalidBeta):
+        with pytest.raises(ValueError, match="positive and finite"):
             lower_bound_2(_params(1.0), 0.0)
-        with pytest.raises(InvalidBeta):
+        with pytest.raises(ValueError, match="positive and finite"):
             lower_bound_2(_params(1.0), -1.0)
         # NaN fails every comparison and inf makes the bound nan: both raise
         for beta in (math.nan, math.inf):
-            with pytest.raises(InvalidBeta, match="positive and finite"):
+            with pytest.raises(ValueError, match="positive and finite"):
                 lower_bound_2(_params(1.0), beta)
 
     def test_negative_at_moderate_amplitude(self):

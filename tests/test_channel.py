@@ -8,7 +8,6 @@ from keycap import (
     DiscreteDistribution,
     TruncatedGaussianScheme,
     UniformScheme,
-    UnsupportedScheme,
     differential_entropy,
     maxentropic_scheme,
     mutual_information,
@@ -77,7 +76,7 @@ def test_rate_nonnegative_and_diagnostics():
 
 def test_support_violation_raises():
     p = ChannelParams(1.0, 1.0, 2.0)
-    with pytest.raises(UnsupportedScheme):
+    with pytest.raises(ValueError, match="exceeds amplitude"):
         secret_key_rate(p, maxentropic_scheme(1.5, 2))
 
 

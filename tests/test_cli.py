@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import keycap
+import keycap.cli
 from keycap.cli import main
 
 LN2 = math.log(2.0)
@@ -320,6 +322,9 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     # the profile has one writer, `kkt-profile`
     ["sweep", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
      "--outputs", "kkt"],
+    # an empty set of outputs would write a file of A_squared and status
+    ["sweep", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
+     "--outputs", ","],
     ["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
      "--seed", "-1"],
 ])
@@ -330,6 +335,18 @@ def test_rejects_bad_input(tmp_path, args):
     assert res.exit_code == 2
     assert "Invalid value" in res.output
     assert not out.exists()
+
+
+def test_statuses_match_readme():
+    # a row's status is `ok` or the status of a KeycapError subclass; the
+    # README's status table and the cli docstring name exactly these
+    statuses = {"ok"} | {cls.status
+                         for cls in keycap.KeycapError.__subclasses__()}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| status | meaning |")[1].split("\n\n")[0]
+    assert set(re.findall(r"^\| `(\w+)` \|", table, re.M)) == statuses
+    named = re.search(r"a `status`: (.*?)\)", keycap.cli.__doc__, re.S)[1]
+    assert set(re.findall(r"`(\w+)`", named)) == statuses
 
 
 def test_rejects_bad_grid(tmp_path):

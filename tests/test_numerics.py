@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.special import erfc, log_ndtr, logsumexp
 
 from keycap import (
     ChannelParams,
-    DegenerateTruncation,
     DiscreteDistribution,
     QuadratureFailure,
     SolverConfig,
@@ -250,9 +250,24 @@ class TestTruncGaussConvDensity:
         for t in (0.0, 1.0, -1.0):
             assert float(pt(t)) == pytest.approx(float(pu(t)), abs=1e-3)
 
-    def test_degenerate_truncation(self):
-        with pytest.raises(DegenerateTruncation):
+    def test_near_uniform_end(self):
+        # A/sigma_x = 1e-9: below the 1e-8 floor of the normalizer
+        with pytest.raises(ValueError, match="near-uniform end"):
             density_trunc_gauss_conv(1.0, 1e9, 1.0)
+
+    def test_point_mass_end(self):
+        # sigma_x^2 = 1e-320 makes 1/sigma_x^2 overflow, so sigma_tilde^2 = 0:
+        # a clean ValueError before any overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="point-mass end"):
+                density_trunc_gauss_conv(1.0, 1e-160, 1.0)
+            # 1e-150 is still a Gaussian of the noise alone
+            p = member(density_trunc_gauss_conv(1.0, 1e-150, 1.0))
+            t = np.linspace(-3, 3, 13)
+            np.testing.assert_allclose(
+                p(t), np.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
+                rtol=1e-12)
 
 
 @pytest.mark.parametrize("density", [

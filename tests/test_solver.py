@@ -928,7 +928,7 @@ class TestSolverConfigContract:
                                        None])
     def test_rejects_non_integers(self, max_k):
         # max_K sizes the start law: an integer of at least 2 or nothing
-        with pytest.raises(ValueError, match="integer of at least 2"):
+        with pytest.raises(ValueError, match="integer >= 2"):
             SolverConfig(max_K=max_k)
 
     def test_accepts_numpy_integers(self):
