@@ -119,13 +119,12 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
                         kkt_violation=rep.kkt_max_violation,
                         kkt_trace=_kkt_trace(rep.trace))
         if "bounds" in outputs:
-            beta_star, lb2 = maximize_lower_bound_2(params)
+            # the closed forms first: a failed LB1 solve leaves them written
+            row["beta_star"], row["LB2_star"] = maximize_lower_bound_2(params)
             row["C_k_UB"] = upper_bound(params)
-            row["LB1"] = nats(lower_bound_1(params, cfg))
-            row["LB2_star"] = lb2
-            row["beta_star"] = beta_star
             row["LB3"] = lower_bound_3(params)
             row["high_A_limit"] = high_a_limit(params)
+            row["LB1"] = nats(lower_bound_1(params, cfg))
         if "schemes" in outputs:
             k, r_me = best_maxentropic(params, k_max)
             row["maxentropic_K"] = k
@@ -145,7 +144,7 @@ def _evaluate_row(a2, params, outputs, cfg, k_max):
     return row, meta
 
 
-def _write_output(rows, columns, metas, cfg, units, fmt, seed, out_path):
+def _write_output(rows, columns, metas, cfg, units, fmt, out_path):
     """Write the rows (rate columns converted to `units`) and their
     `.meta.json` companion."""
     named = []
@@ -170,7 +169,6 @@ def _write_output(rows, columns, metas, cfg, units, fmt, seed, out_path):
         "quadrature": {"abs_tol": QUAD_ABS_TOL,
                        "nodes_per_sigma": LATTICE_PER_SIGMA},
         "units": units,
-        "seed": seed,
         "rows": metas,
     }
     try:
@@ -198,7 +196,8 @@ def _options(amplitudes):
             click.option("--out", type=click.Path(dir_okay=False),
                          required=True),
             click.option("--seed", type=click.IntRange(min=0), default=0,
-                         help="recorded only; no longer changes the result"),
+                         expose_value=False,
+                         help="accepted only; no longer changes the result"),
             click.option("--max-k", type=int, default=64, show_default=True,
                          help="mass-point budget for the solver"),
             click.option("--restarts", type=click.IntRange(min=1), default=8,
@@ -215,8 +214,8 @@ _common_options = _options(click.option(
     help="comma-separated strictly increasing squared amplitudes"))
 
 
-def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               outputs, k_max_schemes=32):
+def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, max_k, outputs,
+               k_max_schemes=32):
     grid = _parse_grid(a2_grid)
     params, cfg = _validate(grid, var_d, var_e, max_k)
     columns = ["A_squared"]
@@ -237,7 +236,7 @@ def _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
         failed = failed or row["status"] != "ok"
         rows.append(row)
         metas.append(meta)
-    _write_output(rows, columns, metas, cfg, units, fmt, seed, out)
+    _write_output(rows, columns, metas, cfg, units, fmt, out)
     sys.exit(2 if failed else 0)
 
 
@@ -249,18 +248,16 @@ def main():
 
 @main.command()
 @_common_options
-def capacity(var_d, var_e, a2_grid, units, fmt, out, seed, max_k):
+def capacity(var_d, var_e, a2_grid, units, fmt, out, max_k):
     """Secret-key capacity over the amplitude grid."""
-    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               {"capacity"})
+    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, max_k, {"capacity"})
 
 
 @main.command()
 @_common_options
-def bounds(var_d, var_e, a2_grid, units, fmt, out, seed, max_k):
+def bounds(var_d, var_e, a2_grid, units, fmt, out, max_k):
     """Closed-form bounds (plus the solver-backed bound) over the grid."""
-    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               {"bounds"})
+    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, max_k, {"bounds"})
 
 
 @main.command()
@@ -268,10 +265,10 @@ def bounds(var_d, var_e, a2_grid, units, fmt, out, seed, max_k):
 @click.option("--k-max", type=click.IntRange(min=2), default=32,
               show_default=True,
               help="largest point count the equally spaced search considers")
-def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, k_max):
+def schemes(var_d, var_e, a2_grid, units, fmt, out, max_k, k_max):
     """Suboptimal scheme rates over the grid."""
-    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k,
-               {"schemes"}, k_max_schemes=k_max)
+    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, max_k, {"schemes"},
+               k_max_schemes=k_max)
 
 
 @main.command()
@@ -279,20 +276,20 @@ def schemes(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, k_max):
 @click.option("--outputs", default="capacity,bounds",
               show_default=True,
               help="comma-set drawn from capacity,schemes,bounds")
-def sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, outputs):
+def sweep(var_d, var_e, a2_grid, units, fmt, out, max_k, outputs):
     """Combined sweep with selectable output families."""
     chosen = {tok.strip() for tok in outputs.split(",") if tok.strip()}
     if bad := chosen - {"capacity", "schemes", "bounds"}:
         raise click.BadParameter(f"unknown outputs: {sorted(bad)}")
     if not chosen:
         raise click.BadParameter("no outputs chosen")
-    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, seed, max_k, chosen)
+    _run_sweep(var_d, var_e, a2_grid, units, fmt, out, max_k, chosen)
 
 
 @main.command("kkt-profile")
 @_options(click.option("--a2", type=float, required=True,
                        help="squared amplitude"))
-def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k):
+def kkt_profile(var_d, var_e, a2, units, fmt, out, max_k):
     """Dump the optimality-profile s(x; F) of the capacity solution."""
     (params,), cfg = _validate([a2], var_d, var_e, max_k)
     try:
@@ -308,7 +305,7 @@ def kkt_profile(var_d, var_e, a2, units, fmt, out, seed, max_k):
         "rate": rep.rate_nats / LN2 if units == "bits" else rep.rate_nats,
         "points": list(rep.distribution.points),
         "probs": list(rep.distribution.probs),
-    }], cfg, units, fmt, seed, out)
+    }], cfg, units, fmt, out)
 
 if __name__ == "__main__":
     main()

@@ -102,6 +102,6 @@ def maxentropic_scheme(amplitude: float, num_points: int) -> DiscreteDistributio
     (points == -points[::-1])."""
     _check_count(num_points=num_points)
     x = np.linspace(-amplitude, amplitude, num_points)
-    points = 0.5 * (x - x[::-1])
-    return DiscreteDistribution(tuple(points), (1.0 / num_points,) * num_points)
+    points = tuple((0.5 * (x - x[::-1])).tolist())
+    return DiscreteDistribution(points, (1.0 / num_points,) * num_points)
 

@@ -115,39 +115,34 @@ def _channel_stack(amplitude, channels):
                  for sigma, sign in channels)
 
 
-def _group_kernels(u, channels, log_only=False):
+def _group_kernels(u, channels):
     """Per channel, on its nodes y: the folded kernel phi (groups x nodes),
     (phi(y - u_i) + phi(y + u_i)) / 2 per group, so that f_c = w @ phi; its
-    first and second u-derivatives (the first is 0 at u = 0); and log phi,
-    alone if log_only. phi is even in y and in u, phi' odd in u: all are
-    taken at |y| and |u|, where phi(y + u) = phi(y - u) r, r = exp(-2 y u /
-    sigma^2) <= 1, so log phi = log phi(y - u) + log1p(r) - log 2 stays
-    finite everywhere."""
+    first and second u-derivatives (the first is 0 at u = 0); and log phi.
+    phi is even in y and in u, phi' odd in u: all are taken at |y| and |u|,
+    where phi(y + u) = phi(y - u) r, r = exp(-2 y u / sigma^2) <= 1, so
+    log phi = log phi(y - u) + log1p(r) - log 2 stays finite everywhere."""
     a = np.abs(u)[:, None]
     out = []
     for sigma, _, nodes, _ in channels:
         y = np.abs(nodes)
-        zm = (y - a) / sigma
+        zm, zp = (y - a) / sigma, (y + a) / sigma
         log_em = -0.5 * zm * zm - math.log(2.0 * sigma * _SQRT_2PI)
         r = np.exp(-2.0 / sigma**2 * y * a)
-        log_phi = log_em + np.log1p(r)
-        if log_only:
-            out.append((log_phi,))
-            continue
-        zp, em = (y + a) / sigma, np.exp(log_em)
+        em = np.exp(log_em)
         ep = em * r
         dphi = (em * zm - ep * zp) / sigma
         np.negative(dphi, out=dphi, where=u[:, None] < 0.0)
         out.append((em + ep, dphi,
                     (em * (zm * zm - 1.0) + ep * (zp * zp - 1.0)) / sigma**2,
-                    log_phi))
+                    log_em + np.log1p(r)))
     return out
 
 
 def _marginal_density(x, channels, log_fs):
     """s(x; F) = sum_c sign_c D(p_c(.|x) || f_c), s' and s'' at a 1-d array
     x, rows of a (3, len(x)) array, from each channel's log f on its nodes
-    (as `_rate` appends them): the folded kernel of `_group_kernels` at x
+    (as `_rate` returns them): the folded kernel of `_group_kernels` at x
     against w_j log f(y_j), f being even. x is taken in cache-sized blocks;
     each row's sums are the same in any block."""
     out = np.zeros((3, len(x)))
@@ -161,25 +156,24 @@ def _marginal_density(x, channels, log_fs):
     return out
 
 
-def _rate(u, w, channels, kernels=None, log_fs=None):
+def _rate(u, w, channels, kernels=None):
     """R(F) of the group state (u, w) = sum_c sign_c (h(f_c) - h(N_c)), each
     h(f_c) = -sum_j w_j f_c log f_c on the channel's nodes: the sum
-    `differential_entropy` takes. log f_c is the log-sum-exp of log w_i +
-    log phi_i over the groups, from `_group_kernels` at u (kernels, if
-    given); each channel's is appended to log_fs when one is given."""
-    kernels = kernels or _group_kernels(u, channels, log_only=True)
+    `differential_entropy` takes; and each channel's log f_c, the
+    log-sum-exp of log w_i + log phi_i over the groups, from
+    `_group_kernels` at u (kernels, if given)."""
+    kernels = kernels or _group_kernels(u, channels)
     # zero weights give -inf rows, which drop out of the sum
     log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)[:, None]
-    rate = 0.0
+    rate, log_fs = 0.0, []
     for (sigma, sign, _, weights), (*_, log_phi) in zip(channels, kernels):
         terms = log_w + log_phi
         m = terms.max(axis=0)
         log_f = np.log(np.exp(terms - m).sum(axis=0)) + m
         h = -float(weights @ (np.exp(log_f) * log_f))
         rate += sign * (h - noise_entropy(sigma))
-        if log_fs is not None:
-            log_fs.append(log_f)
-    return rate
+        log_fs.append(log_f)
+    return rate, log_fs
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -218,13 +212,12 @@ def _num_points(u):
 
 
 def _derivatives(u, w, channels, kernels=None):
-    """R(F) and its exact gradient and Hessian in (w, u), weights first, on
-    the entropy rule's nodes, from `_group_kernels` at u: f_c = w @ phi,
+    """R(F), its exact gradient and Hessian in (w, u), weights first, and log f
+    on the entropy rule's nodes, from `_group_kernels` at u: f_c = w @ phi,
     J = [phi; w phi'], f's second derivatives phi' at (w_i, u_i) and w phi''
-    at (u_i, u_i). log f is `_rate`'s: w @ phi underflows."""
+    at (u_i, u_i); log f is `_rate`'s, as w @ phi underflows."""
     kernels, n = kernels or _group_kernels(u, channels), len(w)
-    log_fs = []
-    rate = _rate(u, w, channels, kernels, log_fs)
+    rate, log_fs = _rate(u, w, channels, kernels)
     grad = hess = 0.0
     for (_, sign, _, weights), log_f, (phi, dphi, d2phi, _) in zip(
             channels, log_fs, kernels):
@@ -239,7 +232,7 @@ def _derivatives(u, w, channels, kernels=None):
         h += cross + cross.T
         grad = grad - sign * (j @ d_log)
         hess = hess - sign * h
-    return rate, grad, hess
+    return rate, grad, hess, log_fs
 
 
 def _backtrack(x, d, val, derivatives, project):
@@ -285,19 +278,19 @@ def _newton_step(g, hess, free_w, free_u):
             float(np.max(np.abs(g_r), initial=0.0)))
 
 
-def _ascend(u, w, amplitude, channels, move, evals=None):
+def _ascend(u, w, amplitude, channels, move, start=None):
     """Projected Newton ascent of R over the nonzero weights and, if move,
     the pair locations, projected on [_PAIR_FLOOR A, A] and held at a bound
     the gradient pushes past (the center stays at 0), until max(|P(w + g) -
     w|, |dR/du| of the free pairs) <= _INNER_TOLERANCE; a projected-gradient
-    step in w only to change the face. Returns (u, w, steps); `_derivatives`
-    at them is appended to evals, whose last entry, if any, is the start's."""
+    step in w only to change the face. start, if given, is `_derivatives`
+    at (u, w). Returns (u, w, steps, `_derivatives` at the returned u, w)."""
     n, pair = len(u), u > 0.0
     lo = _PAIR_FLOOR * amplitude * pair
     kernels = None if move else _group_kernels(u, channels)
-    val, g, hess = evals[-1] if evals else _derivatives(u, w, channels,
-                                                         kernels)
+    last = start or _derivatives(u, w, channels, kernels)
     for steps in range(_NEWTON_STEPS + 1):
+        val, g, hess, _ = last
         pg = project_simplex(w + g[:n]) - w
         free_u = move & pair & (w > 0.0) & (
             (u < amplitude) | (g[n:] <= 0.0)) & ((u > lo) | (g[n:] >= 0.0))
@@ -315,22 +308,25 @@ def _ascend(u, w, amplitude, channels, move, evals=None):
                                       np.clip(x[n:], lo, amplitude)]))
         if found is None:
             break
-        (w, u), (val, g, hess) = np.split(found[0], 2), found[1]
-    if evals is not None:
-        evals.append((val, g, hess))
-    return u, w, steps
+        (w, u), last = np.split(found[0], 2), found[1]
+    return u, w, steps, last
 
 
 def _polish(u, w, amplitude, channels):
-    """`_ascend` in the weights, then jointly, then `_merge_groups` (the
-    certificate judges the merged law). Returns the state and (weight
-    steps, joint steps, whether either ascent capped)."""
-    evals = []  # the weight ascent's last state starts the joint one
-    u, w, first = _ascend(u, w, amplitude, channels, False, evals)
-    u, w, steps = _ascend(u, w, amplitude, channels, True, evals)
+    """`_ascend` in the weights, then jointly from the weight ascent's last
+    evaluation, then `_merge_groups` (the certificate judges the merged
+    law). Returns the state, (weight steps, joint steps, whether either
+    ascent capped) and the state's (R(F), log f): the joint ascent's own
+    unless the merge moved a group."""
+    u, w, first, last = _ascend(u, w, amplitude, channels, False)
+    u, w, steps, (rate, *_, log_fs) = _ascend(u, w, amplitude, channels,
+                                              True, last)
     order = np.argsort(u)
-    u, w = _merge_groups(u[order], w[order], amplitude)
-    return u, w, (first, steps, _NEWTON_STEPS in (first, steps))
+    merged, w = _merge_groups(u[order], w[order], amplitude)
+    if not np.array_equal(merged, u):
+        rate, log_fs = _rate(merged, w, channels)
+    return merged, w, (first, steps, _NEWTON_STEPS in (first, steps)), (
+        rate, log_fs)
 
 
 def _merge_gap(amplitude):
@@ -375,13 +371,12 @@ def _grow(u, w, grid, s_grid, amplitude):
     return np.insert(u, i, x), np.insert(w, i, _GROWTH_WEIGHT)
 
 
-def _kkt_profile(u, w, channels, amplitude, cells):
-    """The group state's certificate: s at cells + 1 points of [0, A], at
-    the group locations and at the maximum in each cell s' falls through 0
-    in (`maximize_newton`, from the secant root of s'). Returns them and s
-    mirrored, R(F), max(s - R, |s - R| at mass points)."""
-    log_fs = []
-    rate_ref = _rate(u, w, channels, log_fs=log_fs)
+def _kkt_profile(u, w, channels, amplitude, cells, rate_ref, log_fs):
+    """The certificate of the group state whose R(F) and log f `_rate`
+    gives as rate_ref and log_fs: s at cells + 1 points of [0, A], at the
+    group locations and at the maximum in each cell s' falls through 0 in
+    (`maximize_newton`, from the secant root of s'). Returns them and s
+    mirrored, and max(s - R, |s - R| at mass points)."""
     half = np.unique(np.concatenate(
         [np.linspace(0.0, amplitude, cells + 1), u]))
     s_half, ds, _ = _marginal_density(half, channels, log_fs)
@@ -396,7 +391,7 @@ def _kkt_profile(u, w, channels, amplitude, cells):
         np.abs(s_half[(half[:, None] == u).any(axis=1)] - rate_ref))))
     # s is even: mirror x >= 0, keeping half[0] = 0.0 once
     return (np.concatenate([-half[:0:-1], half]),
-            np.concatenate([s_half[:0:-1], s_half]), rate_ref, violation)
+            np.concatenate([s_half[:0:-1], s_half]), violation)
 
 
 def _capacity(amplitude, channels, cfg, rate_of):
@@ -414,15 +409,15 @@ def _capacity(amplitude, channels, cfg, rate_of):
         1.3 * a)))).as_arrays())
     trace = []
     while len(trace) < cfg.max_K - 1 and (k := _num_points(u)) <= cfg.max_K:
-        u, w, steps = _polish(u, w, a, channels)
-        grid, s_grid, rate, violation = _kkt_profile(
-            u, w, channels, a, math.ceil(4.0 * a))
+        u, w, steps, (rate, log_fs) = _polish(u, w, a, channels)
+        grid, s_grid, violation = _kkt_profile(
+            u, w, channels, a, math.ceil(4.0 * a), rate, log_fs)
         trace.append(EscalationStep(k, _num_points(u), rate, violation,
                                     *steps))
         if violation <= _KKT_TOLERANCE:
             points, probs = _expand(u, w)
-            points = np.clip(points * scale, -amplitude, amplitude)
-            dist = DiscreteDistribution(tuple(points), tuple(probs))
+            points = np.clip(points * scale, -amplitude, amplitude).tolist()
+            dist = DiscreteDistribution(tuple(points), tuple(probs.tolist()))
             rate = rate_of(dist)
             return SolverReport(dist, rate.nats, rate.quad_error, len(points),
                                 violation, tuple(trace))
@@ -455,7 +450,7 @@ def secret_key_capacity(
 def secret_key_profile(params: ChannelParams, dist: DiscreteDistribution):
     """(x, s) of an even law on the secret-key stack: its certificate's
     profile, on a lattice of _KKT_GRID_SIZE points of [-A, A]."""
-    a = params.amplitude
+    a, (u, w) = params.amplitude, _fold(*dist.as_arrays())
     stack = _channel_stack(a, params.stack)
-    return _kkt_profile(*_fold(*dist.as_arrays()), stack, a,
-                        _KKT_GRID_SIZE // 2)[:2]
+    return _kkt_profile(u, w, stack, a, _KKT_GRID_SIZE // 2,
+                        *_rate(u, w, stack))[:2]

@@ -44,7 +44,8 @@ def test_meta_companion(tmp_path):
     _run(["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid", "0.5",
           "--restarts", "2", "--seed", "7", "--out", str(out)])
     meta = json.loads((tmp_path / "cap.csv.meta.json").read_text())
-    assert meta["seed"] == 7
+    # --seed is accepted and no longer recorded
+    assert "seed" not in meta
     # --restarts is accepted and no longer part of the solver config
     assert meta["solver_config"] == {"max_K": 64}
     assert meta["quadrature"]["abs_tol"] == 1e-10
@@ -149,7 +150,8 @@ def test_restarts_and_seed_leave_the_result(tmp_path):
         assert _run(["capacity", "--var-d", "1", "--var-e", "2", "--a2-grid",
                      "2,10", "--restarts", restarts, "--seed", seed,
                      "--out", str(out)]).exit_code == 0
-        outs.append(out.read_bytes())
+        outs.append((out.read_bytes(),
+                     (tmp_path / f"r{restarts}.csv.meta.json").read_bytes()))
     assert outs[0] == outs[1]
 
 
@@ -178,6 +180,22 @@ def test_failed_row_is_kept(tmp_path):
     meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
     assert "abs_tol" in meta["rows"][0]["error"]
     assert "error" not in meta["rows"][1]
+
+
+def test_failed_lb1_keeps_the_closed_form_bounds(tmp_path):
+    # at var_e = 1e-12 LB1's plain solve at sigma_e = 1e-6 needs a window
+    # over 2^16 noise widths and fails; the bounds computed without it are
+    # still written
+    out = tmp_path / "b.csv"
+    res = _run(["bounds", "--var-d", "1", "--var-e", "1e-12", "--a2-grid",
+                "1", "--out", str(out)])
+    assert res.exit_code == 2
+    (row,) = _read_csv(out)[1]
+    assert row["status"] == "quadrature_failure"
+    assert row["LB1_nats"] == ""
+    for col in ("C_k_UB_nats", "LB2_star_nats", "beta_star", "LB3_nats",
+                "high_A_limit_nats"):
+        assert math.isfinite(float(row[col])), col
 
 
 _IMPORT_SET_SCRIPT = """

@@ -334,9 +334,8 @@ class TestLogMixture:
     @staticmethod
     def _check(u, w, channels):
         """Each channel's log f from _rate against the oracle; returns them."""
-        log_fs = []
-        _rate(np.asarray(u, float), np.asarray(w, float), channels,
-              log_fs=log_fs)
+        log_fs = _rate(np.asarray(u, float), np.asarray(w, float),
+                       channels)[1]
         for (sigma, _, nodes, _), log_f in zip(channels, log_fs):
             assert log_f.shape == nodes.shape and np.isfinite(log_f).all()
             np.testing.assert_allclose(

@@ -58,6 +58,13 @@ class TestMaxentropicScheme:
             assert dist.probs == dist.probs[::-1], k
             assert (dist.points[0], dist.points[-1]) == (-amplitude, amplitude)
 
+    def test_points_are_python_floats(self):
+        # so that a law prints as numbers, not np.float64(...) under numpy 2
+        for k in (2, 3, 8):
+            dist = maxentropic_scheme(math.sqrt(2.0), k)
+            assert all(type(x) is float for x in dist.points + dist.probs)
+            assert "np." not in repr(dist)
+
 
 @pytest.mark.parametrize("a2", [1e-4, 0.5, 49.0, 1e4])
 def test_batched_rates_equal_single_rates(a2, fig1_params):

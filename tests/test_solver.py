@@ -38,9 +38,23 @@ from support import _quad, mixed_gaussian_entropy_integral
 def _profile(x, points, probs, channels):
     """s(x; F), s' and s'' of an even law, with each channel's log f from
     _rate."""
-    log_fs = []
-    _rate(*_fold(points, probs), channels, log_fs=log_fs)
-    return _marginal_density(x, channels, log_fs)
+    return _marginal_density(x, channels,
+                             _rate(*_fold(points, probs), channels)[1])
+
+
+def _certificate(u, w, channels, amplitude, cells):
+    """`_kkt_profile` of the group state, with R(F) and log f from _rate."""
+    return solver._kkt_profile(u, w, channels, amplitude, cells,
+                               *_rate(u, w, channels))
+
+
+def _assert_identical(got, want):
+    """Two evaluations, (R(F), ..., log f per channel), bit for bit."""
+    *values, log_fs = got
+    *wanted, wanted_log_fs = want
+    assert len(values) == len(wanted) and len(log_fs) == len(wanted_log_fs)
+    for x, y in zip(values + log_fs, wanted + wanted_log_fs):
+        np.testing.assert_array_equal(x, y)
 
 
 def _cells(a, channels):
@@ -81,7 +95,7 @@ class TestWeightOptimizer:
     def test_stationarity_residual(self):
         channels = _channel_stack(1.0, ((1.0, 1.0),))
         u = np.array([1.0])
-        u2, w, _ = _ascend(u, np.array([1.0]), 1.0, channels, False)
+        u2, w, _, _ = _ascend(u, np.array([1.0]), 1.0, channels, False)
         np.testing.assert_array_equal(u2, u)
         assert _weight_residual(u, w, channels) <= 1e-9
         assert w[0] == pytest.approx(1.0, abs=1e-12)
@@ -90,9 +104,9 @@ class TestWeightOptimizer:
         channels = _channel_stack(2.0, ((1.0, 1.0),))
         u = np.array([0.5, 2.0])
         w0 = np.array([0.9, 0.1])
-        u2, w, _ = _ascend(u, w0, 2.0, channels, False)
+        u2, w, _, _ = _ascend(u, w0, 2.0, channels, False)
         np.testing.assert_array_equal(u2, u)
-        assert _rate(u, w, channels) >= _rate(u, w0, channels) - 1e-12
+        assert _rate(u, w, channels)[0] >= _rate(u, w0, channels)[0] - 1e-12
 
     @pytest.mark.parametrize("channels", [
         ((math.sqrt(2.0 / 3.0), 1.0),),
@@ -104,7 +118,8 @@ class TestWeightOptimizer:
         # its step cap
         a = math.sqrt(2.0)
         u, channels = np.array([0.0, a]), _channel_stack(a, channels)
-        _, w, steps = _ascend(u, np.array([0.5, 0.5]), a, channels, False)
+        _, w, steps, _ = _ascend(u, np.array([0.5, 0.5]), a, channels,
+                                 False)
         assert _weight_residual(u, w, channels) <= 1e-9 and steps <= 10
 
 
@@ -231,9 +246,10 @@ class TestGrow:
         # at 0, at A^2 = 20 away from it
         a = math.sqrt(a2)
         channels = _channel_stack(a, self.SECRET_KEY)
-        u, w, _ = _polish(np.array([a]), np.array([1.0]), a, channels)
-        grid, s_grid, _, violation = solver._kkt_profile(
-            u, w, channels, a, _cells(a, self.SECRET_KEY))
+        u, w, _, evaluation = _polish(np.array([a]), np.array([1.0]), a,
+                                      channels)
+        grid, s_grid, violation = solver._kkt_profile(
+            u, w, channels, a, _cells(a, self.SECRET_KEY), *evaluation)
         assert violation > 1e-6
         assert self._check(u, w, grid, s_grid, a)[0] == center
 
@@ -255,21 +271,53 @@ class TestExpand:
 
 class TestPolish:
     def test_joint_ascent_starts_from_the_weight_ascent(self):
-        # the weight ascent's last evaluation, handed on in evals, is the
-        # one the joint ascent would compute; each ascent appends its last
+        # the weight ascent's last evaluation, handed on as start, is the
+        # one the joint ascent would compute; each ascent returns its last
         a = math.sqrt(2.0)
         channels = _channel_stack(a, TestMergeGroups.SECRET_KEY)
-        evals = []
-        u, w, _ = _ascend(np.array([0.0, 0.9 * a]), np.array([0.4, 0.6]), a,
-                          channels, False, evals)
-        got = _ascend(u, w, a, channels, True, evals)
+        u, w, _, last = _ascend(np.array([0.0, 0.9 * a]),
+                                np.array([0.4, 0.6]), a, channels, False)
+        got = _ascend(u, w, a, channels, True, last)
         want = _ascend(u, w, a, channels, True)
-        assert len(evals) == 2 and got[2] == want[2] > 0
+        assert got[2] == want[2] > 0
         for x, y in zip(got[:2], want[:2]):
             np.testing.assert_array_equal(x, y)
-        for state, found in zip([(u, w), got[:2]], evals):
-            for x, y in zip(found, _derivatives(*state, channels)):
-                np.testing.assert_array_equal(x, y)
+        for (u_s, w_s), found in [((u, w), last), (got[:2], got[3]),
+                                  (want[:2], want[3])]:
+            _assert_identical(found, _derivatives(u_s, w_s, channels))
+
+    @pytest.mark.parametrize("a2,secret_key,merges", [
+        (2.0, True, False), (0.5, False, False), (20.0, True, True)])
+    def test_evaluation_is_the_rate_of_the_state(
+            self, fig1_params, monkeypatch, a2, secret_key, merges):
+        # the (R(F), log f) each polish of a solve hands the certificate is
+        # _rate at the polished state, bit for bit: the joint ascent's own
+        # where the merge leaves the law alone, and where it moves a group
+        # (at A^2 = 20 the innermost pair merges into the center)
+        polished, moved = [], []
+        polish, merge = solver._polish, solver._merge_groups
+
+        def merging(u, w, amplitude):
+            found = merge(u, w, amplitude)
+            moved.append(not np.array_equal(found[0], u))
+            return found
+
+        def polishing(u, w, amplitude, channels):
+            found = polish(u, w, amplitude, channels)
+            polished.append((found, channels))
+            return found
+
+        monkeypatch.setattr(solver, "_merge_groups", merging)
+        monkeypatch.setattr(solver, "_polish", polishing)
+        p = fig1_params(a2)
+        if secret_key:
+            secret_key_capacity(p)
+        else:
+            plain_capacity(p.amplitude, math.sqrt(p.var_eq))
+        assert polished and len(moved) == len(polished)
+        assert any(moved) == merges
+        for (u, w, _, evaluation), channels in polished:
+            _assert_identical(evaluation, _rate(u, w, channels))
 
     @pytest.mark.parametrize("shift", [1.0, 0.9])
     def test_center_held_at_zero(self, fig1_params, shift):
@@ -281,7 +329,7 @@ class TestPolish:
         assert len(points) == 3
         u = np.array([0.0, shift * points[2]])
         w = np.array([probs[1], 2.0 * probs[2]])
-        u2, w2, _ = _polish(
+        u2, w2, _, _ = _polish(
             u, w, p.amplitude,
             _channel_stack(p.amplitude, TestMergeGroups.SECRET_KEY))
         assert u2[0] == 0.0 and u2[1] > 0.0
@@ -299,9 +347,9 @@ class TestPolish:
         polish = solver._polish
 
         def checked(u, w, amplitude, channels):
-            u, w, cost = polish(u, w, amplitude, channels)
-            steps.append(_ascend(u, w, amplitude, channels, False)[2])
-            return u, w, cost
+            found = polish(u, w, amplitude, channels)
+            steps.append(_ascend(*found[:2], amplitude, channels, False)[2])
+            return found
 
         monkeypatch.setattr(solver, "_polish", checked)
         p, cfg = fig1_params(a2), SolverConfig(max_K=max_k)
@@ -381,8 +429,7 @@ class TestBlockedExpectation:
         (channel,) = channels = _channel_stack(3.0, ((0.8, 1.0),))
         rows = solver._KERNEL_BLOCK_TERMS // len(channel[2])
         assert rows > 1
-        log_fs = []
-        _rate(u, w, channels, log_fs=log_fs)
+        log_fs = _rate(u, w, channels)[1]
         for n in (1, rows - 1, rows, rows + 1, 2001):
             x = rng.uniform(-4.0, 4.0, n)
             got = _marginal_density(x, channels, log_fs)
@@ -409,9 +456,8 @@ class TestGroupKernels:
                 for g, v, parity in zip(got, want, (1.0, -1.0, 1.0, 1.0)):
                     assert np.isfinite(g).all()
                     np.testing.assert_array_equal(g, parity * v)
-            log_fs = []
-            _rate(*_fold(*maxentropic_scheme(a, 9).as_arrays()),
-                  channels, log_fs=log_fs)
+            log_fs = _rate(*_fold(*maxentropic_scheme(a, 9).as_arrays()),
+                           channels)[1]
             got = _marginal_density(-x, channels, log_fs)
         assert np.isfinite(got).all()
         np.testing.assert_array_equal(
@@ -463,10 +509,11 @@ class TestChannelStack:
         assert len(whole[0][2]) == widths * LATTICE_PER_SIGMA + 1
         for (*_, nodes, _), (*_, full, _) in zip(stack, whole):
             assert len(nodes) == len(full) // 2 + 1
-        assert _rate(u, w, stack) == pytest.approx(
-            _rate(u, w, whole), rel=0.0, abs=1e-13)
-        for got, want in zip(_derivatives(u, w, stack),
-                             _derivatives(u, w, whole)):
+        assert _rate(u, w, stack)[0] == pytest.approx(
+            _rate(u, w, whole)[0], rel=0.0, abs=1e-13)
+        # R, gradient and Hessian; log f lives on each stack's own nodes
+        for got, want in zip(_derivatives(u, w, stack)[:3],
+                             _derivatives(u, w, whole)[:3]):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
         x = np.linspace(-a, a, 15)
         np.testing.assert_allclose(_profile(x, points, probs, stack),
@@ -526,7 +573,7 @@ def _violation_on(x, points, probs, channels):
     violation of the law on the points x."""
     s_grid = _direct_s(x, points, probs, channels)
     s_pts = _direct_s(points, points, probs, channels)
-    rate = _rate(*_fold(points, probs), channels)
+    rate = _rate(*_fold(points, probs), channels)[0]
     return max(float(np.max(s_grid) - rate),
                float(np.max(np.abs(s_pts - rate))))
 
@@ -548,7 +595,7 @@ class TestKKTProfile:
         # +-0.7123 lie off the lattice, 0 on it
         points = np.array([-0.7123, 0.0, 0.7123])
         probs = np.array([0.3, 0.4, 0.3])
-        grid, s_grid, _, _ = solver._kkt_profile(
+        grid, s_grid, _ = _certificate(
             *_fold(points, probs), _channel_stack(a, channels), a,
             _cells(a, channels))
         assert np.array_equal(grid, -grid[::-1])
@@ -569,12 +616,11 @@ class TestKKTProfile:
         channels = _channel_stack(a, channels)
         points, probs = _equispaced_law(k, a)
         s_pts = _profile(points, points, probs, channels)[0]
-        rate = _rate(*_fold(points, probs), channels)
+        rate = _rate(*_fold(points, probs), channels)[0]
         # on shared nodes the profile's own sum is R(F) up to rounding
         assert float(probs @ s_pts) == pytest.approx(rate, rel=0.0, abs=1e-14)
-        _, _, got_rate, got = solver._kkt_profile(
-            *_fold(points, probs), channels, a, _cells(a, channels))
-        assert got_rate == rate
+        _, _, got = _certificate(*_fold(points, probs), channels, a,
+                                 _cells(a, channels))
         coarse = _violation_on(np.linspace(-a, a, solver._KKT_GRID_SIZE),
                                points, probs, channels)
         assert got >= coarse - 1e-14
@@ -599,8 +645,8 @@ class TestKKTProfile:
             rep = secret_key_capacity(params)
         stack = _channel_stack(a, channels)
         points, probs = rep.distribution.as_arrays()
-        _, _, _, got = solver._kkt_profile(*_fold(points, probs), stack, a,
-                                           math.ceil(4.0 * a))
+        _, _, got = _certificate(*_fold(points, probs), stack, a,
+                                 math.ceil(4.0 * a))
         assert got == rep.kkt_max_violation <= 1e-6
         assert got >= _dense_violation(points, probs, stack, a) - 1e-13
 
@@ -651,11 +697,11 @@ class TestSecondOrderSteps:
         channels = _channel_stack(self.A, channels)
         u, w = self._state(m, center, zero)
         n = len(u)
-        val, g, hess = _derivatives(u, w, channels)
+        val, g, hess, _ = _derivatives(u, w, channels)
         assert g.shape == (2 * n,) and hess.shape == (2 * n, 2 * n)
 
         def rate(x):
-            return _rate(x[n:], x[:n], channels)
+            return _rate(x[n:], x[:n], channels)[0]
 
         x = np.concatenate([w, u])
         assert val == rate(x)
@@ -753,7 +799,7 @@ class TestPlainCapacity:
     def test_kkt_certificate(self):
         rep = plain_capacity(1.0, 1.0)
         assert rep.kkt_max_violation <= 1e-6
-        s_grid = solver._kkt_profile(
+        s_grid = _certificate(
             *_fold(*rep.distribution.as_arrays()),
             _channel_stack(1.0, ((1.0, 1.0),)), 1.0, 4)[1]
         s_max = float(np.max(s_grid))
@@ -913,8 +959,17 @@ class TestCapacityWrappers:
         points, probs = rep.distribution.as_arrays()
         assert rep.rate_nats == pytest.approx(
             _rate(*_fold(points, probs),
-                  _channel_stack(p.amplitude, channels)),
+                  _channel_stack(p.amplitude, channels))[0],
             rel=0.0, abs=1e-14)
+
+    def test_law_holds_python_floats(self, fig1_params):
+        # the report's law prints as numbers, not np.float64(...)
+        p = fig1_params(2.0)
+        for rep in (secret_key_capacity(p),
+                    plain_capacity(p.amplitude, math.sqrt(p.var_eq))):
+            law = rep.distribution
+            assert all(type(x) is float for x in law.points + law.probs)
+            assert "np." not in repr(law)
 
 
 class TestSolverConfigContract:
